@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "health/status.hpp"
 #include "linalg/dense.hpp"
 
 namespace awe::engine {
@@ -31,29 +32,60 @@ struct PadeResult {
   linalg::CVector residues;
 };
 
+/// Per-worker scratch of the allocation-free Padé lane kernel (pade_lane).
+/// Every buffer is sized once, from the largest order the scratch fits;
+/// after a successful pade_lane the first six fields hold the approximant,
+/// laid out like PadeResult.
+struct PadeScratch {
+  explicit PadeScratch(std::size_t max_order);
+
+  std::size_t order = 0;
+  double scale = 1.0;
+  std::vector<double> numerator;
+  std::vector<double> denominator;
+  linalg::CVector poles;
+  linalg::CVector residues;
+
+  // Kernel internals: per probed order q, the scaled moments (slot stride
+  // 2*max_order), the Hankel LU factors (max_order^2), the row permutation
+  // (max_order) and the frequency scale w0.
+  std::size_t max_order = 0;
+  std::vector<double> mu, lu, w0, row_scale, rhs, y;
+  std::vector<std::size_t> perm;
+  linalg::Matrix companion;
+};
+
+/// The Padé half of the ROM fit lane kernel.  Runs, operation for
+/// operation, what pade_from_moments(moments, order) runs — preceded, when
+/// `allow_fallback`, by the max_feasible_order probes of the first
+/// min(moments.size(), 2*order) moments and a drop to the largest feasible
+/// order — and leaves the approximant in `s`.  Each Hankel factorization
+/// that sequence performs consults the linalg.lu_singular failpoint once,
+/// even though the solve reuses the factors of its order's probe.  Returns
+/// kNone, kOrderCollapse (no feasible order) or kHankelIllConditioned
+/// (singular Hankel system, repeated pole) and never allocates.  Throws
+/// std::invalid_argument for order 0 without fallback, too few moments or
+/// an order above s.max_order.
+health::FailClass pade_lane(std::span<const double> moments, std::size_t order,
+                            bool allow_fallback, PadeScratch& s);
+
 /// Compute the order-q Padé approximant from at least 2q moments.
 /// Throws std::invalid_argument when too few moments are supplied and
-/// std::runtime_error when the Hankel system is singular (moment
-/// degeneracy — retry with a lower order).
+/// health::FailError(kHankelIllConditioned) when the Hankel system is
+/// singular (moment degeneracy — retry with a lower order) or the
+/// approximant has a repeated pole.
 PadeResult pade_from_moments(std::span<const double> moments, std::size_t order);
 
 /// Largest order q such that the q x q Hankel system of these moments is
 /// numerically nonsingular; useful for automatic order selection.
 std::size_t max_feasible_order(std::span<const double> moments);
 
-/// Batched SoA Padé pre-pass for the sweep hot path (DESIGN.md §12): for
-/// each lane p < count with ok[p] != 0 and fully finite moments, replicate
-/// bit-for-bit the scalar sequence ReducedOrderModel::from_moments runs on
-/// that lane — the max_feasible_order probe when allow_fallback, then
-/// pade_from_moments — and store the approximant in results[p].  Moment k
-/// of lane p is read at moments[k*stride + p] (2*order moments per lane).
-/// Lanes that fail anywhere (no feasible order, singular Hankel, repeated
-/// pole) get results[p].order = 0 and raise nothing: the caller's
-/// per-point degradation ladder re-runs the scalar path on exactly those
-/// lanes and classifies the failure as before.  The happy path through a
-/// lane block is thereby free of per-point exception dispatch; combined
-/// with ReducedOrderModel::from_pade it moves the whole q x q solve phase
-/// out of the per-point loop.  Returns the number of lanes solved.
+/// Lane-block form of pade_from_moments: for each lane p < count with
+/// ok[p] != 0 and finite moments, runs pade_lane (with its order-fallback
+/// probes when allow_fallback) on the lane and stores the approximant in
+/// results[p].  Moment k of lane p is read at moments[k*stride + p] (2*order
+/// moments per lane).  Lanes that are skipped or fail get results[p].order
+/// = 0 and raise nothing.  Returns the number of lanes solved.
 std::size_t pade_solve_batch(std::span<const double> moments, std::size_t stride,
                              std::size_t count, std::size_t order, bool allow_fallback,
                              std::span<const unsigned char> ok,

@@ -8,9 +8,13 @@
 
 namespace awe::engine {
 
-linalg::CVector solve_complex_dense(std::vector<std::complex<double>> a, linalg::CVector b) {
+namespace {
+
+/// Gaussian elimination with partial pivoting on row-major n x n `a`,
+/// solving into b; false when the system is singular.
+bool solve_complex_dense_in_place(std::span<std::complex<double>> a,
+                                  std::span<std::complex<double>> b) {
   const std::size_t n = b.size();
-  if (a.size() != n * n) throw std::invalid_argument("solve_complex_dense: shape mismatch");
   auto at = [&](std::size_t r, std::size_t c) -> std::complex<double>& {
     return a[r * n + c];
   };
@@ -22,9 +26,7 @@ linalg::CVector solve_complex_dense(std::vector<std::complex<double>> a, linalg:
         best = std::abs(at(i, k));
         piv = i;
       }
-    if (best < 1e-300)
-      throw health::FailError(health::FailClass::kHankelIllConditioned,
-                              "solve_complex_dense: singular system");
+    if (best < 1e-300) return false;
     if (piv != k) {
       for (std::size_t j = k; j < n; ++j) std::swap(at(k, j), at(piv, j));
       std::swap(b[k], b[piv]);
@@ -41,32 +43,187 @@ linalg::CVector solve_complex_dense(std::vector<std::complex<double>> a, linalg:
     for (std::size_t j = ii + 1; j < n; ++j) s -= at(ii, j) * b[j];
     b[ii] = s / at(ii, ii);
   }
-  return b;
+  return true;
 }
 
-namespace {
-
-/// Re-fit residues of the kept poles to the leading moments:
-///   m_j = -sum_i r_i / p_i^{j+1},  j = 0..q-1.
-linalg::CVector refit_residues(const linalg::CVector& poles,
-                               std::span<const double> moments) {
-  const std::size_t q = poles.size();
-  std::vector<std::complex<double>> a(q * q);
-  linalg::CVector rhs(q);
+/// The stability filter shared by every fit: drop the unstable (Re >= 0)
+/// poles, keeping the order of the rest, and when any was dropped re-fit
+/// the kept poles' residues to the leading moments with the direct term
+/// removed from the zeroth (m_0 = d - sum r/p):
+///   m_j - [j == 0] d = -sum_i r_i / p_i^{j+1},  j = 0..q-1.
+/// The moments are expanded about `shift`, so the re-fit runs on the poles
+/// p - shift (exactly p for shift 0).  `work` holds the q x q system.
+health::FailClass drop_unstable_and_refit(linalg::CVector& poles, linalg::CVector& residues,
+                                          std::span<const double> moments, double direct,
+                                          double shift,
+                                          std::vector<std::complex<double>>& work) {
+  std::size_t q = 0;
+  for (std::size_t i = 0; i < poles.size(); ++i)
+    if (poles[i].real() < 0.0) poles[q++] = poles[i];
+  if (q == poles.size()) return health::FailClass::kNone;
+  if (q == 0) return health::FailClass::kAllPolesUnstable;
+  poles.resize(q);
+  residues.resize(q);
+  work.resize(q * q);
   for (std::size_t j = 0; j < q; ++j) {
     for (std::size_t i = 0; i < q; ++i) {
       // -1 / p_i^{j+1}
-      std::complex<double> inv = -1.0 / poles[i];
-      std::complex<double> term = inv;
-      for (std::size_t e = 0; e < j; ++e) term *= 1.0 / poles[i];
-      a[j * q + i] = term;
+      const std::complex<double> p = poles[i] - shift;
+      std::complex<double> term = -1.0 / p;
+      for (std::size_t e = 0; e < j; ++e) term *= 1.0 / p;
+      work[j * q + i] = term;
     }
-    rhs[j] = moments[j];
+    residues[j] = j == 0 ? moments[0] - direct : moments[j];
   }
-  return solve_complex_dense(std::move(a), std::move(rhs));
+  return solve_complex_dense_in_place(work, residues)
+             ? health::FailClass::kNone
+             : health::FailClass::kHankelIllConditioned;
+}
+
+std::complex<double> transfer_at(double direct, std::span<const std::complex<double>> poles,
+                                 std::span<const std::complex<double>> residues,
+                                 std::complex<double> s) {
+  std::complex<double> h{direct, 0.0};
+  for (std::size_t i = 0; i < poles.size(); ++i) h += residues[i] / (s - poles[i]);
+  return h;
+}
+
+/// The tail of from_moments after the Padé solve: direct term, stability
+/// filter and residue re-fit, into the kept poles/residues and `direct`.
+health::FailClass assemble(std::span<const double> numerator,
+                           std::span<const double> denominator,
+                           std::span<const std::complex<double>> pade_poles,
+                           std::span<const std::complex<double>> pade_residues,
+                           std::span<const double> moments, bool enforce_stability,
+                           linalg::CVector& poles, linalg::CVector& residues, double& direct,
+                           std::vector<std::complex<double>>& work) {
+  poles.assign(pade_poles.begin(), pade_poles.end());
+  residues.assign(pade_residues.begin(), pade_residues.end());
+  // Direct (feedthrough) term.  When the Padé's trailing denominator
+  // coefficient vanishes (order collapse), numerator and denominator end
+  // up with equal degree and H(inf) = lead(N)/lead(D) != 0 — e.g. pure
+  // capacitive feedthrough paths or purely resistive transfers (no poles
+  // at all, H = m0).  The residues r_i = N(p_i)/D'(p_i) remain correct in
+  // the decomposition H = d + sum r_i/(s - p_i).
+  std::size_t nd = numerator.size();
+  while (nd > 0 && numerator[nd - 1] == 0.0) --nd;
+  std::size_t dd = denominator.size();
+  while (dd > 0 && denominator[dd - 1] == 0.0) --dd;
+  direct = nd != 0 && nd == dd ? numerator[nd - 1] / denominator[dd - 1] : 0.0;
+  if (!enforce_stability) return health::FailClass::kNone;
+  return drop_unstable_and_refit(poles, residues, moments, direct, 0.0, work);
+}
+
+/// One scratch per thread for the scalar from_moments, grown to the
+/// largest order it has been asked for.
+FitScratch& thread_scratch(std::size_t order) {
+  thread_local std::optional<FitScratch> s;
+  if (!s || s->pade.max_order < order) s.emplace(order);
+  return *s;
+}
+
+[[noreturn]] void throw_fit_failure(health::FailClass c) {
+  switch (c) {
+    case health::FailClass::kOrderCollapse:
+      throw health::FailError(c, "ReducedOrderModel: no feasible Padé order");
+    case health::FailClass::kAllPolesUnstable:
+      throw health::FailError(
+          c, "ReducedOrderModel: all Padé poles unstable; circuit/order invalid");
+    default:
+      throw health::FailError(c,
+                              "ReducedOrderModel: ill-conditioned Padé fit (singular Hankel "
+                              "system, repeated pole or singular residue re-fit)");
+  }
 }
 
 }  // namespace
+
+linalg::CVector solve_complex_dense(std::vector<std::complex<double>> a, linalg::CVector b) {
+  if (a.size() != b.size() * b.size())
+    throw std::invalid_argument("solve_complex_dense: shape mismatch");
+  if (!solve_complex_dense_in_place(a, b))
+    throw health::FailError(health::FailClass::kHankelIllConditioned,
+                            "solve_complex_dense: singular system");
+  return b;
+}
+
+FitScratch::FitScratch(std::size_t order) : pade(order), lane(2 * order) {
+  poles.reserve(order);
+  residues.reserve(order);
+  refit.reserve(order * order);
+}
+
+ReducedOrderModel FitScratch::model(std::span<const double> moments) const {
+  ReducedOrderModel rom;
+  rom.moments_.assign(moments.begin(),
+                      moments.begin() + static_cast<std::ptrdiff_t>(2 * pade.order));
+  rom.poles_ = poles;
+  rom.residues_ = residues;
+  rom.direct_ = direct;
+  return rom;
+}
+
+health::FailClass fit_lane(std::span<const double> moments, const RomOptions& opts,
+                           FitScratch& s) {
+  health::FailClass f = pade_lane(moments, opts.order, opts.allow_order_fallback, s.pade);
+  if (f == health::FailClass::kNone)
+    f = assemble(s.pade.numerator, s.pade.denominator, s.pade.poles, s.pade.residues, moments,
+                 opts.enforce_stability, s.poles, s.residues, s.direct, s.refit);
+  if (f == health::FailClass::kNone)
+    s.dc_gain = transfer_at(s.direct, s.poles, s.residues, {0.0, 0.0}).real();
+  return f;
+}
+
+void fit_lanes(std::span<const double> moments, std::size_t stride, std::size_t count,
+               std::span<const unsigned char> ok, const RomOptions& opts, FitScratch& s,
+               RomSamples& out, std::size_t first, std::span<health::FailClass> fail,
+               const std::function<void(std::size_t)>& on_fit) {
+  const std::size_t nm = 2 * opts.order;
+  for (std::size_t p = 0; p < count; ++p) {
+    if (!ok[p]) {
+      fail[p] = health::FailClass::kSingularY0;
+      continue;
+    }
+    bool finite = true;
+    for (std::size_t k = 0; k < nm; ++k) {
+      s.lane[k] = moments[k * stride + p];
+      finite = finite && std::isfinite(s.lane[k]);
+    }
+    fail[p] = finite ? fit_lane(s.lane, opts, s) : health::FailClass::kNonFiniteEval;
+    if (fail[p] != health::FailClass::kNone) continue;
+    const std::size_t slot = first + p;
+    const std::size_t q = std::min(s.poles.size(), out.max_order);
+    out.order[slot] = static_cast<std::uint8_t>(q);
+    for (std::size_t j = 0; j < q; ++j) {
+      out.poles[slot * out.max_order + j] = s.poles[j];
+      out.residues[slot * out.max_order + j] = s.residues[j];
+    }
+    out.dc_gain[slot] = s.dc_gain;
+    if (on_fit) on_fit(p);
+  }
+}
+
+ReducedOrderModel ReducedOrderModel::from_moments(std::span<const double> moments,
+                                                  const RomOptions& opts) {
+  FitScratch& s = thread_scratch(opts.order);
+  const health::FailClass f = fit_lane(moments, opts, s);
+  if (f != health::FailClass::kNone) throw_fit_failure(f);
+  return s.model(moments);
+}
+
+ReducedOrderModel ReducedOrderModel::from_pade(PadeResult pade,
+                                               std::span<const double> moments,
+                                               const RomOptions& opts) {
+  ReducedOrderModel rom;
+  std::vector<std::complex<double>> work;
+  const health::FailClass f =
+      assemble(pade.numerator, pade.denominator, pade.poles, pade.residues, moments,
+               opts.enforce_stability, rom.poles_, rom.residues_, rom.direct_, work);
+  if (f != health::FailClass::kNone) throw_fit_failure(f);
+  rom.moments_.assign(moments.begin(),
+                      moments.begin() + static_cast<std::ptrdiff_t>(2 * pade.order));
+  return rom;
+}
 
 ReducedOrderModel ReducedOrderModel::from_shifted_moments(std::span<const double> moments,
                                                           const RomOptions& opts,
@@ -79,78 +236,13 @@ ReducedOrderModel ReducedOrderModel::from_shifted_moments(std::span<const double
   for (auto& p : rom.poles_) p += s0;
 
   if (opts.enforce_stability) {
-    linalg::CVector stable;
-    for (const auto& p : rom.poles_)
-      if (p.real() < 0.0) stable.push_back(p);
-    if (stable.empty())
-      throw health::FailError(
-          health::FailClass::kAllPolesUnstable,
-          "ReducedOrderModel: all shifted Padé poles unstable; circuit/order invalid");
-    if (stable.size() != rom.poles_.size()) {
-      rom.poles_ = stable;
-      // Re-fit in the sigma domain where the moments live.
-      linalg::CVector sigma_poles = stable;
-      for (auto& p : sigma_poles) p -= s0;
-      rom.residues_ = refit_residues(sigma_poles, moments);
-    }
-  }
-  return rom;
-}
-
-ReducedOrderModel ReducedOrderModel::from_moments(std::span<const double> moments,
-                                                  const RomOptions& opts) {
-  std::size_t order = opts.order;
-  if (opts.allow_order_fallback) {
-    const std::size_t feasible = max_feasible_order(moments.subspan(
-        0, std::min(moments.size(), 2 * order)));
-    if (feasible == 0)
-      throw health::FailError(health::FailClass::kOrderCollapse,
-                              "ReducedOrderModel: no feasible Padé order");
-    order = std::min(order, feasible);
-  }
-  return from_pade(pade_from_moments(moments, order), moments, opts);
-}
-
-ReducedOrderModel ReducedOrderModel::from_pade(PadeResult pade,
-                                               std::span<const double> moments,
-                                               const RomOptions& opts) {
-  const std::size_t order = pade.order;
-  ReducedOrderModel rom;
-  rom.moments_.assign(moments.begin(), moments.begin() + static_cast<std::ptrdiff_t>(2 * order));
-  rom.poles_ = pade.poles;
-  rom.residues_ = pade.residues;
-
-  // Direct (feedthrough) term.  When the Padé's trailing denominator
-  // coefficient vanishes (order collapse), numerator and denominator end
-  // up with equal degree and H(inf) = lead(N)/lead(D) != 0 — e.g. pure
-  // capacitive feedthrough paths or purely resistive transfers (no poles
-  // at all, H = m0).  The residues r_i = N(p_i)/D'(p_i) remain correct in
-  // the decomposition H = d + sum r_i/(s - p_i).
-  {
-    std::size_t nd = pade.numerator.size();
-    while (nd > 0 && pade.numerator[nd - 1] == 0.0) --nd;
-    std::size_t dd = pade.denominator.size();
-    while (dd > 0 && pade.denominator[dd - 1] == 0.0) --dd;
-    if (nd != 0 && nd == dd)
-      rom.direct_ = pade.numerator[nd - 1] / pade.denominator[dd - 1];
-  }
-
-  if (opts.enforce_stability) {
-    linalg::CVector stable;
-    for (const auto& p : rom.poles_)
-      if (p.real() < 0.0) stable.push_back(p);
-    if (stable.size() != rom.poles_.size()) {
-      if (stable.empty())
-        throw health::FailError(
-            health::FailClass::kAllPolesUnstable,
-            "ReducedOrderModel: all Padé poles unstable; circuit/order invalid");
-      rom.poles_ = stable;
-      // Re-fit with the direct term removed from the zeroth moment
-      // (m_0 = d - sum r/p).
-      std::vector<double> adj(moments.begin(), moments.end());
-      adj[0] -= rom.direct_;
-      rom.residues_ = refit_residues(rom.poles_, adj);
-    }
+    // A sigma-domain fit with no poles at all counts as unstable here.
+    if (rom.poles_.empty()) throw_fit_failure(health::FailClass::kAllPolesUnstable);
+    // Re-fit in the sigma domain where the moments live.
+    std::vector<std::complex<double>> work;
+    const health::FailClass f = drop_unstable_and_refit(rom.poles_, rom.residues_, moments,
+                                                        rom.direct_, s0, work);
+    if (f != health::FailClass::kNone) throw_fit_failure(f);
   }
   return rom;
 }
@@ -161,9 +253,7 @@ bool ReducedOrderModel::is_stable() const {
 }
 
 std::complex<double> ReducedOrderModel::transfer(std::complex<double> s) const {
-  std::complex<double> h{direct_, 0.0};
-  for (std::size_t i = 0; i < poles_.size(); ++i) h += residues_[i] / (s - poles_[i]);
-  return h;
+  return transfer_at(direct_, poles_, residues_, s);
 }
 
 double ReducedOrderModel::magnitude(double freq_hz) const {

@@ -12,6 +12,8 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -42,8 +44,7 @@ class ReducedOrderModel {
   /// the tail of from_moments).  `pade` must have been produced by
   /// pade_from_moments at the order from_moments would have selected for
   /// these moments; then from_pade(pade, moments, opts) equals
-  /// from_moments(moments, opts) bit for bit.  This is the assembly half of
-  /// the sweep engine's batched pade_solve_batch pre-pass.
+  /// from_moments(moments, opts) bit for bit.
   static ReducedOrderModel from_pade(PadeResult pade, std::span<const double> moments,
                                      const RomOptions& opts);
 
@@ -96,6 +97,7 @@ class ReducedOrderModel {
   std::optional<double> step_crossing_time(double fraction, double t_max) const;
 
  private:
+  friend struct FitScratch;
   ReducedOrderModel() = default;
 
   linalg::CVector poles_;
@@ -103,6 +105,58 @@ class ReducedOrderModel {
   std::vector<double> moments_;
   double direct_ = 0.0;
 };
+
+/// Per-point reduced-order model samples, flattened SoA-style.  Points
+/// whose Padé fit dropped to a lower order (or failed, order 0) have their
+/// unused pole/residue slots NaN-padded.
+struct RomSamples {
+  std::size_t max_order = 0;
+  std::vector<std::uint8_t> order;           ///< actual order per point
+  std::vector<std::complex<double>> poles;   ///< [p*max_order + j]
+  std::vector<std::complex<double>> residues;///< [p*max_order + j]
+  std::vector<double> dc_gain;               ///< per point (NaN on failure)
+};
+
+/// Per-worker scratch of the ROM fit lane kernel (fit_lane, fit_lanes).
+/// Every buffer is sized once from the model order, so the kernel never
+/// allocates; after a successful fit_lane the first four fields (and
+/// pade.order) describe the fitted model.
+struct FitScratch {
+  explicit FitScratch(std::size_t order);
+
+  /// The model of the last successful fit_lane over `moments`.
+  ReducedOrderModel model(std::span<const double> moments) const;
+
+  linalg::CVector poles;     ///< kept (stable) poles
+  linalg::CVector residues;  ///< their residues
+  double direct = 0.0;
+  double dc_gain = 0.0;
+  PadeScratch pade;
+  // Kernel internals: fit_lanes' gathered lane (2*order moments) and the
+  // residue re-fit system.
+  std::vector<double> lane;
+  std::vector<std::complex<double>> refit;
+};
+
+/// The ROM fit lane kernel: from_moments(moments, opts) operation for
+/// operation — Padé lane (with order-fallback probes), direct term,
+/// stability filter, residue re-fit, DC gain — into `s`, without
+/// allocating.  Returns the FailClass from_moments would throw, kNone on
+/// success.  `s` must have been sized for at least opts.order.
+health::FailClass fit_lane(std::span<const double> moments, const RomOptions& opts,
+                           FitScratch& s);
+
+/// fit_lane over a block of SoA moment lanes, straight into RomSamples
+/// slots: lane p (p < count) reads moment k at moments[k*stride + p]
+/// (2*opts.order moments) and on success writes out's order, poles,
+/// residues and dc_gain at point first + p, then calls on_fit(p) (when
+/// set) while `s` still holds that lane's fit.  fail[p] receives the lane's
+/// FailClass: kSingularY0 for ok[p] == 0, kNonFiniteEval for non-finite
+/// moments (both left unfitted), else fit_lane's verdict.
+void fit_lanes(std::span<const double> moments, std::size_t stride, std::size_t count,
+               std::span<const unsigned char> ok, const RomOptions& opts, FitScratch& s,
+               RomSamples& out, std::size_t first, std::span<health::FailClass> fail,
+               const std::function<void(std::size_t)>& on_fit = {});
 
 /// Dense complex linear solve by Gaussian elimination with partial
 /// pivoting; used for the residue re-fit (tiny systems).  Exposed for

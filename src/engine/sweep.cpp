@@ -89,20 +89,17 @@ std::vector<double> shift_moments(std::span<const double> m, double s0) {
   return out;
 }
 
-/// Fit point p's ROM from its moment lane, riding the degradation ladder:
-/// user options -> order fallback -> shifted-moment refit -> quarantine.
-/// Only fit failures (health::FailError) ride the ladder; programming
-/// errors (std::bad_alloc, std::logic_error, ...) propagate to the caller.
-/// A quarantined point keeps order 0 / NaN samples and a 0 pass flag.
-/// `pre` (optional) is the point's approximant from the batched
-/// pade_solve_batch pre-pass; when present the primary rung assembles the
-/// ROM from it via from_pade — bit-identical to from_moments, minus the
-/// redundant solve — and all failure rungs below stay unchanged.
-FitOutcome fit_point_rom(const engine::RomOptions& ropts, std::span<const double> lane_moments,
-                         std::size_t p, RomSamples& rs,
-                         const std::function<bool(const engine::ReducedOrderModel&)>& pred,
-                         std::vector<std::uint8_t>* pass, health::HealthReport& hr,
-                         const engine::PadeResult* pre = nullptr) {
+/// The degradation ladder below a failed primary fit of point p (fit_lanes
+/// verdict `primary`): order fallback (when the options disabled it) ->
+/// shifted-moment refit -> quarantine.  Only fit failures
+/// (health::FailError) ride the ladder; programming errors (std::bad_alloc,
+/// std::logic_error, ...) propagate to the caller.  A quarantined point
+/// keeps order 0 / NaN samples and a 0 pass flag.
+FitOutcome fit_fallback(const engine::RomOptions& ropts, std::span<const double> lane_moments,
+                        std::size_t p, RomSamples& rs,
+                        const std::function<bool(const engine::ReducedOrderModel&)>& pred,
+                        std::vector<std::uint8_t>* pass, health::HealthReport& hr,
+                        health::FailClass primary) {
   const auto record = [&](const engine::ReducedOrderModel& rom) {
     const std::size_t q = std::min(rom.order(), rs.max_order);
     rs.order[p] = static_cast<std::uint8_t>(q);
@@ -113,15 +110,7 @@ FitOutcome fit_point_rom(const engine::RomOptions& ropts, std::span<const double
     rs.dc_gain[p] = rom.dc_gain();
     if (pred && pass) (*pass)[p] = pred(rom) ? 1 : 0;
   };
-  health::FailClass last = health::FailClass::kUnknown;
-  try {
-    record(pre && pre->order > 0
-               ? engine::ReducedOrderModel::from_pade(*pre, lane_moments, ropts)
-               : engine::ReducedOrderModel::from_moments(lane_moments, ropts));
-    return {};
-  } catch (const health::FailError& e) {
-    last = e.fail_class();
-  }
+  health::FailClass last = primary;
   if (!ropts.allow_order_fallback) {
     ++hr.order_fallbacks;
     engine::RomOptions relaxed = ropts;
@@ -145,6 +134,48 @@ FitOutcome fit_point_rom(const engine::RomOptions& ropts, std::span<const double
     last = e.fail_class();
   }
   return {LadderStage::kQuarantined, last};
+}
+
+/// Per-worker ROM fit state: the lane kernel's scratch and per-lane
+/// verdicts, sized once per chunk from the model order and batch width.
+struct ChunkFit {
+  ChunkFit(std::size_t order, std::size_t width) : scratch(order), fail(width) {}
+  engine::FitScratch scratch;
+  std::vector<health::FailClass> fail;
+};
+
+/// Fit r's ROMs over the lane block [b, b+w): one fit_lanes call over the
+/// block, then the fallback ladder for the points whose primary fit
+/// failed.  Points the evaluation rung quarantined are skipped.  `moments`
+/// holds the output's moment rows (stride r.num_points).
+void fit_block(const engine::RomOptions& ropts, const double* moments,
+               const std::vector<std::uint8_t>& ok, std::size_t b, std::size_t w,
+               const std::function<bool(const engine::ReducedOrderModel&)>& pred,
+               SweepResult& r, ChunkFit& cf, std::vector<double>& lane,
+               health::HealthReport& hr) {
+  const std::size_t n = r.num_points, nm = lane.size();
+  std::function<void(std::size_t)> on_fit;
+  if (pred)
+    on_fit = [&](std::size_t i) {
+      r.pass[b + i] = pred(cf.scratch.model(cf.scratch.lane)) ? 1 : 0;
+    };
+  engine::fit_lanes(std::span<const double>(moments + b, (nm - 1) * n + w), n, w,
+                    std::span<const unsigned char>(ok.data() + b, w), ropts, cf.scratch,
+                    *r.rom, b, cf.fail, on_fit);
+  for (std::size_t p = b; p < b + w; ++p) {
+    const health::FailClass primary = cf.fail[p - b];
+    if (r.fail_class[p] != static_cast<std::uint8_t>(health::FailClass::kNone) ||
+        primary == health::FailClass::kNone)
+      continue;
+    for (std::size_t k = 0; k < nm; ++k) lane[k] = moments[k * n + p];
+    const FitOutcome fit = fit_fallback(ropts, lane, p, *r.rom, pred,
+                                        r.pass.empty() ? nullptr : &r.pass, hr, primary);
+    r.ladder_stage[p] = static_cast<std::uint8_t>(
+        fit.fail != health::FailClass::kNone
+            ? fit.stage
+            : std::max(static_cast<LadderStage>(r.ladder_stage[p]), fit.stage));
+    r.fail_class[p] = static_cast<std::uint8_t>(fit.fail);
+  }
 }
 
 /// True when all `rows` output lanes of point p hold finite values.
@@ -332,7 +363,8 @@ SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> poin
                                            : model.make_batch_workspace(width);
       std::optional<core::BatchWorkspace> ws1;
       std::vector<double> lane(nm);
-      std::vector<engine::PadeResult> pre;
+      std::optional<ChunkFit> fit;
+      if (need_rom) fit.emplace(ropts.order, width);
       // Per-point chain-rule scratch for the pole-sensitivity pass.
       std::vector<std::vector<double>> dm_point;
       std::vector<bool> all_active;
@@ -364,33 +396,20 @@ SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> poin
               std::span<double>(res.moments.data() + b, res.moments.size() - b), n,
               std::span<unsigned char>(res.ok.data() + b, w), opts.mode, opts.backend);
         }
-        if (need_rom) {
-          // Batched q x q Padé solves straight off the SoA moment block.
-          // A fast-mode strict re-eval below rewrites the lane, so the
-          // pre-solved approximant is only used for kPrimary points.
-          pre.resize(w);
-          engine::pade_solve_batch(
-              std::span<const double>(res.moments.data() + b, res.moments.size() - b), n, w,
-              ropts.order, ropts.allow_order_fallback,
-              std::span<const unsigned char>(res.ok.data() + b, w),
-              std::span<engine::PadeResult>(pre.data(), w));
-        }
+        // The evaluation rung runs for the whole block before the fit: a
+        // fast-mode strict re-eval rewrites its lane, and afterwards ok[p]
+        // is set exactly on the points whose moments the fit may use.
         for (std::size_t p = b; p < b + w; ++p) {
-          FitOutcome out = eval_ladder_point(model, res.points, res.moments, res.ok, nm, n, p,
-                                             opts.mode, ws1, hr.strict_reevals);
-          if (out.fail == health::FailClass::kNone && need_rom) {
-            for (std::size_t k = 0; k < nm; ++k) lane[k] = res.moments[k * n + p];
-            const FitOutcome fit =
-                fit_point_rom(ropts, lane, p, *res.rom, opts.pass_predicate,
-                              res.pass.empty() ? nullptr : &res.pass, hr,
-                              out.stage == LadderStage::kPrimary ? &pre[p - b] : nullptr);
-            if (fit.fail != health::FailClass::kNone) {
-              out = fit;
-            } else {
-              out.stage = std::max(out.stage, fit.stage);
-            }
-          }
-          if (opts.pole_sensitivities && out.fail == health::FailClass::kNone) {
+          const FitOutcome ev = eval_ladder_point(model, res.points, res.moments, res.ok, nm, n,
+                                                  p, opts.mode, ws1, hr.strict_reevals);
+          res.ladder_stage[p] = static_cast<std::uint8_t>(ev.stage);
+          res.fail_class[p] = static_cast<std::uint8_t>(ev.fail);
+        }
+        if (need_rom)
+          fit_block(ropts, res.moments.data(), res.ok, b, w, opts.pass_predicate, res, *fit,
+                    lane, hr);
+        for (std::size_t p = b; p < b + w && opts.pole_sensitivities; ++p) {
+          if (res.fail_class[p] == static_cast<std::uint8_t>(health::FailClass::kNone)) {
             // Chain this point's moment gradients through the Padé/Hankel
             // system.  Pure per-point work on disjoint slots, so the sweep
             // determinism guarantee is untouched; a singular Hankel system
@@ -422,8 +441,6 @@ SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> poin
               }
             }
           }
-          res.ladder_stage[p] = static_cast<std::uint8_t>(out.stage);
-          res.fail_class[p] = static_cast<std::uint8_t>(out.fail);
         }
       }
     });
@@ -507,6 +524,8 @@ std::vector<SweepResult> run_sweep(const core::MultiOutputModel& model,
         core::BatchWorkspace ws = model.make_batch_workspace(width);
         std::optional<core::BatchWorkspace> ws1;
         std::vector<double> lane(nm);
+        std::optional<ChunkFit> fit;
+        if (need_rom) fit.emplace(ropts.order, width);
         for (std::size_t b = begin; b < end; b += width) {
           if (opts.cancel && opts.cancel->cancelled()) {
             for (std::size_t o = 0; o < nout; ++o)
@@ -525,23 +544,13 @@ std::vector<SweepResult> run_sweep(const core::MultiOutputModel& model,
             const FitOutcome ev = eval_ladder_point(model, points, all, ok, nout * nm, n, p,
                                                     opts.mode, ws1, wh.strict_reevals);
             for (std::size_t o = 0; o < nout; ++o) {
-              FitOutcome out = ev;
-              if (ev.fail == health::FailClass::kNone && need_rom) {
-                for (std::size_t k = 0; k < nm; ++k) lane[k] = all[(o * nm + k) * n + p];
-                const FitOutcome fit =
-                    fit_point_rom(ropts, lane, p, *results[o].rom, opts.pass_predicate,
-                                  results[o].pass.empty() ? nullptr : &results[o].pass,
-                                  wh.per_output[o]);
-                if (fit.fail != health::FailClass::kNone) {
-                  out = fit;
-                } else {
-                  out.stage = std::max(out.stage, fit.stage);
-                }
-              }
-              results[o].ladder_stage[p] = static_cast<std::uint8_t>(out.stage);
-              results[o].fail_class[p] = static_cast<std::uint8_t>(out.fail);
+              results[o].ladder_stage[p] = static_cast<std::uint8_t>(ev.stage);
+              results[o].fail_class[p] = static_cast<std::uint8_t>(ev.fail);
             }
           }
+          for (std::size_t o = 0; o < nout && need_rom; ++o)
+            fit_block(ropts, all.data() + o * nm * n, ok, b, w, opts.pass_predicate, results[o],
+                      *fit, lane, wh.per_output[o]);
         }
       });
     } catch (const health::FailError&) {

@@ -103,16 +103,9 @@ struct Stats {
   std::size_t count = 0;  ///< points the statistic was computed over
 };
 
-/// Per-point reduced-order model samples, flattened SoA-style.  Points
-/// whose Padé fit dropped to a lower order (or failed, order 0) have their
-/// unused pole/residue slots NaN-padded.
-struct RomSamples {
-  std::size_t max_order = 0;
-  std::vector<std::uint8_t> order;           ///< actual order per point
-  std::vector<std::complex<double>> poles;   ///< [p*max_order + j]
-  std::vector<std::complex<double>> residues;///< [p*max_order + j]
-  std::vector<double> dc_gain;               ///< per point (NaN on failure)
-};
+/// Per-point reduced-order model samples (awe/rom.hpp), filled in place by
+/// the ROM fit lane kernel.
+using engine::RomSamples;
 
 /// Per-point pole sensitivities (SweepOptions::pole_sensitivities),
 /// flattened SoA-style like RomSamples.  Points whose chain-rule solve

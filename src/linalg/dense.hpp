@@ -43,6 +43,14 @@ class Matrix {
     return m;
   }
 
+  /// Reshape to rows x cols, every entry `fill`; reuses the storage, so it
+  /// does not allocate while rows*cols fits the largest shape held so far.
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, fill);
+  }
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }

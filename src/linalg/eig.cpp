@@ -76,20 +76,19 @@ void hessenberg_in_place(Matrix& a) {
 
 namespace {
 
-/// Francis double-shift QR on an upper Hessenberg matrix (EISPACK `hqr`).
-CVector hqr(Matrix& a) {
+/// Francis double-shift QR on an upper Hessenberg matrix (EISPACK `hqr`);
+/// appends the eigenvalues to `roots`.
+void hqr(Matrix& a, CVector& roots) {
   const std::size_t size = a.rows();
-  CVector roots;
-  roots.reserve(size);
-  if (size == 0) return roots;
+  if (size == 0) return;
 
   double anorm = 0.0;
   for (std::size_t i = 0; i < size; ++i)
     for (std::size_t j = (i == 0 ? 0 : i - 1); j < size; ++j)
       anorm += std::abs(a(i, j));
   if (anorm == 0.0) {
-    roots.assign(size, {0.0, 0.0});
-    return roots;
+    roots.insert(roots.end(), size, {0.0, 0.0});
+    return;
   }
 
   long nn = static_cast<long>(size) - 1;  // signed: index arithmetic dips below 0
@@ -217,18 +216,26 @@ CVector hqr(Matrix& a) {
       }
     }
   }
-  return roots;
 }
 
 }  // namespace
 
-CVector eigenvalues(Matrix a) {
+void eigenvalues_into(Matrix& a, CVector& out) {
   if (a.rows() != a.cols()) throw std::invalid_argument("eigenvalues: square matrix required");
-  if (a.rows() == 0) return {};
-  if (a.rows() == 1) return {std::complex<double>(a(0, 0), 0.0)};
+  if (a.rows() == 1) {
+    out.emplace_back(a(0, 0), 0.0);
+    return;
+  }
   balance_in_place(a);
   hessenberg_in_place(a);
-  return hqr(a);
+  hqr(a, out);
+}
+
+CVector eigenvalues(Matrix a) {
+  CVector roots;
+  roots.reserve(a.rows());
+  eigenvalues_into(a, roots);
+  return roots;
 }
 
 }  // namespace awe::linalg

@@ -16,6 +16,10 @@ namespace awe::linalg {
 /// converge (pathological input).
 CVector eigenvalues(Matrix a);
 
+/// eigenvalues() without allocating: destroys `a` and appends the
+/// eigenvalues to `out`, whose capacity must already hold them.
+void eigenvalues_into(Matrix& a, CVector& out);
+
 /// Balance a matrix in place (diagonal similarity scaling), improving the
 /// accuracy of the subsequent eigenvalue computation.
 void balance_in_place(Matrix& a);

@@ -48,6 +48,20 @@ class LuFactorization {
   int perm_sign_ = 1;
 };
 
+/// LuFactorization::factor on caller-owned storage, for hot loops that must
+/// not allocate: factors the row-major n x n matrix `a` in place, writes
+/// the row permutation to perm[0..n) and uses scale[0..n) as scratch.
+/// Consults the linalg.lu_singular failpoint exactly as factor() does.
+/// Returns the permutation sign, or 0 when the matrix is singular.
+int lu_factor_in_place(std::span<double> a, std::size_t n, std::span<std::size_t> perm,
+                       std::span<double> scale, double pivot_tol = 1e-13);
+
+/// LuFactorization::solve_in_place on lu_factor_in_place's output; y holds
+/// n doubles of scratch.
+void lu_solve_in_place(std::span<const double> lu, std::size_t n,
+                       std::span<const std::size_t> perm, std::span<double> b,
+                       std::span<double> y);
+
 /// Convenience: one-shot dense solve. Throws std::runtime_error on singular A.
 Vector solve_dense(Matrix a, Vector b);
 

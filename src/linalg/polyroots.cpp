@@ -9,10 +9,10 @@ namespace awe::linalg {
 namespace {
 
 /// Trim leading (high-order) zeros; returns trimmed ascending coefficients.
-std::vector<double> trim_leading(std::span<const double> coeffs) {
+std::span<const double> trim_leading(std::span<const double> coeffs) {
   std::size_t deg = coeffs.size();
   while (deg > 0 && coeffs[deg - 1] == 0.0) --deg;
-  return {coeffs.begin(), coeffs.begin() + static_cast<std::ptrdiff_t>(deg)};
+  return coeffs.first(deg);
 }
 
 }  // namespace
@@ -31,21 +31,20 @@ std::complex<double> poly_eval_derivative(std::span<const double> coeffs,
   return acc;
 }
 
-CVector poly_roots(std::span<const double> coeffs) {
-  std::vector<double> c = trim_leading(coeffs);
+void poly_roots_into(std::span<const double> coeffs, CVector& roots, Matrix& companion) {
+  std::span<const double> c = trim_leading(coeffs);
   if (c.empty()) throw std::invalid_argument("poly_roots: zero polynomial");
-  CVector roots;
   // Factor out x^k for trailing zero coefficients (exact zero roots).
   std::size_t first_nonzero = 0;
   while (first_nonzero < c.size() && c[first_nonzero] == 0.0) ++first_nonzero;
   for (std::size_t i = 0; i < first_nonzero; ++i) roots.emplace_back(0.0, 0.0);
-  c.erase(c.begin(), c.begin() + static_cast<std::ptrdiff_t>(first_nonzero));
+  c = c.subspan(first_nonzero);
 
   const std::size_t n = c.size() - 1;  // degree
-  if (n == 0) return roots;
+  if (n == 0) return;
   if (n == 1) {
     roots.emplace_back(-c[0] / c[1], 0.0);
-    return roots;
+    return;
   }
   if (n == 2) {
     // Stable quadratic formula.
@@ -61,17 +60,19 @@ CVector poly_roots(std::span<const double> coeffs) {
       roots.emplace_back(re, im);
       roots.emplace_back(re, -im);
     }
-    return roots;
+    return;
   }
 
   // Companion matrix of the monic polynomial.
-  Matrix comp(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) comp(i + 1, i) = 1.0;
-  for (std::size_t i = 0; i < n; ++i) comp(i, n - 1) = -c[i] / c[n];
-  CVector eigs = eigenvalues(std::move(comp));
+  companion.assign(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) companion(i + 1, i) = 1.0;
+  for (std::size_t i = 0; i < n; ++i) companion(i, n - 1) = -c[i] / c[n];
+  const std::size_t first_eig = roots.size();
+  eigenvalues_into(companion, roots);
 
   // Polish with complex Newton on the original coefficients.
-  for (auto& r : eigs) {
+  for (std::size_t k = first_eig; k < roots.size(); ++k) {
+    auto& r = roots[k];
     for (int it = 0; it < 8; ++it) {
       const auto f = poly_eval(c, r);
       const auto fp = poly_eval_derivative(c, r);
@@ -83,12 +84,18 @@ CVector poly_roots(std::span<const double> coeffs) {
     // Snap nearly-real roots onto the real axis.
     if (std::abs(r.imag()) <= 1e-10 * (1.0 + std::abs(r.real()))) r = {r.real(), 0.0};
   }
-  roots.insert(roots.end(), eigs.begin(), eigs.end());
+}
+
+CVector poly_roots(std::span<const double> coeffs) {
+  CVector roots;
+  roots.reserve(coeffs.size());
+  Matrix companion;
+  poly_roots_into(coeffs, roots, companion);
   return roots;
 }
 
 CVector poly_roots_aberth(std::span<const double> coeffs, int max_iters) {
-  std::vector<double> c = trim_leading(coeffs);
+  const std::span<const double> c = trim_leading(coeffs);
   if (c.size() < 2) throw std::invalid_argument("poly_roots_aberth: degree must be >= 1");
   const std::size_t n = c.size() - 1;
 

@@ -20,6 +20,11 @@ namespace awe::linalg {
 /// coefficients are returned explicitly.  Throws on the zero polynomial.
 CVector poly_roots(std::span<const double> coeffs);
 
+/// poly_roots() without allocating: appends the roots to `roots`, whose
+/// capacity must hold them, and uses `companion` as the companion-matrix
+/// scratch above degree 2 (see Matrix::assign).
+void poly_roots_into(std::span<const double> coeffs, CVector& roots, Matrix& companion);
+
 /// Aberth–Ehrlich simultaneous iteration (independent algorithm, used for
 /// cross-checking).  Same coefficient convention as poly_roots.
 CVector poly_roots_aberth(std::span<const double> coeffs, int max_iters = 200);

@@ -5,7 +5,8 @@
 //     (always / once / nth:<k> / off, AWE_FAILPOINTS spec parsing,
 //     unknown sites and malformed modes rejected, reset() disarms);
 //   - each production site actually injects: LU and sparse-LU report a
-//     singular factorization, the partition moment solve and thread-pool
+//     singular factorization (LU also inside the sweep's ROM fit kernel,
+//     which factors in place), the partition moment solve and thread-pool
 //     tasks throw FailError(kInjectedFault), and the pool survives it;
 //   - every cache-corruption mode (torn store, truncation, bit flip,
 //     load-side corruption) degrades to quarantine + rebuild — the
@@ -14,13 +15,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "circuit/parser.hpp"
+#include "circuits/opamp741.hpp"
 #include "core/model_cache.hpp"
+#include "engine/sweep.hpp"
 #include "engine/thread_pool.hpp"
 #include "health/failpoints.hpp"
 #include "health/report.hpp"
@@ -135,6 +139,52 @@ TEST(FailpointsTest, LuSiteForcesSingularResult) {
   fp::arm(fp::sites::kLuSingular, "once");
   EXPECT_FALSE(linalg::LuFactorization::factor(id).has_value());
   EXPECT_TRUE(linalg::LuFactorization::factor(id).has_value());
+}
+
+TEST(FailpointsTest, LuSiteReachesTheSweepFitKernel) {
+  // The ROM fit lane kernel factors each point's Hankel system in place,
+  // but must still consult the LU site once per factorization.  Without
+  // Padé order fallback that is one check per point, so nth:k lands on
+  // point k-1 of a 1-thread sweep: its primary fit fails and the ladder's
+  // order-fallback rung recovers it.  The model is built before arming —
+  // the build factors matrices too.
+  FailpointGuard guard;
+  const auto amp = circuits::make_opamp741();
+  const auto model = core::CompiledModel::build(
+      amp.netlist,
+      {circuits::Opamp741Circuit::kSymbolGout, circuits::Opamp741Circuit::kSymbolCcomp},
+      circuits::Opamp741Circuit::kInput, amp.out,
+      {.order = 2, .allow_order_fallback = false});
+  const std::size_t n = 2048, k = 1000;
+  const std::vector<sweep::Distribution> dists{
+      sweep::Distribution::lognormal(1.0 / 75.0, 0.3),
+      sweep::Distribution::lognormal(30e-12, 0.3)};
+  const std::vector<double> pts = sweep::sample_points(dists, n, 2026);
+  sweep::SweepOptions opts;
+  opts.threads = 1;
+  opts.with_rom = true;
+  const sweep::SweepResult clean = sweep::run_sweep(model, pts, n, opts);
+  ASSERT_EQ(clean.health.points_ok, n);
+
+  fp::arm(fp::sites::kLuSingular, "nth:" + std::to_string(k));
+  const sweep::SweepResult hit = sweep::run_sweep(model, pts, n, opts);
+  EXPECT_EQ(fp::fire_count(fp::sites::kLuSingular), 1u);
+  EXPECT_EQ(hit.health.points_ok, n - 1);
+  EXPECT_EQ(hit.health.order_fallbacks, 1u);
+  EXPECT_EQ(hit.point_stage(k - 1), sweep::LadderStage::kOrderFallback);
+  // The fallback refits the same order-2 approximant, so every point's ROM
+  // — the injected one's included — keeps its bits.
+  const auto bytes_equal = [](const auto& a, const auto& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  EXPECT_TRUE(bytes_equal(hit.rom->order, clean.rom->order));
+  EXPECT_TRUE(bytes_equal(hit.rom->poles, clean.rom->poles));
+  EXPECT_TRUE(bytes_equal(hit.rom->residues, clean.rom->residues));
+  EXPECT_TRUE(bytes_equal(hit.rom->dc_gain, clean.rom->dc_gain));
+  for (std::size_t p = 0; p < n; ++p) {
+    if (p == k - 1) continue;
+    EXPECT_EQ(hit.point_stage(p), sweep::LadderStage::kPrimary) << p;
+  }
 }
 
 TEST(FailpointsTest, SparseLuSiteForcesSingularResult) {

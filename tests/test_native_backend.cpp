@@ -11,7 +11,7 @@
 //   - lane rejection (det(Y0) == 0, zero resistance symbol) is decided
 //     identically on both backends;
 //   - the sweep engine produces bit-identical SweepResults through either
-//     backend in strict mode, including the batched-Padé ROM samples;
+//     backend in strict mode, including the ROM samples;
 //   - the .so artifact is content-addressed next to the model cache entry
 //     and is only ever emitted when a caller opts into kNative.
 // Every test degrades to GTEST_SKIP when the machine has no C compiler —
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "awe/pade.hpp"
 #include "circuits/coupled_lines.hpp"
 #include "circuits/fig1_rc.hpp"
 #include "circuits/opamp741.hpp"
@@ -244,44 +243,6 @@ TEST(NativeBackendTest, ModuleIsContentAddressedNextToCacheEntry) {
   EXPECT_TRUE(model2->has_native());
   EXPECT_EQ(health::global_counters().native_compiled.load(), before + 1);
   EXPECT_EQ(std::filesystem::last_write_time(so_path), mtime);
-}
-
-// The sweep engine's batched q x q Padé solve (pade_solve_batch +
-// from_pade) must reproduce the scalar from_moments path bit for bit —
-// including the order-fallback probe — and leave rejected lanes at order 0
-// for the scalar ladder.  Pure interpreter arithmetic: no compiler needed.
-TEST(NativeBackendTest, PadeBatchMatchesScalarBitForBit) {
-  auto fig = circuits::make_fig1();
-  auto model = CompiledModel::build(fig.netlist, {"g1", "g2", "c1", "c2"},
-                                    circuits::Fig1Circuit::kInput, fig.v2, {.order = 2});
-  const std::size_t n = 16;
-  auto pts = spread_points({1.0, 1.0, 1.0, 1.0}, n);
-  pts[1 * n + 5] = 0.0;  // kill g2 on lane 5: det == 0, ok = 0
-  const auto run = run_block(model, pts, n, EvalMode::kStrict, EvalBackend::kInterpreter);
-  const std::size_t nm = model.moment_count();
-
-  std::vector<engine::PadeResult> batch(n);
-  const std::size_t solved = engine::pade_solve_batch(
-      run.moments, n, n, 2, /*allow_fallback=*/true,
-      std::span<const unsigned char>(run.ok.data(), n),
-      std::span<engine::PadeResult>(batch.data(), n));
-  EXPECT_EQ(solved, n - 1);
-  EXPECT_EQ(batch[5].order, 0u);
-
-  engine::RomOptions ropts;
-  ropts.order = 2;
-  std::vector<double> lane(nm);
-  for (std::size_t p = 0; p < n; ++p) {
-    if (!run.ok[p]) continue;
-    ASSERT_GT(batch[p].order, 0u) << "lane " << p;
-    for (std::size_t k = 0; k < nm; ++k) lane[k] = run.moments[k * n + p];
-    const auto scalar = engine::ReducedOrderModel::from_moments(lane, ropts);
-    const auto batched = engine::ReducedOrderModel::from_pade(batch[p], lane, ropts);
-    EXPECT_EQ(scalar.order(), batched.order()) << "lane " << p;
-    EXPECT_EQ(scalar.poles(), batched.poles()) << "lane " << p;
-    EXPECT_EQ(scalar.residues(), batched.residues()) << "lane " << p;
-    EXPECT_EQ(scalar.dc_gain(), batched.dc_gain()) << "lane " << p;
-  }
 }
 
 TEST(NativeBackendTest, ScratchDirAttachWorksWithoutCacheDir) {
