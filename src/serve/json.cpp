@@ -1,9 +1,12 @@
 #include "serve/json.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace awe::serve::json {
 
@@ -14,45 +17,6 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
-Value Value::make_bool(bool b) {
-  Value v;
-  v.kind = Kind::kBool;
-  v.boolean = b;
-  return v;
-}
-
-Value Value::make_number(double d) {
-  Value v;
-  v.kind = Kind::kNumber;
-  v.number = d;
-  return v;
-}
-
-Value Value::make_string(std::string s) {
-  Value v;
-  v.kind = Kind::kString;
-  v.str = std::move(s);
-  return v;
-}
-
-Value Value::make_array(std::vector<Value> items) {
-  Value v;
-  v.kind = Kind::kArray;
-  v.array = std::move(items);
-  return v;
-}
-
-Value Value::make_object() {
-  Value v;
-  v.kind = Kind::kObject;
-  return v;
-}
-
-Value& Value::set(std::string key, Value v) {
-  object.emplace_back(std::move(key), std::move(v));
-  return *this;
-}
-
 namespace {
 
 class Parser {
@@ -61,7 +25,8 @@ class Parser {
       : text_(text), max_depth_(max_depth) {}
 
   Value run() {
-    Value v = parse_value(0);
+    Value v;
+    parse_value(v, 0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return v;
@@ -89,34 +54,42 @@ class Parser {
     return true;
   }
 
-  Value parse_value(std::size_t depth) {
+  /// Parse the next value into `v`, a default (null) Value.
+  void parse_value(Value& v, std::size_t depth) {
     if (depth > max_depth_) fail("nesting too deep");
     skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return Value::make_string(parse_string());
+    switch (peek()) {
+      case '{': return parse_object(v, depth);
+      case '[': return parse_array(v, depth);
+      case '"':
+        v.kind = Value::Kind::kString;
+        v.str = parse_string();
+        return;
       case 't':
         if (!consume_literal("true")) fail("bad literal");
-        return Value::make_bool(true);
+        v.kind = Value::Kind::kBool;
+        v.boolean = true;
+        return;
       case 'f':
         if (!consume_literal("false")) fail("bad literal");
-        return Value::make_bool(false);
+        v.kind = Value::Kind::kBool;
+        return;
       case 'n':
         if (!consume_literal("null")) fail("bad literal");
-        return Value::make_null();
-      default: return parse_number();
+        return;
+      default:
+        v.kind = Value::Kind::kNumber;
+        v.number = parse_number();
     }
   }
 
-  Value parse_object(std::size_t depth) {
+  void parse_object(Value& v, std::size_t depth) {
     ++pos_;  // '{'
-    Value v = Value::make_object();
+    v.kind = Value::Kind::kObject;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return v;
+      return;
     }
     for (;;) {
       skip_ws();
@@ -125,29 +98,29 @@ class Parser {
       skip_ws();
       if (peek() != ':') fail("expected ':'");
       ++pos_;
-      v.set(std::move(key), parse_value(depth + 1));
+      parse_value(v.object.emplace_back(std::move(key), Value{}).second, depth + 1);
       skip_ws();
       const char sep = peek();
       ++pos_;
-      if (sep == '}') return v;
+      if (sep == '}') return;
       if (sep != ',') fail("expected ',' or '}'");
     }
   }
 
-  Value parse_array(std::size_t depth) {
+  void parse_array(Value& v, std::size_t depth) {
     ++pos_;  // '['
-    Value v = Value::make_array();
+    v.kind = Value::Kind::kArray;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return v;
+      return;
     }
     for (;;) {
-      v.array.push_back(parse_value(depth + 1));
+      parse_value(v.array.emplace_back(), depth + 1);
       skip_ws();
       const char sep = peek();
       ++pos_;
-      if (sep == ']') return v;
+      if (sep == ']') return;
       if (sep != ',') fail("expected ',' or ']'");
     }
   }
@@ -205,7 +178,7 @@ class Parser {
     }
   }
 
-  Value parse_number() {
+  double parse_number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size()) {
@@ -217,14 +190,21 @@ class Parser {
         break;
     }
     if (pos_ == start) fail("expected value");
-    const std::string token(text_.substr(start, pos_ - start));
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double d = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, d);
+    if (ptr == last && ec == std::errc{}) return d;
+    // from_chars rejects what strtod accepts ("+1") and reports underflow
+    // ("1e-400") as out of range; strtod decides those, as it always has.
+    const std::string token(first, last);
     char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
+    d = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size() || !std::isfinite(d)) {
       pos_ = start;
       fail("bad number");
     }
-    return Value::make_number(d);
+    return d;
   }
 
   std::string_view text_;
@@ -236,8 +216,8 @@ void dump_to(const Value& v, std::string& out) {
   switch (v.kind) {
     case Value::Kind::kNull: out += "null"; break;
     case Value::Kind::kBool: out += v.boolean ? "true" : "false"; break;
-    case Value::Kind::kNumber: out += number_to_string(v.number); break;
-    case Value::Kind::kString: out += quote(v.str); break;
+    case Value::Kind::kNumber: append_number(out, v.number); break;
+    case Value::Kind::kString: append_quoted(out, v.str); break;
     case Value::Kind::kArray: {
       out.push_back('[');
       for (std::size_t i = 0; i < v.array.size(); ++i) {
@@ -251,7 +231,7 @@ void dump_to(const Value& v, std::string& out) {
       out.push_back('{');
       for (std::size_t i = 0; i < v.object.size(); ++i) {
         if (i) out.push_back(',');
-        out += quote(v.object[i].first);
+        append_quoted(out, v.object[i].first);
         out.push_back(':');
         dump_to(v.object[i].second, out);
       }
@@ -276,6 +256,11 @@ std::string dump(const Value& v) {
 std::string quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
+  append_quoted(out, s);
+  return out;
+}
+
+void append_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -297,25 +282,81 @@ std::string quote(std::string_view s) {
     }
   }
   out.push_back('"');
-  return out;
 }
 
-std::string number_to_string(double d) {
-  if (!std::isfinite(d)) return "null";  // JSON has no NaN/Inf; be explicit
+void append_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {  // JSON has no NaN/Inf; be explicit
+    out += "null";
+    return;
+  }
+  char buf[32];
   // Integral values within the exact-double range print as integers: the
   // wire protocol is full of counts and the short form is stable.
   if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    return buf;
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::fixed, 0).ptr);
+    return;
   }
-  // Shortest round-trip: try increasing precision until strtod agrees.
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
-    if (std::strtod(buf, nullptr) == d) break;
+  // Subnormals and exact powers of two: their shortest round-trip digits
+  // need not be the correctly rounded ones "%.*g" prints (2^-1017 is
+  // 7.1202363472230444e-307 at 17 digits but 7.120236347223045e-307 at its
+  // shortest), so probe 15, 16, 17 digits as printf would.
+  const bool pow2 = (std::bit_cast<std::uint64_t>(d) & ((std::uint64_t{1} << 52) - 1)) == 0;
+  if (pow2 || std::fabs(d) < DBL_MIN) {
+    char* end = buf;
+    for (int prec = 15; prec <= 17; ++prec) {
+      end = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, prec).ptr;
+      double back = 0.0;
+      const auto [ptr, ec] = std::from_chars(buf, end, back);
+      if (ec == std::errc{} && back == d) break;
+    }
+    out.append(buf, end);
+    return;
   }
-  return buf;
+  // Everywhere else the shortest round-trip digits D (k of them) are the
+  // "%.{P}g" digits for P = max(k, 15): a correctly rounded P-digit string
+  // is no farther from d than D, so it rounds back to d too and is the
+  // first probe that does.  Lay D out the way "%.{P}g" would.
+  const char* const sci_end =
+      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::scientific).ptr;
+  const char* p = buf;
+  if (*p == '-') out.push_back(*p++);
+  const char* const mantissa = p;
+  char digits[20];
+  int k = 0;
+  for (; *p != 'e'; ++p)
+    if (*p != '.') digits[k++] = *p;
+  int x = 0;
+  std::from_chars(p + (p[1] == '+' ? 2 : 1), sci_end, x);
+  if (x < -4 || x >= std::max(k, 15)) {
+    // Scientific: to_chars already wrote d[.ddd]e±XX exactly as %g does.
+    out.append(mantissa, sci_end);
+    return;
+  }
+  if (x < 0) {
+    out += "0.";
+    out.append(static_cast<std::size_t>(-x - 1), '0');
+    out.append(digits, static_cast<std::size_t>(k));
+    return;
+  }
+  // 0 <= x < P: d is no integer below 1e15, so all x + 1 integer digits
+  // are significant (k > x).
+  const int whole = x + 1;
+  out.append(digits, static_cast<std::size_t>(whole));
+  if (k > whole) {
+    out.push_back('.');
+    out.append(digits + whole, static_cast<std::size_t>(k - whole));
+  }
+}
+
+std::string number_to_string(double d) {
+  std::string out;
+  append_number(out, d);
+  return out;
+}
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace awe::serve::json

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -48,30 +49,27 @@ struct Value {
 
   /// Object member lookup (first match); nullptr when absent or not an object.
   const Value* find(std::string_view key) const;
-
-  static Value make_null() { return Value{}; }
-  static Value make_bool(bool b);
-  static Value make_number(double d);
-  static Value make_string(std::string s);
-  static Value make_array(std::vector<Value> items = {});
-  static Value make_object();
-
-  /// Append a member to an object value (no duplicate checking).
-  Value& set(std::string key, Value v);
 };
 
 /// Parse one complete JSON document; trailing non-whitespace is an error.
 /// `max_depth` bounds array/object nesting.
 Value parse(std::string_view text, std::size_t max_depth = 64);
 
-/// Serialize deterministically: members in insertion order, numbers via
-/// shortest round-trip ("%.17g" trimmed), no whitespace.
+/// Serialize deterministically: members in insertion order, numbers as
+/// append_number writes them, no whitespace.
 std::string dump(const Value& v);
 
 /// Escape and quote a string literal per JSON rules.
 std::string quote(std::string_view s);
+void append_quoted(std::string& out, std::string_view s);
 
-/// Shortest round-trip double literal (integral values print without ".0").
+/// The wire form of a double, byte-stable (DESIGN.md §16.1): "null" when
+/// not finite; "%.0f" for integral values below 1e15; otherwise the
+/// shortest of "%.15g", "%.16g" and "%.17g" that reads back as `d`.
+void append_number(std::string& out, double d);
 std::string number_to_string(double d);
+
+/// Decimal digits of an unsigned integer.
+void append_uint(std::string& out, std::uint64_t v);
 
 }  // namespace awe::serve::json

@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 namespace awe::serve::net {
@@ -153,15 +154,24 @@ ReadStatus LineReader::read_line(std::string& out, std::chrono::milliseconds idl
                                  std::chrono::milliseconds stall_timeout,
                                  const std::atomic<bool>& stop) {
   using clock = std::chrono::steady_clock;
-  auto take_line = [&]() -> bool {
-    const auto nl = buf_.find('\n');
-    if (nl == std::string::npos) return false;
+  // kLine (the line is in `out`), kTooLong, or nothing while the line is
+  // incomplete.  The search starts where the previous one stopped, so a
+  // line arriving in many chunks is scanned once, not once per chunk.
+  auto take_line = [&]() -> std::optional<ReadStatus> {
+    const auto nl = buf_.find('\n', scanned_);
+    if (nl == std::string::npos) {
+      scanned_ = buf_.size();
+      if (buf_.size() > max_line_) return ReadStatus::kTooLong;
+      return std::nullopt;
+    }
+    if (nl > max_line_) return ReadStatus::kTooLong;
     out.assign(buf_, 0, nl);
     if (!out.empty() && out.back() == '\r') out.pop_back();
     buf_.erase(0, nl + 1);
-    return true;
+    scanned_ = 0;
+    return ReadStatus::kLine;
   };
-  if (take_line()) return ReadStatus::kLine;
+  if (const auto st = take_line()) return *st;
 
   // The timer serves double duty: while the buffer is empty it measures
   // idleness; once the first byte of a line lands (reset below) it
@@ -190,8 +200,7 @@ ReadStatus LineReader::read_line(std::string& out, std::chrono::milliseconds idl
     }
     const bool was_empty = buf_.empty();
     buf_.append(chunk, static_cast<std::size_t>(n));
-    if (take_line()) return ReadStatus::kLine;
-    if (buf_.size() > max_line_) return ReadStatus::kTooLong;
+    if (const auto st = take_line()) return *st;
     // First byte of an incomplete line: start the stall clock here, not at
     // call entry — an idle-for-minutes connection is not mid-line-stalled.
     // Deliberately NOT reset on later partial progress: a byte-at-a-time

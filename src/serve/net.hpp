@@ -53,7 +53,7 @@ enum class ReadStatus : std::uint8_t {
   kLine,     ///< a complete line is in `out` (newline stripped)
   kIdle,     ///< idle_timeout expired with NO partial line buffered
   kStalled,  ///< stall_timeout expired MID-line (slow-loris; evict)
-  kTooLong,  ///< line exceeded max_line bytes (evict)
+  kTooLong,  ///< line (before its newline) exceeded max_line bytes (evict)
   kClosed,   ///< orderly EOF
   kStopped,  ///< stop flag observed
   kError,    ///< read(2) error
@@ -78,6 +78,7 @@ class LineReader {
   int fd_;
   std::size_t max_line_;
   std::string buf_;
+  std::size_t scanned_ = 0;  ///< leading bytes of buf_ known to hold no '\n'
 };
 
 /// Write all of `data`, polling for writability in ticks; fails (false)

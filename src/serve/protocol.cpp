@@ -105,23 +105,40 @@ Request parse_request(const std::string& line, std::size_t num_symbols,
 std::string error_response(const char* op, const char* code, const std::string& message,
                            std::optional<std::uint64_t> id,
                            std::uint64_t retry_after_ms) {
-  std::string out = "{\"ok\":false,\"op\":";
-  out += json::quote(op);
-  if (id) out += ",\"id\":" + std::to_string(*id);
+  std::string out;
+  out.reserve(96 + message.size());  // room for the '\n' respond() adds
+  out += "{\"ok\":false,\"op\":";
+  json::append_quoted(out, op);
+  if (id) {
+    out += ",\"id\":";
+    json::append_uint(out, *id);
+  }
   out += ",\"error\":";
-  out += json::quote(code);
+  json::append_quoted(out, code);
   out += ",\"message\":";
-  out += json::quote(message);
-  if (retry_after_ms) out += ",\"retry_after_ms\":" + std::to_string(retry_after_ms);
+  json::append_quoted(out, message);
+  if (retry_after_ms) {
+    out += ",\"retry_after_ms\":";
+    json::append_uint(out, retry_after_ms);
+  }
   out += "}";
   return out;
 }
 
+void append_ok_prefix(std::string& out, const char* op, std::optional<std::uint64_t> id) {
+  out += "{\"ok\":true,\"op\":";
+  json::append_quoted(out, op);
+  if (id) {
+    out += ",\"id\":";
+    json::append_uint(out, *id);
+  }
+}
+
 std::string ok_response(const char* op, std::optional<std::uint64_t> id,
-                        const std::string& body) {
-  std::string out = "{\"ok\":true,\"op\":";
-  out += json::quote(op);
-  if (id) out += ",\"id\":" + std::to_string(*id);
+                        std::string_view body) {
+  std::string out;
+  out.reserve(64 + body.size());  // room for the '\n' respond() adds
+  append_ok_prefix(out, op, id);
   out += body;
   out += "}";
   return out;

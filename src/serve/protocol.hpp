@@ -12,6 +12,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/json.hpp"
@@ -85,6 +86,10 @@ std::string error_response(const char* op, const char* code, const std::string& 
 /// {"ok":true,"op":OP,...fields...}  — `body` is appended verbatim after
 /// the fixed prefix; pass fields pre-serialized ( ",\"k\":v" form).
 std::string ok_response(const char* op, std::optional<std::uint64_t> id,
-                        const std::string& body);
+                        std::string_view body);
+
+/// Append {"ok":true,"op":OP[,"id":ID] to `out`: a large response is built
+/// in one buffer by appending its fields and the closing '}' after this.
+void append_ok_prefix(std::string& out, const char* op, std::optional<std::uint64_t> id);
 
 }  // namespace awe::serve

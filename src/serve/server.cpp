@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -32,22 +33,38 @@ void interruptible_sleep(std::chrono::milliseconds total, const std::atomic<bool
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
 }
 
-std::string stats_json(const ServeStats::Snapshot& s) {
-  std::string out = "{";
-  out += "\"accepted\":" + std::to_string(s.accepted);
-  out += ",\"accept_faults\":" + std::to_string(s.accept_faults);
-  out += ",\"evicted\":" + std::to_string(s.evicted);
-  out += ",\"requests\":" + std::to_string(s.requests);
-  out += ",\"responses\":" + std::to_string(s.responses);
-  out += ",\"shed\":" + std::to_string(s.shed);
-  out += ",\"bad_requests\":" + std::to_string(s.bad_requests);
-  out += ",\"deadline_expired\":" + std::to_string(s.deadline_expired);
-  out += ",\"watchdog_kicks\":" + std::to_string(s.watchdog_kicks);
-  out += ",\"unavailable\":" + std::to_string(s.unavailable);
-  out += ",\"reloads_ok\":" + std::to_string(s.reloads_ok);
-  out += ",\"reload_failures\":" + std::to_string(s.reload_failures);
+/// Append `field` (a literal such as ",\"count\":") and then `v`.
+void put(std::string& out, std::string_view field, std::uint64_t v) {
+  out += field;
+  json::append_uint(out, v);
+}
+
+void append_stats(std::string& out, const ServeStats::Snapshot& s) {
+  put(out, "{\"accepted\":", s.accepted);
+  put(out, ",\"accept_faults\":", s.accept_faults);
+  put(out, ",\"evicted\":", s.evicted);
+  put(out, ",\"requests\":", s.requests);
+  put(out, ",\"responses\":", s.responses);
+  put(out, ",\"shed\":", s.shed);
+  put(out, ",\"bad_requests\":", s.bad_requests);
+  put(out, ",\"deadline_expired\":", s.deadline_expired);
+  put(out, ",\"watchdog_kicks\":", s.watchdog_kicks);
+  put(out, ",\"unavailable\":", s.unavailable);
+  put(out, ",\"reloads_ok\":", s.reloads_ok);
+  put(out, ",\"reload_failures\":", s.reload_failures);
   out += "}";
-  return out;
+}
+
+/// Each fail class's code as a JSON string literal: an eval response
+/// carries one per point.
+const std::array<std::string, health::kFailClassCount>& quoted_fail_codes() {
+  static const auto codes = [] {
+    std::array<std::string, health::kFailClassCount> q;
+    for (std::size_t c = 0; c < q.size(); ++c)
+      q[c] = json::quote(health::code(static_cast<health::FailClass>(c)));
+    return q;
+  }();
+  return codes;
 }
 
 }  // namespace
@@ -457,53 +474,65 @@ void Server::handle_eval(const Job& job, WorkerSlot& slot, sweep::ThreadPool& po
     health_.merge(res.health);
   }
 
-  std::string body;
-  body += ",\"generation\":" + std::to_string(gen);
+  // The whole response line in one buffer, reserved once up front: a
+  // double takes at most 24 bytes on the wire, a quoted fail code 24.
+  const std::size_t per_point = ev.summary ? 0 : 25 * res.num_moments + 32;
+  std::string out;
+  out.reserve(320 + 170 * res.moment_stats.size() + per_point * res.num_points);
+  append_ok_prefix(out, "eval", job.req.id);
+  put(out, ",\"generation\":", gen);
   // Echo the EFFECTIVE deadline (request override, else server default,
   // clamped to max_deadline_ms) so clients can see what limit applied.
-  body += ",\"deadline_ms\":" + std::to_string(deadline_ms);
-  body += ",\"num_points\":" + std::to_string(res.num_points);
-  body += ",\"ok_points\":" + std::to_string(res.ok_count);
-  body += ",\"degraded\":" + std::to_string(res.health.points_degraded);
-  body += ",\"quarantined\":" + std::to_string(res.health.points_quarantined);
-  body += ",\"deadline_points\":" + std::to_string(deadline_points);
-  body += ",\"deadline_expired\":";
-  body += deadline_points > 0 ? "true" : "false";
-  body += ",\"moment_stats\":[";
+  put(out, ",\"deadline_ms\":", deadline_ms);
+  put(out, ",\"num_points\":", res.num_points);
+  put(out, ",\"ok_points\":", res.ok_count);
+  put(out, ",\"degraded\":", res.health.points_degraded);
+  put(out, ",\"quarantined\":", res.health.points_quarantined);
+  put(out, ",\"deadline_points\":", deadline_points);
+  out += deadline_points > 0 ? ",\"deadline_expired\":true" : ",\"deadline_expired\":false";
+  out += ",\"moment_stats\":[";
   for (std::size_t k = 0; k < res.moment_stats.size(); ++k) {
     const sweep::Stats& s = res.moment_stats[k];
-    if (k) body += ",";
-    body += "{\"min\":" + json::number_to_string(s.min);
-    body += ",\"max\":" + json::number_to_string(s.max);
-    body += ",\"mean\":" + json::number_to_string(s.mean);
-    body += ",\"stddev\":" + json::number_to_string(s.stddev);
-    body += ",\"count\":" + std::to_string(s.count) + "}";
+    out += k ? ",{\"min\":" : "{\"min\":";
+    json::append_number(out, s.min);
+    out += ",\"max\":";
+    json::append_number(out, s.max);
+    out += ",\"mean\":";
+    json::append_number(out, s.mean);
+    out += ",\"stddev\":";
+    json::append_number(out, s.stddev);
+    put(out, ",\"count\":", s.count);
+    out += "}";
   }
-  body += "]";
+  out += "]";
   if (!ev.summary) {
-    body += ",\"moments\":[";
+    out += ",\"moments\":[";
     for (std::size_t p = 0; p < res.num_points; ++p) {
-      if (p) body += ",";
-      body += "[";
+      out += p ? ",[" : "[";
       for (std::size_t k = 0; k < res.num_moments; ++k) {
-        if (k) body += ",";
-        body += res.ok[p] ? json::number_to_string(res.moment(k, p)) : "null";
+        if (k) out += ',';
+        if (res.ok[p])
+          json::append_number(out, res.moment(k, p));
+        else
+          out += "null";
       }
-      body += "]";
+      out += ']';
     }
-    body += "],\"point_ok\":[";
+    out += "],\"point_ok\":[";
     for (std::size_t p = 0; p < res.num_points; ++p) {
-      if (p) body += ",";
-      body += res.ok[p] ? "1" : "0";
+      if (p) out += ',';
+      out += res.ok[p] ? '1' : '0';
     }
-    body += "],\"point_fail\":[";
+    out += "],\"point_fail\":[";
+    const auto& codes = quoted_fail_codes();
     for (std::size_t p = 0; p < res.num_points; ++p) {
-      if (p) body += ",";
-      body += json::quote(health::code(res.point_fail_class(p)));
+      if (p) out += ',';
+      out += codes[static_cast<std::size_t>(res.point_fail_class(p))];
     }
-    body += "]";
+    out += "]";
   }
-  respond(job.conn, ok_response("eval", job.req.id, body));
+  out += "}";
+  respond(job.conn, std::move(out));
 }
 
 void Server::handle_reload(const Job& job) {
@@ -528,10 +557,10 @@ void Server::handle_reload(const Job& job) {
       const std::uint64_t gen = store_.publish(model);
       set_meta(std::move(m));
       stats_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
-      respond(job.conn,
-              ok_response("reload", job.req.id,
-                          ",\"generation\":" + std::to_string(gen) +
-                              ",\"attempts\":" + std::to_string(attempt)));
+      std::string body;
+      put(body, ",\"generation\":", gen);
+      put(body, ",\"attempts\":", attempt);
+      respond(job.conn, ok_response("reload", job.req.id, body));
       return;
     } catch (const std::exception& e) {
       last_error = e.what();
@@ -570,9 +599,9 @@ void Server::handle_sleep(const Job& job, WorkerSlot& slot) {
     std::lock_guard<std::mutex> lock(slot.token_mu);
     slot.token = nullptr;
   }
-  respond(job.conn,
-          ok_response("sleep", job.req.id,
-                      std::string(",\"cancelled\":") + (token.cancelled() ? "true" : "false")));
+  respond(job.conn, ok_response("sleep", job.req.id,
+                                token.cancelled() ? ",\"cancelled\":true"
+                                                  : ",\"cancelled\":false"));
 }
 
 void Server::watchdog_loop() {
@@ -607,20 +636,20 @@ void Server::watchdog_loop() {
 
 std::string Server::info_body() const {
   const auto m = meta();
-  std::string body;
-  body += ",\"deck\":" + json::quote(cfg_.deck_path);
-  body += ",\"order\":" + std::to_string(m->order);
-  body += ",\"moment_count\":" + std::to_string(2 * m->order);
-  body += ",\"generation\":" + std::to_string(store_.generation());
+  std::string body = ",\"deck\":";
+  json::append_quoted(body, cfg_.deck_path);
+  put(body, ",\"order\":", m->order);
+  put(body, ",\"moment_count\":", 2 * m->order);
+  put(body, ",\"generation\":", store_.generation());
   body += ",\"symbols\":[";
   for (std::size_t i = 0; i < m->symbols.size(); ++i) {
     if (i) body += ",";
-    body += json::quote(m->symbols[i]);
+    json::append_quoted(body, m->symbols[i]);
   }
   body += "],\"nominal\":[";
   for (std::size_t i = 0; i < m->nominal.size(); ++i) {
     if (i) body += ",";
-    body += json::number_to_string(m->nominal[i]);
+    json::append_number(body, m->nominal[i]);
   }
   body += "]";
   return body;
@@ -640,24 +669,26 @@ std::string Server::status_body() const {
     h = health_;
   }
   std::string body;
-  body += ",\"generation\":" + std::to_string(store_.generation());
-  body += ",\"live_generations\":" + std::to_string(store_.live_generations());
-  body += ",\"queue_depth\":" + std::to_string(depth);
-  body += ",\"executing\":" + std::to_string(executing);
-  body += ",\"inflight_bytes\":" + std::to_string(inflight_bytes);
-  body += ",\"workers\":" + std::to_string(cfg_.workers);
-  body += ",\"draining\":";
-  body += draining_.load(std::memory_order_acquire) ? "true" : "false";
-  body += ",\"stats\":" + stats_json(stats_.snapshot());
-  body += ",\"points\":{\"total\":" + std::to_string(h.points_total);
-  body += ",\"ok\":" + std::to_string(h.points_ok);
-  body += ",\"degraded\":" + std::to_string(h.points_degraded);
-  body += ",\"quarantined\":" + std::to_string(h.points_quarantined) + "}";
-  body += ",\"fail_classes\":{";
-  for (std::size_t c = 0; c < health::kFailClassCount; ++c) {
+  put(body, ",\"generation\":", store_.generation());
+  put(body, ",\"live_generations\":", store_.live_generations());
+  put(body, ",\"queue_depth\":", depth);
+  put(body, ",\"executing\":", executing);
+  put(body, ",\"inflight_bytes\":", inflight_bytes);
+  put(body, ",\"workers\":", cfg_.workers);
+  body += draining_.load(std::memory_order_acquire) ? ",\"draining\":true"
+                                                    : ",\"draining\":false";
+  body += ",\"stats\":";
+  append_stats(body, stats_.snapshot());
+  put(body, ",\"points\":{\"total\":", h.points_total);
+  put(body, ",\"ok\":", h.points_ok);
+  put(body, ",\"degraded\":", h.points_degraded);
+  put(body, ",\"quarantined\":", h.points_quarantined);
+  body += "},\"fail_classes\":{";
+  const auto& codes = quoted_fail_codes();
+  for (std::size_t c = 0; c < codes.size(); ++c) {
     if (c) body += ",";
-    body += json::quote(health::code(static_cast<health::FailClass>(c)));
-    body += ":" + std::to_string(h.fail_counts[c]);
+    body += codes[c];
+    put(body, ":", h.fail_counts[c]);
   }
   body += "}";
   return body;

@@ -11,8 +11,11 @@
 //   - graceful drain: queued and in-flight work is answered, then the
 //     server stops on its own and wait() returns;
 //   - request containment: a malformed line is answered with
-//     "bad_request" and the connection keeps serving.
+//     "bad_request" and the connection keeps serving;
+//   - line framing: the max_line cap is exact whatever the read chunking,
+//     and pipelined lines come back in order.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -284,6 +287,65 @@ TEST_F(ServeTest, DefaultDeadlineExpiresAnUnboundedSweep) {
   EXPECT_TRUE(truthy(r, "deadline_expired"));
   EXPECT_EQ(num(r, "num_points"),
             num(r, "ok_points") + num(r, "degraded") + num(r, "quarantined"));
+}
+
+/// A connected socketpair whose writer end is fed from a thread.
+class LineReaderTest : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0); }
+  void TearDown() override {
+    ::shutdown(fds_[0], SHUT_RDWR);  // unblocks a writer the reader left behind
+    if (writer_.joinable()) writer_.join();
+    ::close(fds_[0]);
+    ::close(fds_[1]);
+  }
+
+  /// Write `data` from a thread in pieces of `piece` bytes.
+  void write_in_pieces(std::string data, std::size_t piece) {
+    writer_ = std::thread([this, data = std::move(data), piece] {
+      for (std::size_t off = 0; off < data.size(); off += piece)
+        if (!net::write_all(fds_[1], std::string_view(data).substr(off, piece), 5s, never_))
+          return;
+    });
+  }
+
+  net::ReadStatus read(net::LineReader& reader, std::string& line) {
+    return reader.read_line(line, 10s, 10s, never_);
+  }
+
+  int fds_[2] = {-1, -1};
+  std::thread writer_;
+  std::atomic<bool> never_{false};
+};
+
+constexpr std::size_t kMaxLine = 1u << 20;
+
+TEST_F(LineReaderTest, LineOfExactlyMaxBytesInChunksIsALine) {
+  write_in_pieces(std::string(kMaxLine, 'x') + "\n", 4096);
+  net::LineReader reader(fds_[0], kMaxLine);
+  std::string line;
+  EXPECT_EQ(read(reader, line), net::ReadStatus::kLine);
+  EXPECT_EQ(line.size(), kMaxLine);
+}
+
+TEST_F(LineReaderTest, OneByteOverMaxIsTooLong) {
+  // The newline lands in the same read as the extra byte: the cap is on the
+  // line, so this is too long however the bytes were chunked.
+  write_in_pieces(std::string(kMaxLine + 1, 'x') + "\n", 4096);
+  net::LineReader reader(fds_[0], kMaxLine);
+  std::string line;
+  EXPECT_EQ(read(reader, line), net::ReadStatus::kTooLong);
+}
+
+TEST_F(LineReaderTest, PipelinedLinesComeBackInOrderWithoutCarriageReturns) {
+  write_in_pieces("{\"op\":\"ping\"}\r\nsecond\n\r\nthird\r\n", 4096);
+  net::LineReader reader(fds_[0], kMaxLine);
+  std::string line;
+  for (const char* want : {R"({"op":"ping"})", "second", "", "third"}) {
+    ASSERT_EQ(read(reader, line), net::ReadStatus::kLine) << want;
+    EXPECT_EQ(line, want);
+  }
+  EXPECT_EQ(reader.buffered(), 0u);
 }
 
 }  // namespace
