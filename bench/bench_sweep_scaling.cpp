@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "bench_util.hpp"
 #include "circuits/opamp741.hpp"
 #include "core/awesymbolic.hpp"
-#include "core/native_backend.hpp"
 #include "engine/sweep.hpp"
 
 namespace {
@@ -57,18 +55,6 @@ const core::CompiledModel& opamp_model() {
 /// (DESIGN.md §14), for the gradient-sweep overhead rows.
 const core::CompiledModel& opamp_gradient_model() {
   static const core::CompiledModel model = build_opamp_model(/*with_gradients=*/true);
-  return model;
-}
-
-/// The same model with the AOT .so attached (compiled into the shared
-/// scratch dir), or nullptr when the machine has no C compiler — native
-/// rows then SkipWithError instead of silently benchmarking the fallback.
-const core::CompiledModel* native_opamp_model() {
-  static const core::CompiledModel* model = []() -> const core::CompiledModel* {
-    auto m = std::make_unique<core::CompiledModel>(build_opamp_model());
-    if (!m->attach_native("").ok()) return nullptr;
-    return m.release();
-  }();
   return model;
 }
 
@@ -99,13 +85,11 @@ double scalar_loop_seconds(const core::CompiledModel& model,
 
 double sweep_seconds(const core::CompiledModel& model, const std::vector<double>& pts,
                      std::size_t n, std::size_t threads, std::size_t width,
-                     core::EvalMode mode,
-                     core::EvalBackend backend = core::EvalBackend::kInterpreter) {
+                     core::EvalMode mode) {
   sweep::SweepOptions opts;
   opts.threads = threads;
   opts.batch_width = width;
   opts.mode = mode;
-  opts.backend = backend;
   return benchutil::time_median(3, [&] {
     const auto res = sweep::run_sweep(model, pts, n, opts);
     benchmark::DoNotOptimize(res.moment_stats[0].mean);
@@ -152,24 +136,6 @@ void print_scaling_table() {
         threads, n / ts, n / tf, ts / tf);
   }
   std::printf("\n");
-
-  if (const auto* native = native_opamp_model()) {
-    std::printf("native AOT backend vs interpreter at batch width 64:\n");
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const double ti = sweep_seconds(model, pts, kPoints, threads, 64,
-                                      core::EvalMode::kFast);
-      const double tn = sweep_seconds(*native, pts, kPoints, threads, 64,
-                                      core::EvalMode::kFast,
-                                      core::EvalBackend::kNative);
-      std::printf(
-          "  threads %2zu  interp-fast %10.0f pts/s   native-fast %10.0f pts/s   "
-          "native/interp %5.2fx\n",
-          threads, n / ti, n / tn, ti / tn);
-    }
-  } else {
-    std::printf("native AOT backend: no C compiler found, skipping\n");
-  }
-  std::printf("\n");
 }
 
 /// Instruction-count-normalized work-rate counter shared by every case:
@@ -206,20 +172,13 @@ void BM_ScalarLoop(benchmark::State& state) {
 BENCHMARK(BM_ScalarLoop);
 
 void BM_SweepEngine(benchmark::State& state) {
-  const bool native = state.range(3) != 0;
-  const core::CompiledModel* model_ptr = native ? native_opamp_model() : &opamp_model();
-  if (!model_ptr) {
-    state.SkipWithError("no C compiler: native backend unavailable");
-    return;
-  }
-  const auto& model = *model_ptr;
+  const auto& model = opamp_model();
   const std::size_t n = 4096;
   const auto pts = mc_points(n);
   sweep::SweepOptions opts;
   opts.threads = static_cast<std::size_t>(state.range(0));
   opts.batch_width = static_cast<std::size_t>(state.range(1));
   opts.mode = state.range(2) ? core::EvalMode::kFast : core::EvalMode::kStrict;
-  opts.backend = native ? core::EvalBackend::kNative : core::EvalBackend::kInterpreter;
   sweep::ThreadPool pool(opts.threads);
   opts.pool = &pool;
   std::uint64_t degraded = 0;
@@ -238,23 +197,17 @@ void BM_SweepEngine(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(degraded));
 }
 BENCHMARK(BM_SweepEngine)
-    ->ArgNames({"threads", "width", "fast", "native"})
-    ->Args({1, 64, 0, 0})
-    ->Args({1, 64, 1, 0})
-    ->Args({2, 64, 0, 0})
-    ->Args({2, 64, 1, 0})
-    ->Args({4, 64, 0, 0})
-    ->Args({4, 64, 1, 0})
-    ->Args({4, 8, 0, 0})
-    ->Args({4, 8, 1, 0})
-    ->Args({4, 256, 0, 0})
-    ->Args({4, 256, 1, 0})
-    // AOT rows (DESIGN.md §12): same geometry as the headline interpreter
-    // rows.  The perf CI enforces native > interpreter-fast via --dominates.
-    ->Args({1, 64, 0, 1})
-    ->Args({1, 64, 1, 1})
-    ->Args({4, 64, 0, 1})
-    ->Args({4, 64, 1, 1})
+    ->ArgNames({"threads", "width", "fast"})
+    ->Args({1, 64, 0})
+    ->Args({1, 64, 1})
+    ->Args({2, 64, 0})
+    ->Args({2, 64, 1})
+    ->Args({4, 64, 0})
+    ->Args({4, 64, 1})
+    ->Args({4, 8, 0})
+    ->Args({4, 8, 1})
+    ->Args({4, 256, 0})
+    ->Args({4, 256, 1})
     ->Unit(benchmark::kMillisecond);
 
 /// Gradient-sweep overhead rows (DESIGN.md §14): the same Monte-Carlo

@@ -153,8 +153,8 @@ def dominates(spec, cur_rows):
     the incremental rebuild must beat a cold build by at least 10x.
     Both rows come from the same fresh run, so no anchoring is needed —
     the comparison is within-machine by construction.  Used to assert
-    structural superiority claims, e.g. the native AOT backend beating the
-    fast interpreter on the sweep workload.
+    structural superiority claims, e.g. a gradient sweep keeping at least
+    0.4x the forward sweep's point rate.
     """
     parts = spec.split(",")
     if len(parts) not in (2, 3, 4) or not all(parts):

@@ -20,14 +20,8 @@
 //                          quarantined disposition summary
 //   --seed S               Monte-Carlo seed (default 42)
 //   --threads N            sweep worker threads, 0 = hardware (default 0)
-//   --backend B            interpreter | native (default interpreter).
-//                          native AOT-compiles the moment program to a
-//                          content-addressed .so (see --cache-dir) and
-//                          runs batch evaluations through it; degrades to
-//                          the interpreter — visible in --health-json —
-//                          when no C compiler is available
 //   --cache-dir DIR        build through the persistent model cache under
-//                          DIR (also where --backend native keeps its .so)
+//                          DIR
 //   --mmap                 with --cache-dir: mmap a v4 cache hit in place
 //                          (CompiledModel::map_file) instead of stream-
 //                          parsing it — the zero-copy warm-open path
@@ -37,8 +31,8 @@
 //                          the cross-process hot-swap path end to end
 //   --dump-moments FILE    with --mc: write every point's ok flag and raw
 //                          moments as deterministic text ("-" for stdout);
-//                          byte-identical across thread counts, backings
-//                          (heap/mmap/shm) and backends in strict mode
+//                          byte-identical across thread counts and
+//                          backings (heap/mmap/shm) in strict mode
 //   --health-json FILE     write the run's HealthReport as JSON
 //                          ("-" for stdout)
 //   --measure M            dc | p1 | funity | pm | t50   (default dc)
@@ -80,7 +74,7 @@ const cli::HealthJsonSink* g_health_sink = nullptr;
   std::fprintf(stderr,
                "usage: %s <deck.sp> [--order N] [--symbols a,b] [--auto-symbols K]\n"
                "          [--at v1,v2] [--sweep name=lo:hi:n] [--mc N] [--seed S]\n"
-               "          [--threads N] [--backend interpreter|native] [--cache-dir DIR]\n"
+               "          [--threads N] [--cache-dir DIR]\n"
                "          [--mmap] [--shm NAME] [--dump-moments FILE]\n"
                "          [--health-json FILE] [--measure M]\n"
                "          [--transient T:N] [--ac f0:f1:N] [--closed-forms]\n"
@@ -161,7 +155,6 @@ int main(int argc, char** argv) {
   std::size_t mc_points = 0;
   std::uint64_t mc_seed = 42;
   std::size_t threads = 0;
-  core::EvalBackend backend = core::EvalBackend::kInterpreter;
   std::string cache_dir;
   std::string health_json;
   std::string shm_name;
@@ -193,15 +186,6 @@ int main(int argc, char** argv) {
         mc_seed = std::stoull(next());
       } else if (arg == "--threads") {
         threads = std::stoul(next());
-      } else if (arg == "--backend") {
-        const std::string b = next();
-        if (b == "interpreter") {
-          backend = core::EvalBackend::kInterpreter;
-        } else if (b == "native") {
-          backend = core::EvalBackend::kNative;
-        } else {
-          usage(argv[0]);
-        }
       } else if (arg == "--cache-dir") {
         cache_dir = next();
       } else if (arg == "--mmap") {
@@ -272,7 +256,6 @@ int main(int argc, char** argv) {
 
     core::BuildOptions build_opts;
     build_opts.cache_dir = cache_dir;
-    build_opts.backend = backend;
     build_opts.map_model = use_mmap;
     core::CompiledModel built = core::CompiledModel::build(deck.netlist, symbols,
                                                            deck.input_source, *out_node,
@@ -280,17 +263,13 @@ int main(int argc, char** argv) {
 
     // --shm: publish into a shared-memory hot-swap store and evaluate
     // through a pinned view of the published generation — every downstream
-    // query below runs against the shm region, not the heap build.  (The
-    // pinned copy shares the region; attaching the native backend to it is
-    // a local property of this process, not of the published bytes.)
+    // query below runs against the shm region, not the heap build.
     std::optional<core::SharedModelStore> store;
     std::shared_ptr<core::CompiledModel> shared;
     if (!shm_name.empty()) {
       store.emplace(shm_name, core::SharedModelStore::Backing::kShm);
       store->publish(built);
       shared = std::make_shared<core::CompiledModel>(*store->acquire());
-      if (backend == core::EvalBackend::kNative)
-        (void)shared->attach_native(cache_dir);
     } else {
       shared = std::make_shared<core::CompiledModel>(std::move(built));
     }
@@ -299,8 +278,6 @@ int main(int argc, char** argv) {
     for (const auto& s : model.symbol_names()) std::printf(" %s", s.c_str());
     std::printf(", %zu ports, %zu compiled instructions", model.port_count(),
                 model.instruction_count());
-    if (backend == core::EvalBackend::kNative)
-      std::printf(", native backend %s", model.has_native() ? "attached" : "fallback");
     if (model.view_backed()) std::printf(", view-backed [%s]", model.blob_origin().c_str());
     std::printf("\n\n");
 
@@ -362,7 +339,6 @@ int main(int argc, char** argv) {
                                 : sweep::Distribution::normal(v, 0.1 * std::abs(v) + 1e-12));
       sweep::SweepOptions sopts;
       sopts.threads = threads;
-      sopts.backend = backend;
       sopts.with_rom = true;
       const auto sr = sweep::monte_carlo(model, dists, mc_points, mc_seed, sopts);
       const auto& h = sr.health;
@@ -384,8 +360,8 @@ int main(int argc, char** argv) {
         // Deterministic text for the CI byte-compare: per point, the ok
         // flag and every raw moment at full precision.  %.17g round-trips
         // IEEE doubles exactly, so bit-identical moments produce
-        // byte-identical dumps — across thread counts, heap/mmap/shm
-        // backings and backends (strict mode).
+        // byte-identical dumps — across thread counts and heap/mmap/shm
+        // backings (strict mode).
         std::FILE* out =
             dump_moments == "-" ? stdout : std::fopen(dump_moments.c_str(), "w");
         if (!out) throw std::runtime_error("cannot write " + dump_moments);

@@ -6,7 +6,6 @@
 
 #include "awe/sensitivity.hpp"
 #include "core/model_cache.hpp"
-#include "core/native_backend.hpp"
 #include "engine/thread_pool.hpp"
 #include "health/report.hpp"
 #include "symbolic/serialize.hpp"
@@ -110,13 +109,7 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
     // the parsing path.
     auto cached = build_opts.map_model ? ModelCache::map_file(path, &cache_quarantined)
                                        : ModelCache::load_file(path, &cache_quarantined);
-    if (cached) {
-      // Attach outcome deliberately ignored: a failed attach degrades to
-      // the interpreter and is already counted in global_counters().
-      if (build_opts.backend == EvalBackend::kNative)
-        (void)cached->attach_native(build_opts.cache_dir);
-      return std::move(*cached);
-    }
+    if (cached) return std::move(*cached);
   }
 
   std::optional<sweep::ThreadPool> local_pool;
@@ -166,30 +159,7 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
     if (cache_quarantined)
       health::global_counters().cache_rebuilds.fetch_add(1, std::memory_order_relaxed);
   }
-  if (build_opts.backend == EvalBackend::kNative)
-    (void)model.attach_native(build_opts.cache_dir);
   return model;
-}
-
-Status CompiledModel::attach_native(const std::string& dir) {
-  Status why;
-  // View-backed models carry the program checksums in the mapped v4 meta,
-  // so content-addressing the .so needs no re-serialization of the mapped
-  // streams (attach stays O(1) in model size).
-  const auto known = [](std::uint64_t c) {
-    return c != 0 ? std::optional<std::uint64_t>(c) : std::nullopt;
-  };
-  native_ = native::load_or_compile(program_, dir, &why, known(program_checksum_));
-  // The gradient program gets its own content-addressed module.  A failed
-  // gradient attach is not a model-level failure: gradient batches simply
-  // keep running through the interpreter (same fallback contract as the
-  // forward path), and the degradation is already counted at attach time.
-  if (grad_program_) {
-    Status grad_why;
-    native_grad_ = native::load_or_compile(*grad_program_, dir, &grad_why,
-                                           known(gradient_checksum_));
-  }
-  return why;
 }
 
 // ---- model format v4: zero-copy open (DESIGN.md §15) ---------------------
@@ -246,8 +216,6 @@ CompiledModel CompiledModel::from_blob(std::shared_ptr<const ModelBlob> blob,
 
   CompiledModel model(std::move(sym), std::move(program), std::move(grad_program), opts);
   model.symbolics_raw_ = view.symbolics_blob();
-  model.program_checksum_ = meta.program_checksum;
-  model.gradient_checksum_ = meta.gradient_checksum;
   model.lazy_ = std::make_shared<LazySymbolics>();
   model.blob_ = std::move(blob);  // pin the region last: nothing above escapes it
   return model;
@@ -350,8 +318,7 @@ BatchWorkspace CompiledModel::make_batch_workspace(std::size_t width) const {
 void CompiledModel::moments_batch(std::span<const double> element_values, std::size_t stride,
                                   std::size_t count, BatchWorkspace& ws,
                                   std::span<double> moments_out, std::size_t out_stride,
-                                  std::span<unsigned char> ok, EvalMode mode,
-                                  EvalBackend backend) const {
+                                  std::span<unsigned char> ok, EvalMode mode) const {
   if (count == 0) return;
   const std::size_t nsym = sym_.symbols.size();
   const std::size_t nm = moment_count();
@@ -364,22 +331,12 @@ void CompiledModel::moments_batch(std::span<const double> element_values, std::s
         "make_batch_workspace())");
 
   pack_symbol_block(sym_.symbols, element_values, stride, count, ws, ok);
-  // kNative without an attached module silently runs the interpreter: the
-  // fallback was counted once at attach time, and the numeric contract
-  // (strict bit-identity, fast ULP bound) holds on either backend.
-  if (backend == EvalBackend::kNative && native_) {
-    native_->run_batch(std::span<const double>(ws.symbol_values.data(), nsym * count),
-                       std::span<double>(ws.program_outputs.data(),
-                                         program_.output_count() * count),
-                       count, mode);
-  } else {
-    program_.run_batch(std::span<const double>(ws.symbol_values.data(), nsym * count),
-                       std::span<double>(ws.program_outputs.data(),
-                                         program_.output_count() * count),
-                       std::span<double>(ws.registers.data(),
-                                         program_.register_count() * count),
-                       count, mode);
-  }
+  program_.run_batch(std::span<const double>(ws.symbol_values.data(), nsym * count),
+                     std::span<double>(ws.program_outputs.data(),
+                                       program_.output_count() * count),
+                     std::span<double>(ws.registers.data(),
+                                       program_.register_count() * count),
+                     count, mode);
   const double* const det = ws.program_outputs.data() + nm * count;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   for (std::size_t p = 0; p < count; ++p) {
@@ -476,7 +433,7 @@ void CompiledModel::moments_and_gradients_batch(
     std::span<const double> element_values, std::size_t stride, std::size_t count,
     BatchWorkspace& ws, std::span<double> moments_out, std::size_t out_stride,
     std::span<double> grads_out, std::size_t grad_stride, std::span<unsigned char> ok,
-    EvalMode mode, EvalBackend backend) const {
+    EvalMode mode) const {
   if (!grad_program_)
     throw std::logic_error(
         "CompiledModel: build with ModelOptions::with_gradients for gradients");
@@ -496,18 +453,11 @@ void CompiledModel::moments_and_gradients_batch(
         "make_gradient_batch_workspace())");
 
   pack_symbol_block(sym_.symbols, element_values, stride, count, ws, ok);
-  if (backend == EvalBackend::kNative && native_grad_) {
-    native_grad_->run_batch(
-        std::span<const double>(ws.symbol_values.data(), nsym * count),
-        std::span<double>(ws.program_outputs.data(), grad_program_->output_count() * count),
-        count, mode);
-  } else {
-    grad_program_->run_batch(
-        std::span<const double>(ws.symbol_values.data(), nsym * count),
-        std::span<double>(ws.program_outputs.data(), grad_program_->output_count() * count),
-        std::span<double>(ws.registers.data(), grad_program_->register_count() * count),
-        count, mode);
-  }
+  grad_program_->run_batch(
+      std::span<const double>(ws.symbol_values.data(), nsym * count),
+      std::span<double>(ws.program_outputs.data(), grad_program_->output_count() * count),
+      std::span<double>(ws.registers.data(), grad_program_->register_count() * count),
+      count, mode);
 
   const double* const det = ws.program_outputs.data() + nm * count;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -689,8 +639,7 @@ void MultiOutputModel::moments_batch(std::span<const double> element_values,
                                      std::size_t stride, std::size_t count,
                                      BatchWorkspace& ws, std::span<double> moments_out,
                                      std::size_t out_stride,
-                                     std::span<unsigned char> ok, EvalMode mode,
-                                     EvalBackend /*backend: interpreter only*/) const {
+                                     std::span<unsigned char> ok, EvalMode mode) const {
   if (count == 0) return;
   const std::size_t nsym = sym_.symbols.size();
   const std::size_t nm = moment_count();

@@ -36,21 +36,6 @@ namespace awe::core {
 /// kFast runs the peephole-fused stream within a small ULP bound.
 using symbolic::EvalMode;
 
-namespace native {
-class NativeModule;
-}
-
-/// Which executable form of the compiled program runs a batch (orthogonal
-/// to EvalMode, which is the numeric contract).  kNative selects the AOT
-/// machine-code module (DESIGN.md §12) when one is attached; when the
-/// attach failed — no compiler, compile error, bad .so — evaluation falls
-/// back to the interpreter transparently, so asking for kNative is always
-/// safe and never changes which answers are correct.
-enum class EvalBackend : std::uint8_t {
-  kInterpreter,  ///< batched interpreter over the register program
-  kNative,       ///< dlopen'd AOT-compiled kernels (same SoA layout)
-};
-
 /// Structure-of-arrays scratch for batched evaluation: `width` points per
 /// lane-block, arrays sized field_count * width with lane stride equal to
 /// the block's point count.  Built by make_batch_workspace(); one per
@@ -95,15 +80,6 @@ struct BuildOptions {
   /// core/model_cache.hpp for the key derivation and ModelCache for the
   /// in-process LRU layered on top.
   std::string cache_dir;
-  /// kNative: after the build (cold or cached), compile/load the native
-  /// AOT module for the program — content-addressed .so next to the model
-  /// artifact when cache_dir is set, in a temp scratch dir otherwise — and
-  /// attach it to the model.  Attach failure is not a build failure: the
-  /// model comes back interpreter-only with the degradation recorded in
-  /// health::global_counters() (kNativeBackend).  Note a .so is only ever
-  /// written when this is kNative, keeping interpreter-run cache
-  /// directories byte-identical across machines.
-  EvalBackend backend = EvalBackend::kInterpreter;
   /// Incremental partition-level rebuild (DESIGN.md §13): persist per-cell
   /// port-moment blocks under <cache_dir>/blocks (or partition_block_dir
   /// when set) and reuse the blocks of unedited cells on the next build.
@@ -187,18 +163,7 @@ class CompiledModel {
   void moments_batch(std::span<const double> element_values, std::size_t stride,
                      std::size_t count, BatchWorkspace& ws, std::span<double> moments_out,
                      std::size_t out_stride, std::span<unsigned char> ok,
-                     EvalMode mode = EvalMode::kStrict,
-                     EvalBackend backend = EvalBackend::kInterpreter) const;
-
-  /// Attach the native AOT module for this model's program (compiling it
-  /// under `dir` if needed; empty = temp scratch dir).  Returns the
-  /// attach outcome: on failure the model simply stays interpreter-only
-  /// and kNative requests keep evaluating correctly.  Counters for both
-  /// outcomes land in health::global_counters() (DESIGN.md §12).
-  Status attach_native(const std::string& dir);
-  /// True when a validated native module is attached (kNative will
-  /// actually run machine code rather than fall back).
-  bool has_native() const { return native_ != nullptr; }
+                     EvalMode mode = EvalMode::kStrict) const;
 
   /// Full evaluation: compiled moments -> Padé -> reduced-order model.
   engine::ReducedOrderModel evaluate(std::span<const double> element_values) const;
@@ -229,19 +194,14 @@ class CompiledModel {
   /// as moments_and_gradients().  Failed lanes (ok[p] == 0) get NaN
   /// moments and gradients.  In EvalMode::kStrict every lane is
   /// bit-identical to the scalar moments_and_gradients() regardless of
-  /// count, thread, or backend.  Requires with_gradients (throws
+  /// count or thread.  Requires with_gradients (throws
   /// std::logic_error otherwise).
   void moments_and_gradients_batch(std::span<const double> element_values,
                                    std::size_t stride, std::size_t count,
                                    BatchWorkspace& ws, std::span<double> moments_out,
                                    std::size_t out_stride, std::span<double> grads_out,
                                    std::size_t grad_stride, std::span<unsigned char> ok,
-                                   EvalMode mode = EvalMode::kStrict,
-                                   EvalBackend backend = EvalBackend::kInterpreter) const;
-
-  /// True when a validated native module is attached for the gradient
-  /// program as well (kNative gradient batches run machine code).
-  bool has_native_gradients() const { return native_grad_ != nullptr; }
+                                   EvalMode mode = EvalMode::kStrict) const;
 
   /// Reference (uncompiled) moment evaluation — term-by-term polynomial
   /// evaluation; used by tests and the compilation ablation bench.
@@ -357,14 +317,6 @@ class CompiledModel {
   /// conductances; the element-value chain rule is applied at evaluation
   /// time).  One run yields moments and all gradients.
   std::optional<symbolic::CompiledProgram> grad_program_;
-  /// AOT module for program_, when attach_native succeeded (shared: copies
-  /// of the model share one dlopen handle).  Never required for
-  /// correctness — every kNative call path falls back to the interpreter
-  /// when this is null.
-  std::shared_ptr<const native::NativeModule> native_;
-  /// AOT module for grad_program_, attached alongside native_ when the
-  /// model carries gradients.  Same fallback contract.
-  std::shared_ptr<const native::NativeModule> native_grad_;
   ModelOptions opts_;
   /// v4 region this model executes out of (null for built/parsed models).
   /// Keeps the mapped/shared pages alive for as long as any copy of the
@@ -373,11 +325,6 @@ class CompiledModel {
   /// Lazy polynomial side + raw section for view-backed models.
   std::shared_ptr<LazySymbolics> lazy_;
   std::span<const std::byte> symbolics_raw_;  ///< into *blob_
-  /// fnv1a64(program.save()) carried in the v4 meta: lets attach_native
-  /// content-address the .so without re-serializing the mapped program.
-  /// 0 = unknown (owned models compute it on demand).
-  std::uint64_t program_checksum_ = 0;
-  std::uint64_t gradient_checksum_ = 0;
 };
 
 /// Several outputs compiled from ONE partition: the numeric reduction,
@@ -421,15 +368,10 @@ class MultiOutputModel {
   /// block.  Same layout contract as CompiledModel::moments_batch, except
   /// moment k of output o for point p lands at
   /// moments_out[(o*moment_count() + k)*out_stride + p].
-  /// `backend` is accepted for signature parity with CompiledModel but
-  /// multi-output programs are not AOT-compiled (they are built once per
-  /// composite analysis, not per sweep) — kNative falls back to the
-  /// interpreter, which is the documented contract of the backend anyway.
   void moments_batch(std::span<const double> element_values, std::size_t stride,
                      std::size_t count, BatchWorkspace& ws, std::span<double> moments_out,
                      std::size_t out_stride, std::span<unsigned char> ok,
-                     EvalMode mode = EvalMode::kStrict,
-                     EvalBackend backend = EvalBackend::kInterpreter) const;
+                     EvalMode mode = EvalMode::kStrict) const;
 
  private:
   MultiOutputModel(part::MultiSymbolicMoments sym, symbolic::CompiledProgram program,

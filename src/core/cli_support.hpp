@@ -67,8 +67,7 @@ class HealthJsonSink {
   }
 
   /// Flush a caller-built report.  Absorbs the process-global counters
-  /// here — callers must NOT have done so already (absorb_global_counters
-  /// ADDS the native per-class failure counts; twice double-counts).
+  /// here, so callers need not.
   void flush_report(health::HealthReport report) const {
     if (path_.empty()) return;
     health::absorb_global_counters(report);

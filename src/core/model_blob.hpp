@@ -90,7 +90,7 @@ struct Meta {
   std::uint64_t global_dim;
   std::uint64_t symbol_count;
   std::uint64_t numerator_count;      ///< == 2*order
-  std::uint64_t program_checksum;     ///< fnv1a64(program.save()) — native .so key
+  std::uint64_t program_checksum;     ///< fnv1a64(program.save()); format stability only
   std::uint64_t gradient_checksum;    ///< 0 when no gradient program
   std::uint64_t prog_input_count;
   std::uint64_t prog_register_count;
@@ -118,7 +118,7 @@ static_assert(alignof(Header) <= 64 && alignof(Meta) <= 64 &&
 }  // namespace v4
 
 /// FNV-1a 64-bit over a byte range (the model checksum primitive, shared
-/// with the v3 stream loader and the native-backend content addressing).
+/// with the v3 stream loader and the program_checksum meta fields).
 std::uint64_t fnv1a64(const void* data, std::size_t size);
 
 /// Abstract owner of a model region: heap buffer, mmap'd cache file, or a

@@ -287,7 +287,6 @@ std::shared_ptr<const CompiledModel> ModelCache::get_or_build(
     auto loaded = build_opts.map_model ? map_file(path, &quarantined)
                                        : load_file(path, &quarantined);
     if (loaded) {
-      if (build_opts.backend == EvalBackend::kNative) (void)loaded->attach_native(dir_);
       auto model = std::make_shared<const CompiledModel>(std::move(*loaded));
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -312,14 +311,9 @@ std::shared_ptr<const CompiledModel> ModelCache::get_or_build(
     bo.partition_block_dir =
         (std::filesystem::path(dir_) / "blocks").string();
   bo.cache_dir.clear();  // this cache is the cache layer; no recursion
-  bo.backend = EvalBackend::kInterpreter;  // attached below, next to OUR entry
   CompiledModel built = CompiledModel::build(netlist, std::move(symbol_elements),
                                              input_source, *out_id, opts, bo);
   if (!dir_.empty()) store_file(dir_, key, built);
-  // The .so lands beside the .awemodel entry, content-addressed by program
-  // checksum (a scratch directory for memory-only caches).  Only requested
-  // builds ever emit one, keeping interpreter cache dirs byte-comparable.
-  if (build_opts.backend == EvalBackend::kNative) (void)built.attach_native(dir_);
   auto model = std::make_shared<const CompiledModel>(std::move(built));
   {
     std::lock_guard<std::mutex> lock(mu_);

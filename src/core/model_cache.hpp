@@ -96,9 +96,6 @@ class ModelCache {
   /// LRU -> disk -> cold build, returning a shared handle (models are
   /// immutable, so one instance serves any number of concurrent sweeps).
   /// `build_opts.cache_dir` is ignored — this cache IS the cache layer.
-  /// `build_opts.backend == kNative` AOT-compiles the program into a
-  /// content-addressed .so beside the cache entry (on cold build and disk
-  /// hit; a memory hit returns the instance as first attached).
   std::shared_ptr<const CompiledModel> get_or_build(
       const circuit::Netlist& netlist, std::vector<std::string> symbol_elements,
       const std::string& input_source, const std::string& output_node,

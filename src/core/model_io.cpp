@@ -38,7 +38,6 @@
 
 #include "core/awesymbolic.hpp"
 #include "core/model_format.hpp"
-#include "core/native_backend.hpp"
 #include "health/status.hpp"
 #include "symbolic/serialize.hpp"
 
@@ -60,6 +59,13 @@ struct IncrementalFnv {
   }
 };
 
+std::uint64_t serialized_checksum(const symbolic::CompiledProgram& program) {
+  std::ostringstream os;
+  program.save(os);
+  const std::string bytes = os.str();
+  return fnv1a64(bytes.data(), bytes.size());
+}
+
 }  // namespace
 
 void CompiledModel::save(std::ostream& os) const {
@@ -73,16 +79,10 @@ void CompiledModel::save(std::ostream& os) const {
   in.global_dim = sym_.global_dim;
   in.program = program_.code();
   if (grad_program_) in.gradient = grad_program_->code();
-  // View-backed models already carry the checksums in their meta; owned
-  // models compute them here (save is the cold path).  Reusing the native
-  // backend's definition keeps the .so content address and the v4 meta in
-  // exact agreement.
-  in.program_checksum =
-      program_checksum_ != 0 ? program_checksum_ : native::program_checksum(program_);
-  if (grad_program_)
-    in.gradient_checksum = gradient_checksum_ != 0
-                               ? gradient_checksum_
-                               : native::program_checksum(*grad_program_);
+  // fnv1a64(program.save()) per program, kept in the v4 meta only so the
+  // format stays byte-stable.
+  in.program_checksum = serialized_checksum(program_);
+  if (grad_program_) in.gradient_checksum = serialized_checksum(*grad_program_);
   const std::string symbolics = symbolics_payload();
   in.symbolics_blob = symbolics;
   const std::string blob = pack_model_v4(in);

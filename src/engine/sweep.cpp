@@ -389,12 +389,12 @@ SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> poin
               std::span<const double>(res.points.data() + b, res.points.size() - b), n, w, ws,
               std::span<double>(res.moments.data() + b, res.moments.size() - b), n,
               std::span<double>(res.gradients.data() + b, res.gradients.size() - b), n,
-              std::span<unsigned char>(res.ok.data() + b, w), opts.mode, opts.backend);
+              std::span<unsigned char>(res.ok.data() + b, w), opts.mode);
         } else {
           model.moments_batch(
               std::span<const double>(res.points.data() + b, res.points.size() - b), n, w, ws,
               std::span<double>(res.moments.data() + b, res.moments.size() - b), n,
-              std::span<unsigned char>(res.ok.data() + b, w), opts.mode, opts.backend);
+              std::span<unsigned char>(res.ok.data() + b, w), opts.mode);
         }
         // The evaluation rung runs for the whole block before the fit: a
         // fast-mode strict re-eval rewrites its lane, and afterwards ok[p]
@@ -534,12 +534,9 @@ std::vector<SweepResult> run_sweep(const core::MultiOutputModel& model,
             break;
           }
           const std::size_t w = std::min(width, end - b);
-          // Multi-output programs are not AOT-compiled; the backend knob is
-          // forwarded for signature symmetry and interprets regardless.
           model.moments_batch(std::span<const double>(points.data() + b, points.size() - b),
                               n, w, ws, std::span<double>(all.data() + b, all.size() - b), n,
-                              std::span<unsigned char>(ok.data() + b, w), opts.mode,
-                              opts.backend);
+                              std::span<unsigned char>(ok.data() + b, w), opts.mode);
           for (std::size_t p = b; p < b + w; ++p) {
             const FitOutcome ev = eval_ladder_point(model, points, all, ok, nout * nm, n, p,
                                                     opts.mode, ws1, wh.strict_reevals);

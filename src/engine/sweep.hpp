@@ -58,12 +58,6 @@ struct SweepOptions {
   /// measurably faster, results within a small ULP bound of strict but
   /// dependent on batch geometry (thread count / width) at that level.
   core::EvalMode mode = core::EvalMode::kStrict;
-  /// Executable form for the primary batch evaluations: kNative runs the
-  /// model's AOT-compiled module (attach with BuildOptions::backend =
-  /// kNative), falling back to the interpreter transparently when none is
-  /// attached.  The ladder's strict re-evaluation rung always uses the
-  /// interpreter — it is the bit-reproducible reference (DESIGN.md §12).
-  core::EvalBackend backend = core::EvalBackend::kInterpreter;
   /// Extract a per-point reduced-order model and record its poles,
   /// residues and DC gain in SweepResult::rom.
   bool with_rom = false;

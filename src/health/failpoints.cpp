@@ -16,7 +16,6 @@ constexpr const char* kAllSites[] = {
     sites::kPartitionMomentSolve, sites::kCacheStoreTruncate,
     sites::kCacheStoreBitflip,  sites::kCacheStoreCrash,
     sites::kCacheLoadCorrupt,   sites::kThreadPoolTask,
-    sites::kNativeCompile,      sites::kNativeDlopen,
     sites::kPartitionBlock,     sites::kServeAccept,
     sites::kServeRead,          sites::kServeSwap,
 };

@@ -40,8 +40,6 @@ inline constexpr const char* kCacheStoreCrash = "model_cache.store_crash";
 inline constexpr const char* kCacheLoadCorrupt = "model_cache.load_corrupt";
 inline constexpr const char* kPartitionBlock = "cache.partition";
 inline constexpr const char* kThreadPoolTask = "thread_pool.task";
-inline constexpr const char* kNativeCompile = "native.compile";
-inline constexpr const char* kNativeDlopen = "native.dlopen";
 inline constexpr const char* kServeAccept = "serve.accept";
 inline constexpr const char* kServeRead = "serve.read";
 inline constexpr const char* kServeSwap = "serve.swap";

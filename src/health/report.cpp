@@ -16,8 +16,6 @@ void HealthReport::merge(const HealthReport& other) {
   shifted_refits += other.shifted_refits;
   cache_corrupt_quarantined += other.cache_corrupt_quarantined;
   cache_rebuilds += other.cache_rebuilds;
-  native_compiled += other.native_compiled;
-  native_fallbacks += other.native_fallbacks;
   partition_blocks_reused += other.partition_blocks_reused;
   partition_blocks_built += other.partition_blocks_built;
   partition_blocks_quarantined += other.partition_blocks_quarantined;
@@ -43,8 +41,6 @@ std::string HealthReport::to_json(int indent) const {
      << ", \"shifted_refits\": " << shifted_refits << "},\n";
   os << in1 << "\"cache\": {\"corrupt_quarantined\": " << cache_corrupt_quarantined
      << ", \"rebuilds\": " << cache_rebuilds << "},\n";
-  os << in1 << "\"native\": {\"compiled\": " << native_compiled
-     << ", \"fallbacks\": " << native_fallbacks << "},\n";
   os << in1 << "\"partition_blocks\": {\"reused\": " << partition_blocks_reused
      << ", \"built\": " << partition_blocks_built
      << ", \"quarantined\": " << partition_blocks_quarantined << "},\n";
@@ -76,16 +72,12 @@ void absorb_global_counters(HealthReport& report) {
       g.cache_corrupt_quarantined.load(std::memory_order_relaxed);
   report.cache_rebuilds = g.cache_rebuilds.load(std::memory_order_relaxed);
   report.failpoint_fires = g.failpoint_fires.load(std::memory_order_relaxed);
-  report.native_compiled = g.native_compiled.load(std::memory_order_relaxed);
-  report.native_fallbacks = g.native_fallbacks.load(std::memory_order_relaxed);
   report.partition_blocks_reused =
       g.partition_blocks_reused.load(std::memory_order_relaxed);
   report.partition_blocks_built =
       g.partition_blocks_built.load(std::memory_order_relaxed);
   report.partition_blocks_quarantined =
       g.partition_blocks_quarantined.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kFailClassCount; ++i)
-    report.fail_counts[i] += g.native_fail_counts[i].load(std::memory_order_relaxed);
 }
 
 }  // namespace awe::health

@@ -37,10 +37,6 @@ struct HealthReport {
   std::uint64_t cache_corrupt_quarantined = 0;  ///< entries moved to .bad
   std::uint64_t cache_rebuilds = 0;             ///< rebuilds after quarantine
 
-  // Native AOT backend (DESIGN.md §12).
-  std::uint64_t native_compiled = 0;   ///< .so modules compiled or validated+loaded
-  std::uint64_t native_fallbacks = 0;  ///< attach attempts that fell back to the interpreter
-
   // Incremental partition-level rebuild (DESIGN.md §13).
   std::uint64_t partition_blocks_reused = 0;       ///< cell blocks loaded from the store
   std::uint64_t partition_blocks_built = 0;        ///< cell blocks extracted fresh
@@ -79,21 +75,15 @@ struct GlobalCounters {
   std::atomic<std::uint64_t> cache_corrupt_quarantined{0};
   std::atomic<std::uint64_t> cache_rebuilds{0};
   std::atomic<std::uint64_t> failpoint_fires{0};
-  std::atomic<std::uint64_t> native_compiled{0};
-  std::atomic<std::uint64_t> native_fallbacks{0};
   std::atomic<std::uint64_t> partition_blocks_reused{0};
   std::atomic<std::uint64_t> partition_blocks_built{0};
   std::atomic<std::uint64_t> partition_blocks_quarantined{0};
-  /// Terminal FailClass of each native fallback, indexed by FailClass
-  /// (attach happens on static build paths with no HealthReport in scope).
-  std::array<std::atomic<std::uint64_t>, kFailClassCount> native_fail_counts{};
 };
 
 GlobalCounters& global_counters();
 
-/// Fold the process-global counters into `report` (overwrites the scalar
-/// fields — they are process-scope, not additive per sweep — and ADDS the
-/// native per-class failure counts into fail_counts; call once per report).
+/// Fold the process-global counters into `report` (overwrites the fields
+/// they cover — they are process-scope, not additive per sweep).
 void absorb_global_counters(HealthReport& report);
 
 }  // namespace awe::health

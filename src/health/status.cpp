@@ -14,7 +14,6 @@ const char* to_string(FailClass c) {
     case FailClass::kInjectedFault: return "injected fault";
     case FailClass::kTaskException: return "task exception";
     case FailClass::kUnknown: return "unknown failure";
-    case FailClass::kNativeBackend: return "native backend unavailable";
     case FailClass::kModelFormat: return "model format rejected";
     case FailClass::kDeadline: return "request deadline expired";
     case FailClass::kOverload: return "request shed under overload";
@@ -34,7 +33,6 @@ const char* code(FailClass c) {
     case FailClass::kInjectedFault: return "injected-fault";
     case FailClass::kTaskException: return "task-exception";
     case FailClass::kUnknown: return "unknown";
-    case FailClass::kNativeBackend: return "native-backend";
     case FailClass::kModelFormat: return "model-format";
     case FailClass::kDeadline: return "deadline";
     case FailClass::kOverload: return "overloaded";

@@ -18,9 +18,9 @@
 
 namespace awe::health {
 
-/// Why a point / build / cache probe failed.  Values are stable across
-/// releases (they appear in JSON health reports and fuzz signatures);
-/// append only.
+/// Why a point / build / cache probe failed.  JSON health reports, the
+/// wire protocol and fuzz signatures carry code(), never the numeric
+/// value; append new classes at the end.
 enum class FailClass : std::uint8_t {
   kNone = 0,              ///< no failure
   kSingularY0 = 1,        ///< det(Y0) == 0 / zero reciprocal symbol / DC-singular MNA
@@ -32,13 +32,12 @@ enum class FailClass : std::uint8_t {
   kInjectedFault = 7,     ///< a failpoint fired (testing only)
   kTaskException = 8,     ///< a thread-pool task died; point never processed
   kUnknown = 9,           ///< classified failure of unrecognized origin
-  kNativeBackend = 10,    ///< native .so compile/load/validate failed; interpreter used
-  kModelFormat = 11,      ///< model blob rejected: endianness/alignment/layout guard
-  kDeadline = 12,         ///< request deadline expired; evaluation cancelled mid-sweep
-  kOverload = 13,         ///< request shed by admission control (queue/byte limits)
+  kModelFormat = 10,      ///< model blob rejected: endianness/alignment/layout guard
+  kDeadline = 11,         ///< request deadline expired; evaluation cancelled mid-sweep
+  kOverload = 12,         ///< request shed by admission control (queue/byte limits)
 };
 
-inline constexpr std::size_t kFailClassCount = 14;
+inline constexpr std::size_t kFailClassCount = 13;
 
 /// Long human-readable name ("Hankel system ill-conditioned").
 const char* to_string(FailClass c);

@@ -699,69 +699,6 @@ std::string CompiledProgram::to_c_source(std::string_view function_name,
   return src;
 }
 
-std::string CompiledProgram::to_c_source_batch(std::string_view function_name,
-                                               EvalMode mode) const {
-  const std::span<const Instr> stream =
-      mode == EvalMode::kFast ? fused_instrs_ : instrs_;
-  const std::span<const std::uint32_t> out_regs =
-      mode == EvalMode::kFast ? fused_output_regs_ : output_regs_;
-
-  // Per-point loop with a per-iteration register file: the registers are
-  // scalarized into machine registers by any optimizing C compiler, so the
-  // generated kernel carries zero dispatch and zero lane-array traffic.
-  // Fused ops are emitted as a*b + c so FP-contract rules (not an explicit
-  // libm fma() call) decide contraction per target.
-  std::string src;
-  src += "void " + std::string(function_name) +
-         "(const double* in, double* out, unsigned long n) {\n";
-  if (input_count_ == 0) src += "  (void)in;\n";  // a constant program reads no inputs
-  src += "  unsigned long p;\n";
-  src += "  for (p = 0; p < n; ++p) {\n";
-  src += "    double r[" + std::to_string(register_count_ == 0 ? 1 : register_count_) +
-         "];\n";
-  for (const Instr& ins : stream) {
-    const std::string d = "    r[" + std::to_string(ins.dst) + "] = ";
-    const std::string a = "r[" + std::to_string(ins.a) + "]";
-    const std::string b = "r[" + std::to_string(ins.b) + "]";
-    const std::string c = "r[" + std::to_string(ins.c) + "]";
-    switch (ins.op) {
-      case OpCode::kConst:
-        src += d + c_literal(constants_[ins.a]) + ";\n";
-        break;
-      case OpCode::kInput:
-        src += d + "in[" + std::to_string(ins.a) + " * n + p];\n";
-        break;
-      case OpCode::kAdd:
-        src += d + a + " + " + b + ";\n";
-        break;
-      case OpCode::kSub:
-        src += d + a + " - " + b + ";\n";
-        break;
-      case OpCode::kMul:
-        src += d + a + " * " + b + ";\n";
-        break;
-      case OpCode::kDiv:
-        src += d + a + " / " + b + ";\n";
-        break;
-      case OpCode::kNeg:
-        src += d + "-" + a + ";\n";
-        break;
-      case OpCode::kFma:
-        src += d + a + " * " + b + " + " + c + ";\n";
-        break;
-      case OpCode::kFms:
-        src += d + a + " * " + b + " - " + c + ";\n";
-        break;
-    }
-  }
-  for (std::size_t k = 0; k < out_regs.size(); ++k)
-    src += "    out[" + std::to_string(k) + " * n + p] = r[" +
-           std::to_string(out_regs[k]) + "];\n";
-  src += "  }\n";
-  src += "}\n";
-  return src;
-}
-
 std::vector<NodeId> reverse_gradients(ExprGraph& graph, std::span<const NodeId> roots) {
   constexpr NodeId kNone = 0xffffffffu;
   const std::uint32_t ninputs = graph.input_count();

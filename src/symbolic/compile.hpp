@@ -125,21 +125,6 @@ class CompiledProgram {
   std::string to_c_source(std::string_view function_name,
                           EvalMode mode = EvalMode::kStrict) const;
 
-  /// Emit the program as a standalone width-N SoA batch kernel
-  ///   void <name>(const double* in, double* out, unsigned long n);
-  /// evaluating n independent points with lane stride n (input i of point p
-  /// at in[i*n + p], output k of point p at out[k*n + p]) — the same memory
-  /// layout as run_batch, and the source form the native AOT backend
-  /// compiles into a .so (DESIGN.md §12).  kStrict emits the unfused stream
-  /// one IEEE operation per statement: compiled with FP contraction off it
-  /// is bit-identical to the strict interpreter.  kFast emits the fused
-  /// stream as a*b + c expressions so the C compiler may contract them to
-  /// hardware FMA — the same rounding freedom EvalMode::kFast grants the
-  /// interpreter.  The source is self-contained (no headers needed, even
-  /// for non-finite constants).
-  std::string to_c_source_batch(std::string_view function_name,
-                                EvalMode mode = EvalMode::kStrict) const;
-
   /// Binary serialization of the full program state: both instruction
   /// streams, the constant pool (bit-exact doubles) and both output maps.
   /// The byte stream is versioned and deterministic — save(load(save(p)))

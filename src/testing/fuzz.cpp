@@ -50,8 +50,6 @@ std::string FuzzSummary::to_json() const {
   os << "  \"ill_conditioned\": " << ill_conditioned << ",\n";
   os << "  \"singular\": " << singular << ",\n";
   os << "  \"pade_flagged\": " << pade_flagged << ",\n";
-  os << "  \"native_checked\": " << native_checked << ",\n";
-  os << "  \"native_skipped\": " << native_skipped << ",\n";
   os << "  \"gradients_checked\": " << gradients_checked << ",\n";
   os << "  \"gradients_skipped\": " << gradients_skipped << ",\n";
   os << "  \"moments_compared\": " << moments_compared << ",\n";
@@ -99,7 +97,6 @@ FuzzSummary run_fuzz(const FuzzOptions& opts) {
     sum.moments_compared += r.moments_compared;
     sum.moments_skipped += r.moments_skipped;
     if (!r.pade_ok) ++sum.pade_flagged;
-    if (opts.oracle.native) ++(r.native_ran ? sum.native_checked : sum.native_skipped);
     if (opts.oracle.gradients)
       ++(r.gradients_ran ? sum.gradients_checked : sum.gradients_skipped);
     switch (r.status) {

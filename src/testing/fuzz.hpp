@@ -45,9 +45,7 @@ struct FuzzSummary {
   std::size_t ill_conditioned = 0;
   std::size_t singular = 0;
   std::size_t pade_flagged = 0;      ///< Padé instability classifications
-  std::size_t native_checked = 0;    ///< cases the native (7th) oracle ran on
-  std::size_t native_skipped = 0;    ///< native requested but backend fell back
-  std::size_t gradients_checked = 0; ///< cases the gradient (8th) oracle ran on
+  std::size_t gradients_checked = 0; ///< cases the gradient (7th) oracle ran on
   std::size_t gradients_skipped = 0; ///< gradients requested but case skipped
   std::size_t moments_compared = 0;
   std::size_t moments_skipped = 0;

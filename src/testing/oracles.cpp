@@ -183,10 +183,8 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
     return xf.moments(values, nm);
   });
 
-  // -- paths 3..5 (and 7) share the compiled model ----------------------
+  // -- paths 3..5 share the compiled model -------------------------------
   Path strict_path, fast_path, sweep_path;
-  Path native_strict_path, native_fast_path;
-  bool native_attached = false;
   std::string build_error;
   try {
     // With a cache_dir the model goes build -> store -> load -> use, and a
@@ -238,30 +236,6 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
       return out;
     });
 
-    // -- path 7: native AOT backend (emit C -> cc -> dlopen) ------------
-    if (opts.native) {
-      const health::Status why = model.attach_native(opts.cache_dir);
-      native_attached = model.has_native();
-      if (native_attached) {
-        const auto native_lane = [&](core::EvalMode mode) {
-          auto ws = model.make_batch_workspace(1);
-          std::vector<double> out(nm, 0.0);
-          unsigned char ok = 1;
-          model.moments_batch(model_values, 1, 1, ws, out, 1, {&ok, 1}, mode,
-                              core::EvalBackend::kNative);
-          if (!ok) throw std::runtime_error("native lane rejected the point");
-          return out;
-        };
-        native_strict_path = run_path([&] { return native_lane(core::EvalMode::kStrict); });
-        native_fast_path = run_path([&] { return native_lane(core::EvalMode::kFast); });
-      } else {
-        // No compiler / compile failure: degrade, don't fail.  The skip is
-        // visible in native_ran + the health report's kNativeBackend count.
-        res.native_error = why.message;
-        res.health.record_failure(why.fail_class);
-      }
-    }
-
     try {
       const auto rom = model.evaluate(model_values);
       res.pade_ok = rom.order() >= 1;
@@ -285,19 +259,12 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
   res.strict_c = strict_path.m;
   res.fast = fast_path.m;
   res.sweep = sweep_path.m;
-  res.native_strict = native_strict_path.m;
-  res.native_fast = native_fast_path.m;
-  res.native_ran = native_attached;
   res.exact_error = exact_path.error;
   res.awe_error = awe_path.error;
   res.compiled_error = strict_path.error;
   for (const Path* p : std::initializer_list<const Path*>{
            &exact_path, &awe_path, &strict_path, &fast_path, &sweep_path})
     if (!p->ok) res.health.record_failure(p->fail);
-  if (native_attached)
-    for (const Path* p :
-         std::initializer_list<const Path*>{&native_strict_path, &native_fast_path})
-      if (!p->ok) res.health.record_failure(p->fail);
 
   // -- classification ----------------------------------------------------
   if (!awe_path.ok && !exact_path.ok && !strict_path.ok) {
@@ -383,12 +350,6 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
   compare(exact_path, awe_path, "exact", "awe", opts.cross_tol, opts.ill_limit);
   compare(awe_path, strict_path, "awe", "strict", opts.cross_tol, opts.ill_limit);
   compare(strict_path, fast_path, "strict", "fast", opts.fast_tol, 1e3);
-  if (native_attached) {
-    // Seventh oracle: backend identity is part of the mismatch signature so
-    // the shrinker cannot morph a codegen bug into an interpreter one.
-    compare(strict_path, native_strict_path, "strict", "native-strict", opts.fast_tol, 1e3);
-    compare(strict_path, native_fast_path, "strict", "native-fast", opts.fast_tol, 1e3);
-  }
 
   // Sweep strict mode guarantees bit-identical results to the scalar
   // interpreter — compared exactly, no tolerance.
@@ -409,12 +370,8 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
   require_ok(strict_path, "strict");
   require_ok(fast_path, "fast");
   require_ok(sweep_path, "sweep");
-  if (native_attached) {
-    require_ok(native_strict_path, "native-strict");
-    require_ok(native_fast_path, "native-fast");
-  }
 
-  // -- path 8: reverse-mode gradients (only on cleanly agreeing cases) ---
+  // -- path 7: reverse-mode gradients (only on cleanly agreeing cases) ---
   if (opts.gradients && res.status == OracleStatus::kAgree && !ill &&
       strict_path.ok) {
     try {

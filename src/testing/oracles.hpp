@@ -61,16 +61,7 @@ struct OracleOptions {
   /// serializer thereby becomes a sixth implicit oracle: any bug in the
   /// binary format or the cache surfaces as a cross-path mismatch.
   std::string cache_dir;
-  /// Run the native AOT backend as a SEVENTH oracle: the compiled model is
-  /// emitted as C, compiled to a shared object (under cache_dir when set,
-  /// a scratch directory otherwise) and its strict and fast lanes are
-  /// cross-checked against the interpreter with the same condition-aware
-  /// tolerance policy as strict-vs-fast.  When no C compiler is available
-  /// (or compilation fails) the attach falls back to the interpreter —
-  /// recorded in the health report as kNativeBackend and the native paths
-  /// are SKIPPED, never reported as a mismatch.
-  bool native = false;
-  /// Run the reverse-mode gradient program as an EIGHTH oracle: the deck is
+  /// Run the reverse-mode gradient program as a SEVENTH oracle: the deck is
   /// rebuilt with ModelOptions::with_gradients and every d(m_k)/d(value) is
   /// cross-checked three ways — reverse-mode vs central finite differences
   /// of the strict path, reverse-mode vs the adjoint numeric
@@ -97,13 +88,7 @@ struct OracleResult {
   /// Per-path moments (empty when that path failed) and failure messages.
   std::vector<double> exact, awe, strict_c, fast, sweep;
   std::string exact_error, awe_error, compiled_error;
-  /// Seventh-oracle lanes (only with OracleOptions::native); native_ran is
-  /// false when the backend fell back to the interpreter (native_error says
-  /// why) and the native lanes were skipped.
-  std::vector<double> native_strict, native_fast;
-  bool native_ran = false;
-  std::string native_error;
-  /// Eighth-oracle outcome (only with OracleOptions::gradients):
+  /// Seventh-oracle outcome (only with OracleOptions::gradients):
   /// gradients_ran is false when the case was skipped wholesale (non-agree
   /// classification, gradient build failure — gradients_error says why);
   /// gradient_checks counts (symbol, moment) pairs compared and

@@ -1,24 +1,19 @@
-// C source emission (the native backend's front half): golden-source
-// snapshots of to_c_source / to_c_source_batch, the emission gaps the AOT
-// work closed (zero-input programs, %.17g constant precision, non-finite
-// constants without <math.h>), and a full compile-and-execute roundtrip:
-// emitted C -> system compiler -> dlopen'd module -> bit-compare against
-// the interpreter.
+// C source emission (CompiledModel::export_c_source): golden-source
+// snapshots of to_c_source and its emission edge cases (zero-input
+// programs, %.17g constant precision, non-finite constants without
+// <math.h>).  Compiling and running the exported source is covered by
+// test_closed_forms.
 //
-// The snapshots are exact-string: the emitted text is part of the native
-// backend's determinism story (the .so is content-addressed by the
-// program, so the same program must always emit the same source).  If an
-// intentional emitter change lands, re-record the strings here.
+// The snapshots are exact-string: the same program must always emit the
+// same source.  If an intentional emitter change lands, re-record the
+// strings here.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "core/native_backend.hpp"
 #include "symbolic/compile.hpp"
 
 namespace awe {
@@ -77,50 +72,6 @@ TEST(CodegenRoundtripTest, ScalarFastGoldenSource) {
             "}\n");
 }
 
-TEST(CodegenRoundtripTest, BatchStrictGoldenSource) {
-  const auto prog = make_sample_program();
-  EXPECT_EQ(prog.to_c_source_batch("fb", EvalMode::kStrict),
-            "void fb(const double* in, double* out, unsigned long n) {\n"
-            "  unsigned long p;\n"
-            "  for (p = 0; p < n; ++p) {\n"
-            "    double r[4];\n"
-            "    r[0] = in[0 * n + p];\n"
-            "    r[1] = in[1 * n + p];\n"
-            "    r[2] = -2.5;\n"
-            "    r[3] = r[0] * r[1];\n"
-            "    r[3] = r[2] + r[3];\n"
-            "    r[1] = -r[1];\n"
-            "    r[1] = r[0] - r[1];\n"
-            "    r[1] = r[3] / r[1];\n"
-            "    out[0 * n + p] = r[3];\n"
-            "    out[1 * n + p] = r[1];\n"
-            "  }\n"
-            "}\n");
-}
-
-TEST(CodegenRoundtripTest, BatchFastGoldenSource) {
-  // The batch fast kernel spells the contraction as a*b + c (not fma()):
-  // the TU is compiled with -ffp-contract=fast, giving the C compiler the
-  // same fusion license EvalMode::kFast grants the interpreter, with no
-  // <math.h> dependency.
-  const auto prog = make_sample_program();
-  EXPECT_EQ(prog.to_c_source_batch("fb", EvalMode::kFast),
-            "void fb(const double* in, double* out, unsigned long n) {\n"
-            "  unsigned long p;\n"
-            "  for (p = 0; p < n; ++p) {\n"
-            "    double r[4];\n"
-            "    r[0] = in[0 * n + p];\n"
-            "    r[1] = in[1 * n + p];\n"
-            "    r[2] = -2.5;\n"
-            "    r[2] = r[0] * r[1] + r[2];\n"
-            "    r[1] = r[0] + r[1];\n"
-            "    r[1] = r[2] / r[1];\n"
-            "    out[0 * n + p] = r[2];\n"
-            "    out[1 * n + p] = r[1];\n"
-            "  }\n"
-            "}\n");
-}
-
 TEST(CodegenRoundtripTest, ZeroInputProgramEmitsVoidCast) {
   // A constant-only program must still compile warning-clean: the unused
   // `in` parameter is explicitly discarded.
@@ -129,8 +80,6 @@ TEST(CodegenRoundtripTest, ZeroInputProgramEmitsVoidCast) {
   CompiledProgram prog(g, std::vector<NodeId>{c});
   const auto scalar = prog.to_c_source("zi", EvalMode::kStrict);
   EXPECT_NE(scalar.find("  (void)in;\n"), std::string::npos) << scalar;
-  const auto batch = prog.to_c_source_batch("zib", EvalMode::kStrict);
-  EXPECT_NE(batch.find("  (void)in;\n"), std::string::npos) << batch;
 }
 
 TEST(CodegenRoundtripTest, ConstantsEmitFullPrecisionAndNonFiniteForms) {
@@ -141,7 +90,7 @@ TEST(CodegenRoundtripTest, ConstantsEmitFullPrecisionAndNonFiniteForms) {
   const auto c = g.add(b, g.constant(-std::numeric_limits<double>::infinity()));
   const auto d = g.add(c, g.constant(std::nan("")));
   CompiledProgram prog(g, std::vector<NodeId>{d});
-  const auto src = prog.to_c_source_batch("k", EvalMode::kStrict);
+  const auto src = prog.to_c_source("k", EvalMode::kStrict);
   // %.17g: 0.1 round-trips to the exact stored double.
   EXPECT_NE(src.find("0.10000000000000001"), std::string::npos) << src;
   // Non-finite constants become IEEE division expressions, keeping the
@@ -149,43 +98,6 @@ TEST(CodegenRoundtripTest, ConstantsEmitFullPrecisionAndNonFiniteForms) {
   EXPECT_NE(src.find("(1.0 / 0.0)"), std::string::npos) << src;
   EXPECT_NE(src.find("(-1.0 / 0.0)"), std::string::npos) << src;
   EXPECT_NE(src.find("(0.0 / 0.0)"), std::string::npos) << src;
-}
-
-TEST(CodegenRoundtripTest, EmittedSourceCompilesAndMatchesInterpreter) {
-  if (core::native::find_compiler().empty()) GTEST_SKIP() << "no C compiler available";
-  const auto prog = make_sample_program();
-
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("awe_codegen_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  health::Status why;
-  const auto module = core::native::load_or_compile(prog, dir.string(), &why);
-  ASSERT_TRUE(module) << why.message;
-  EXPECT_EQ(module->checksum(), core::native::program_checksum(prog));
-  EXPECT_EQ(module->input_count(), prog.input_count());
-  EXPECT_EQ(module->output_count(), prog.output_count());
-  EXPECT_EQ(module->path(),
-            core::native::module_path(dir.string(), module->checksum()));
-
-  const std::size_t n = 33;  // odd width: exercises any unroll remainder
-  std::vector<double> in(2 * n), native(2 * n), interp(2 * n);
-  for (std::size_t p = 0; p < n; ++p) {
-    in[p] = 0.25 + 0.5 * static_cast<double>(p);
-    in[n + p] = 3.0 - 0.125 * static_cast<double>(p);
-  }
-  std::vector<double> scratch(prog.register_count() * n);
-
-  module->run_batch(in, native, n, EvalMode::kStrict);
-  prog.run_batch(in, interp, scratch, n, EvalMode::kStrict);
-  EXPECT_EQ(native, interp) << "strict kernel not bit-identical";
-
-  module->run_batch(in, native, n, EvalMode::kFast);
-  prog.run_batch(in, interp, scratch, n, EvalMode::kFast);
-  for (std::size_t i = 0; i < native.size(); ++i)
-    EXPECT_NEAR(native[i], interp[i], 1e-12 * (std::abs(interp[i]) + 1.0)) << i;
-
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

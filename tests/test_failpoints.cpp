@@ -55,8 +55,7 @@ TEST(FailpointsTest, RegistryListsEverySite) {
        {fp::sites::kLuSingular, fp::sites::kSparseSingular,
         fp::sites::kPartitionMomentSolve, fp::sites::kCacheStoreTruncate,
         fp::sites::kCacheStoreBitflip, fp::sites::kCacheStoreCrash,
-        fp::sites::kCacheLoadCorrupt, fp::sites::kThreadPoolTask,
-        fp::sites::kNativeCompile, fp::sites::kNativeDlopen}) {
+        fp::sites::kCacheLoadCorrupt, fp::sites::kThreadPoolTask}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), s), sites.end()) << s;
   }
 }

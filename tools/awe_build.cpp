@@ -14,12 +14,6 @@
 //   --order Q         Padé order (default 2)
 //   --threads N       extraction worker threads, 0 = hardware (default 1)
 //   --gradients       also compile the exact symbolic gradients
-//   --native          additionally AOT-compile each model to a
-//                     content-addressed .so beside its cache entry
-//                     (requires a C compiler; degrades to the interpreter
-//                     and reports kNativeBackend in the health JSON when
-//                     none is available).  Never the default: interpreter
-//                     cache directories stay byte-comparable.
 //   --health-json F   write a HealthReport (cache quarantines, rebuilds,
 //                     failpoint fires, partition-block traffic) as JSON
 //                     to F ("-" for stdout)
@@ -88,7 +82,7 @@ const cli::HealthJsonSink* g_health_sink = nullptr;
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --cache-dir DIR [--order Q] [--threads N] [--gradients]\n"
-               "          [--native] [--incremental] [--mmap] [--edit NAME=VALUE ...]\n"
+               "          [--incremental] [--mmap] [--edit NAME=VALUE ...]\n"
                "          [--edit-first-numeric FACTOR] [--save-model FILE]\n"
                "          [--health-json FILE] [--quiet] deck.sp [deck2.sp ...]\n"
                "       %s --pack-v4 DIR | --map-audit DIR\n",
@@ -244,8 +238,6 @@ int main(int argc, char** argv) {
       bopts.threads = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--gradients") {
       mopts.with_gradients = true;
-    } else if (arg == "--native") {
-      bopts.backend = core::EvalBackend::kNative;
     } else if (arg == "--incremental") {
       bopts.incremental = true;
     } else if (arg == "--mmap") {

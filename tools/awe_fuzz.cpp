@@ -26,18 +26,12 @@
 //                        model through the binary serializer before use —
 //                        the serializer becomes a sixth implicit oracle
 //                        (any save/load defect reports as a mismatch)
-//   --native             AOT-compile each model to a shared object and
-//                        cross-check its strict/fast lanes against the
-//                        interpreter — the native codegen backend becomes
-//                        a seventh oracle.  Without a C compiler the
-//                        backend degrades to the interpreter and the
-//                        native lanes are skipped (never a mismatch).
 //   --gradients          rebuild each agreeing case with compiled
 //                        reverse-mode gradients and cross-check every
 //                        d(moment)/d(value) against central finite
 //                        differences AND the adjoint numeric
 //                        sensitivities — the gradient subsystem becomes
-//                        an eighth oracle.  Non-differentiable symbol
+//                        a seventh oracle.  Non-differentiable symbol
 //                        elements are skipped (never a mismatch).
 //   --quiet              summary line only
 //
@@ -60,7 +54,7 @@ using namespace awe;
                "usage: %s [--count N] [--seed S] [--order Q] [--max-dim D]\n"
                "          [--max-nodes N] [--fault none|perturb-fast] [--no-shrink]\n"
                "          [--json FILE] [--minimized-out DIR] [--emit-corpus DIR]\n"
-               "          [--cache-dir DIR] [--native] [--gradients] [--quiet]\n",
+               "          [--cache-dir DIR] [--gradients] [--quiet]\n",
                argv0);
   std::exit(2);
 }
@@ -116,8 +110,6 @@ int main(int argc, char** argv) {
       corpus_dir = next();
     } else if (arg == "--cache-dir") {
       opts.oracle.cache_dir = next();
-    } else if (arg == "--native") {
-      opts.oracle.native = true;
     } else if (arg == "--gradients") {
       opts.oracle.gradients = true;
     } else if (arg == "--quiet") {

@@ -7,7 +7,7 @@
 // search, and the batched sweep engine scores the result statistically
 // (Monte Carlo yield before vs after).  Also the workhorse behind the
 // gradient-determinism CI job: --grad-dump writes every sweep gradient as
-// deterministic text, byte-compared across thread counts and backends.
+// deterministic text, byte-compared across thread counts.
 //
 // Usage:
 //   awe_opt [options] deck.sp
@@ -31,7 +31,6 @@
 //   --threads N       sweep workers, 0 = hardware (default 1)
 //   --width W         sweep lane-block width (default 64)
 //   --fast            EvalMode::kFast (default strict)
-//   --native          AOT-compile the model and run kNative batches
 //   --cache-dir DIR   persistent model cache to build through
 //   --mmap            with --cache-dir: mmap a v4 cache hit in place
 //                     instead of stream-parsing it (zero-copy warm open)
@@ -68,7 +67,7 @@ const cli::HealthJsonSink* g_health_sink = nullptr;
                "usage: %s [--order Q] [--measure dcgain|elmore|pole1] [--target V]\n"
                "          [--corners FRAC] [--mc N] [--sigma S] [--seed S]\n"
                "          [--spec-pole-hz F] [--grad-dump FILE] [--threads N]\n"
-               "          [--width W] [--fast] [--native] [--cache-dir DIR] [--mmap]\n"
+               "          [--width W] [--fast] [--cache-dir DIR] [--mmap]\n"
                "          [--health-json FILE] [--quiet] deck.sp\n",
                argv0);
   if (g_health_sink) g_health_sink->flush();
@@ -166,9 +165,6 @@ int main(int argc, char** argv) {
       sopts.batch_width = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--fast") {
       sopts.mode = core::EvalMode::kFast;
-    } else if (arg == "--native") {
-      bopts.backend = core::EvalBackend::kNative;
-      sopts.backend = core::EvalBackend::kNative;
     } else if (arg == "--cache-dir") {
       cache_dir = next();
     } else if (arg == "--mmap") {

@@ -6,9 +6,13 @@ Every tool must (a) survive a consumer that closes the pipe early —
 and (b) flush well-formed ``--health-json`` on EVERY exit path: normal
 runs, usage errors, unreadable decks, thrown build errors.
 
+Also (c): flags of removed features are usage errors (exit 2 with the
+usage text), so a stale script fails loudly instead of quietly running
+something else.
+
 Usage:
   cli_robustness_check.py --awesym-cli BIN --awe-build BIN --awe-opt BIN \
-      --deck DECK --workdir DIR
+      --awe-fuzz BIN --deck DECK --workdir DIR
 """
 import argparse
 import json
@@ -56,6 +60,7 @@ def main():
     ap.add_argument("--awesym-cli", required=True)
     ap.add_argument("--awe-build", required=True)
     ap.add_argument("--awe-opt", required=True)
+    ap.add_argument("--awe-fuzz", required=True)
     ap.add_argument("--deck", required=True)
     ap.add_argument("--workdir", required=True)
     args = ap.parse_args()
@@ -119,6 +124,26 @@ def main():
     doc = load_health(h("opt_nodeck"), "awe_opt missing-deck health JSON")
     check(sum(doc["fail_classes"].values()) >= 1,
           "awe_opt early-exit report records a fail class")
+
+    # --- removed flags: the native AOT backend is gone -------------------
+    removed = [
+        ("awe_build --native", "build_native",
+         [args.awe_build, "--cache-dir", cache, "--native", args.deck]),
+        ("awe_opt --native", "opt_native",
+         [args.awe_opt, "--measure", "pole1", "--mc", "64", "--native",
+          args.deck]),
+        ("awesym_cli --backend native", "cli_backend",
+         [args.awesym_cli, args.deck, "--mc", "64", "--backend", "native"]),
+    ]
+    for what, name, cmd in removed:
+        r = run(cmd + ["--health-json", h(name)])
+        check(r.returncode == 2, what + " exits 2 (got %s)" % r.returncode)
+        check("usage:" in r.stderr, what + " prints the usage text")
+        load_health(h(name), what + " health JSON")
+    # awe_fuzz has no --health-json; its report is the --json document.
+    r = run([args.awe_fuzz, "--count", "1", "--quiet", "--native"])
+    check(r.returncode == 2, "awe_fuzz --native exits 2 (got %s)" % r.returncode)
+    check("usage:" in r.stderr, "awe_fuzz --native prints the usage text")
 
     print("PASS: cli robustness checks")
     return 0
