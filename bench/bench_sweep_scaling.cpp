@@ -22,11 +22,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "awe/rom.hpp"
 #include "bench_util.hpp"
+#include "circuits/coupled_lines.hpp"
 #include "circuits/opamp741.hpp"
 #include "core/awesymbolic.hpp"
 #include "engine/sweep.hpp"
@@ -251,6 +254,75 @@ BENCHMARK(BM_SweepGradients)
     ->Args({4, 64, 0})
     ->Args({4, 64, 1})
     ->Unit(benchmark::kMillisecond);
+
+/// The order-2 ROM fit by itself (DESIGN.md §7): engine::fit_lanes over a
+/// recorded moment block, 64 lanes per call as run_sweep does.  Arg 0 is
+/// the 741 Monte Carlo block, arg 1 the crosstalk output of a 2 x 200-segment
+/// coupled-line pair (m0 == 0 on every lane, some complex pole pairs).
+/// Ungated: ns_per_lane is a measurement, not a perf-CI contract
+/// (google-benchmark prints the inverted rate with an "s" suffix).
+struct MomentBlock {
+  std::vector<double> moments;  // moment k of point p at [k*n + p]
+  std::vector<unsigned char> ok;
+  std::size_t n = 0;
+};
+
+MomentBlock record_block(const core::CompiledModel& model, std::vector<double> pts,
+                         std::size_t n) {
+  sweep::SweepOptions opts;
+  opts.threads = 1;
+  const auto res = sweep::run_sweep(model, std::move(pts), n, opts);
+  return {res.moments, std::vector<unsigned char>(res.ok.begin(), res.ok.end()), n};
+}
+
+const MomentBlock& fit_block(std::int64_t which) {
+  constexpr std::size_t n = 4096;
+  static const MomentBlock amp = record_block(opamp_model(), mc_points(n), n);
+  static const MomentBlock xtalk = [] {
+    circuits::CoupledLineValues v;
+    v.segments = 200;
+    const auto lines = circuits::make_coupled_lines(v);
+    const auto model = core::CompiledModel::build(
+        lines.netlist, {"rdrv1", "rdrv2", "cload1", "cload2"},
+        circuits::CoupledLinesCircuit::kInput, lines.line2_out, {.order = 2});
+    const std::vector<sweep::Distribution> dists{
+        sweep::Distribution::lognormal(v.r_driver, 0.3),
+        sweep::Distribution::lognormal(v.r_driver, 0.3),
+        sweep::Distribution::lognormal(v.c_load, 0.3),
+        sweep::Distribution::lognormal(v.c_load, 0.3)};
+    return record_block(model, sweep::sample_points(dists, n, 2024), n);
+  }();
+  return which == 0 ? amp : xtalk;
+}
+
+void BM_FitLanes(benchmark::State& state) {
+  const MomentBlock& blk = fit_block(state.range(0));
+  constexpr std::size_t kWidth = 64;
+  const std::size_t n = blk.n;
+  engine::RomSamples rs;
+  rs.max_order = 2;
+  rs.order.assign(n, 0);
+  rs.poles.assign(2 * n, {});
+  rs.residues.assign(2 * n, {});
+  rs.dc_gain.assign(n, 0.0);
+  engine::FitScratch scratch(2);
+  std::vector<health::FailClass> fail(kWidth);
+  const engine::RomOptions ropts{.order = 2};
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < n; b += kWidth) {
+      const std::size_t w = std::min(kWidth, n - b);
+      engine::fit_lanes(std::span<const double>(blk.moments.data() + b, 3 * n + w), n, w,
+                        std::span<const unsigned char>(blk.ok.data() + b, w), ropts, scratch,
+                        rs, b, fail);
+    }
+    benchmark::DoNotOptimize(rs.dc_gain.data());
+    benchmark::ClobberMemory();
+  }
+  const double lanes = static_cast<double>(state.iterations()) * static_cast<double>(n);
+  state.counters["ns_per_lane"] = benchmark::Counter(
+      lanes * 1e-9, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FitLanes)->ArgName("crosstalk")->Arg(0)->Arg(1);
 
 }  // namespace
 

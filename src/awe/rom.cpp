@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "health/failpoints.hpp"
 #include "health/status.hpp"
 
 namespace awe::engine {
@@ -122,6 +123,130 @@ FitScratch& thread_scratch(std::size_t order) {
   return *s;
 }
 
+// -- fit_lanes' order-2 block path (DESIGN.md §7) ---------------------------
+//
+// fit_lane at order 2 with fallback and stability enforcement, restated as
+// straight-line code over a chunk of lanes.  Each lane runs the same IEEE
+// operations, in the same order, as pade_lane + assemble + transfer_at on
+// the common path: order 2 feasible, a nonzero trailing denominator
+// coefficient, simple poles and both poles stable.  Every other lane is
+// handed to fit_lane.
+
+constexpr std::size_t kBlockLanes = 64;
+/// Rows of FitScratch::block, kBlockLanes doubles each.
+enum BlockRow : std::size_t { kM0, kM1, kM2, kM3, kT0, kT1, kT2, kTerms, kW0, kBlockRows };
+
+/// Zero, or a magnitude in [2^-250, 2^250]: the window where Smith's
+/// formula has no overflow, underflow or subnormal intermediate.
+bool in_quotient_window(double v) {
+  const double a = std::abs(v);
+  return a == 0.0 || (a >= 0x1p-250 && a <= 0x1p250);
+}
+
+/// libgcc's __divdc3 (Smith's method, GCC >= 12 with its range scaling)
+/// restricted to operands in the window: there each scaling step multiplies
+/// every operand by a power of two that the final quotient cancels exactly,
+/// a nonzero ratio is normal, and a zero ratio's alternative formula gives
+/// the same signed zeros as this one.  Outside the window, operator/.
+inline std::complex<double> quotient(std::complex<double> x, std::complex<double> y) {
+  const double a = x.real(), b = x.imag(), c = y.real(), d = y.imag();
+  if (!(in_quotient_window(a) && in_quotient_window(b) && in_quotient_window(c) &&
+        in_quotient_window(d)) ||
+      (c == 0.0 && d == 0.0))
+    return x / y;
+  if (std::abs(c) < std::abs(d)) {
+    const double ratio = c / d;
+    const double denom = (c * ratio) + d;
+    return {((a * ratio) + b) / denom, ((b * ratio) - a) / denom};
+  }
+  const double ratio = d / c;
+  const double denom = (d * ratio) + c;
+  return {((b * ratio) + a) / denom, (b - (a * ratio)) / denom};
+}
+
+struct Order2Fit {
+  std::complex<double> poles[2];
+  std::complex<double> residues[2];
+  double dc_gain;
+};
+
+/// fit_lane on moments m0..m3 with w0 = moment_scale(m0..m3), when the
+/// lane is on the common path; false (f unspecified) when it is not.
+bool fit_order2(double m0, double m1, double m2, double m3, double w0, Order2Fit& f) {
+  if (!std::isfinite(w0) || w0 == 0.0) return false;
+  // scale_moments at q = 2: the running power is 1, w0, w0*w0, (w0*w0)*w0.
+  const double w2 = w0 * w0;
+  const double mu0 = m0, mu1 = m1 * w0, mu2 = m2 * w2, mu3 = m3 * (w2 * w0);
+
+  // factor_hankel's 2x2 LU with row scaling, partial pivoting and the
+  // probe's 1e-10 pivot test; rows (mu1, mu0) and (mu2, mu1).
+  double u00 = mu1, u01 = mu0, u10 = mu2, u11 = mu1;
+  double s0 = std::max(std::max(0.0, std::abs(u00)), std::abs(u01));
+  if (s0 == 0.0) s0 = 1.0;
+  double s1 = std::max(std::max(0.0, std::abs(u10)), std::abs(u11));
+  if (s1 == 0.0) s1 = 1.0;
+  double best = std::abs(u00) / s0;
+  const double cand = std::abs(u10) / s1;
+  const bool swapped = cand > best;
+  if (swapped) {
+    best = cand;
+    std::swap(u00, u10);
+    std::swap(u01, u11);
+    std::swap(s0, s1);
+  }
+  if (best < 1e-10) return false;  // order 2 infeasible: fallback
+  const double l10 = u10 / u00;
+  if (l10 != 0.0) u11 -= l10 * u01;
+  if (std::abs(u11) / s1 < 1e-10) return false;
+
+  // lu_solve_in_place on b = -(mu2, mu3), then the unscaled coefficients.
+  double y0 = swapped ? -mu3 : -mu2, y1 = swapped ? -mu2 : -mu3;
+  y1 -= l10 * y0;
+  y1 = y1 / u11;
+  y0 -= u01 * y1;
+  y0 = y0 / u00;
+  const double n0 = mu0, n1 = (mu1 + y0 * mu0) / w0;
+  const double d0 = 1.0, d1 = y0 / w0, d2 = y1 / (w0 * w0);
+  if (d2 == 0.0) return false;  // order collapse: direct term
+
+  // poly_roots_into's quadratic.
+  const double disc = d1 * d1 - 4.0 * d2 * d0;
+  std::complex<double> p0, p1;
+  if (disc >= 0.0) {
+    const double q = -0.5 * (d1 + (d1 >= 0.0 ? 1.0 : -1.0) * std::sqrt(disc));
+    p0 = {q / d2, 0.0};
+    p1 = {q != 0.0 ? d0 / q : 0.0, 0.0};
+  } else {
+    const double re = -d1 / (2.0 * d2);
+    const double im = std::sqrt(-disc) / (2.0 * d2);
+    p0 = {re, im};
+    p1 = {re, -im};
+  }
+  // The stability filter keeps both poles, so there is no re-fit.
+  if (!(p0.real() < 0.0 && p1.real() < 0.0)) return false;
+
+  // Residues N(p)/D'(p) by poly_eval's and poly_eval_derivative's Horner
+  // steps; the direct term is 0 since deg N < deg D.
+  const std::complex<double> zero{0.0, 0.0};
+  const std::complex<double> poles[2] = {p0, p1};
+  for (int i = 0; i < 2; ++i) {
+    const std::complex<double> p = poles[i];
+    const std::complex<double> num = (zero * p + n1) * p + n0;
+    const std::complex<double> dden = (zero * p + d2 * 2.0) * p + d1 * 1.0;
+    if (dden.real() == 0.0 && dden.imag() == 0.0) return false;  // repeated pole
+    f.poles[i] = p;
+    f.residues[i] = quotient(num, dden);
+  }
+  // transfer_at(0): DC gain.
+  std::complex<double> h{0.0, 0.0};
+  h += quotient(f.residues[0], zero - p0);
+  h += quotient(f.residues[1], zero - p1);
+  f.dc_gain = h.real();
+  return std::isfinite(f.dc_gain) && std::isfinite(f.residues[0].real()) &&
+         std::isfinite(f.residues[0].imag()) && std::isfinite(f.residues[1].real()) &&
+         std::isfinite(f.residues[1].imag());
+}
+
 [[noreturn]] void throw_fit_failure(health::FailClass c) {
   switch (c) {
     case health::FailClass::kOrderCollapse:
@@ -147,7 +272,15 @@ linalg::CVector solve_complex_dense(std::vector<std::complex<double>> a, linalg:
   return b;
 }
 
-FitScratch::FitScratch(std::size_t order) : pade(order), lane(2 * order) {
+std::complex<double> complex_quotient(std::complex<double> x, std::complex<double> y) {
+  return quotient(x, y);
+}
+
+FitScratch::FitScratch(std::size_t order)
+    : pade(order),
+      lane(2 * order),
+      block(kBlockRows * kBlockLanes),
+      candidate(kBlockLanes) {
   poles.reserve(order);
   residues.reserve(order);
   refit.reserve(order * order);
@@ -174,23 +307,26 @@ health::FailClass fit_lane(std::span<const double> moments, const RomOptions& op
   return f;
 }
 
-void fit_lanes(std::span<const double> moments, std::size_t stride, std::size_t count,
-               std::span<const unsigned char> ok, const RomOptions& opts, FitScratch& s,
-               RomSamples& out, std::size_t first, std::span<health::FailClass> fail,
-               const std::function<void(std::size_t)>& on_fit) {
+std::size_t fit_lanes(std::span<const double> moments, std::size_t stride, std::size_t count,
+                      std::span<const unsigned char> ok, const RomOptions& opts,
+                      FitScratch& s, RomSamples& out, std::size_t first,
+                      std::span<health::FailClass> fail,
+                      const std::function<void(std::size_t)>& on_fit) {
   const std::size_t nm = 2 * opts.order;
-  for (std::size_t p = 0; p < count; ++p) {
-    if (!ok[p]) {
-      fail[p] = health::FailClass::kSingularY0;
-      continue;
-    }
-    bool finite = true;
-    for (std::size_t k = 0; k < nm; ++k) {
-      s.lane[k] = moments[k * stride + p];
-      finite = finite && std::isfinite(s.lane[k]);
-    }
-    fail[p] = finite ? fit_lane(s.lane, opts, s) : health::FailClass::kNonFiniteEval;
-    if (fail[p] != health::FailClass::kNone) continue;
+  const std::size_t slots = first + count;
+  if (opts.order > s.pade.max_order)
+    throw std::invalid_argument("fit_lanes: order exceeds the scratch's order");
+  if (stride < count) throw std::invalid_argument("fit_lanes: stride smaller than count");
+  if (count > 0 && nm > 0 && moments.size() < (nm - 1) * stride + count)
+    throw std::invalid_argument("fit_lanes: moments span too small");
+  if (ok.size() < count || fail.size() < count)
+    throw std::invalid_argument("fit_lanes: ok/fail span too small");
+  if (out.order.size() < slots || out.dc_gain.size() < slots ||
+      out.poles.size() < slots * out.max_order || out.residues.size() < slots * out.max_order)
+    throw std::invalid_argument("fit_lanes: RomSamples too small");
+
+  // Lane p's fit, held in `s`, into its slot; then on_fit.
+  const auto store = [&](std::size_t p) {
     const std::size_t slot = first + p;
     const std::size_t q = std::min(s.poles.size(), out.max_order);
     out.order[slot] = static_cast<std::uint8_t>(q);
@@ -200,7 +336,87 @@ void fit_lanes(std::span<const double> moments, std::size_t stride, std::size_t 
     }
     out.dc_gain[slot] = s.dc_gain;
     if (on_fit) on_fit(p);
+  };
+  const auto fit_scalar = [&](std::size_t p) {
+    if (!ok[p]) {
+      fail[p] = health::FailClass::kSingularY0;
+      return;
+    }
+    bool finite = true;
+    for (std::size_t k = 0; k < nm; ++k) {
+      s.lane[k] = moments[k * stride + p];
+      finite = finite && std::isfinite(s.lane[k]);
+    }
+    fail[p] = finite ? fit_lane(s.lane, opts, s) : health::FailClass::kNonFiniteEval;
+    if (fail[p] == health::FailClass::kNone) store(p);
+  };
+
+  if (opts.order != 2 || !opts.allow_order_fallback || !opts.enforce_stability ||
+      health::failpoints::enabled()) {
+    for (std::size_t p = 0; p < count; ++p) fit_scalar(p);
+    return 0;
   }
+
+  double* row[kBlockRows];
+  for (std::size_t r = 0; r < kBlockRows; ++r) row[r] = s.block.data() + r * kBlockLanes;
+  unsigned char* const cand = s.candidate.data();
+  std::size_t fitted = 0;
+  for (std::size_t c = 0; c < count; c += kBlockLanes) {
+    const std::size_t w = std::min(kBlockLanes, count - c);
+    // Pass 1, branch-free: gather, the finiteness mask and moment_scale's
+    // terms |m_k / m_{k+1}|.  A term with a zero moment is skipped there;
+    // here it is 1, whose log (+0) leaves the sum unchanged since the sum
+    // starts at +0 and so never is -0.
+    for (std::size_t i = 0; i < w; ++i) {
+      const std::size_t p = c + i;
+      const double m0 = moments[p], m1 = moments[stride + p], m2 = moments[2 * stride + p],
+                   m3 = moments[3 * stride + p];
+      row[kM0][i] = m0;
+      row[kM1][i] = m1;
+      row[kM2][i] = m2;
+      row[kM3][i] = m3;
+      cand[i] = (ok[p] != 0) & std::isfinite(m0) & std::isfinite(m1) & std::isfinite(m2) &
+                std::isfinite(m3);
+      const bool t0 = m0 != 0.0 && m1 != 0.0, t1 = m1 != 0.0 && m2 != 0.0,
+                 t2 = m2 != 0.0 && m3 != 0.0;
+      row[kT0][i] = t0 ? std::abs(m0 / m1) : 1.0;
+      row[kT1][i] = t1 ? std::abs(m1 / m2) : 1.0;
+      row[kT2][i] = t2 ? std::abs(m2 / m3) : 1.0;
+      row[kTerms][i] = static_cast<double>(t0) + static_cast<double>(t1) +
+                       static_cast<double>(t2);
+    }
+    // Pass 2: moment_scale's log and exp, as scalar libm calls (a vector
+    // libm would round differently).
+    for (std::size_t i = 0; i < w; ++i) {
+      if (!cand[i]) continue;
+      double sum = 0.0;
+      sum += std::log(row[kT0][i]);
+      sum += std::log(row[kT1][i]);
+      sum += std::log(row[kT2][i]);
+      row[kW0][i] = row[kTerms][i] == 0.0 ? 1.0 : std::exp(sum / row[kTerms][i]);
+    }
+    // Pass 3: the straight-line fit; lanes off the common path go to
+    // fit_lane, in lane order.
+    for (std::size_t i = 0; i < w; ++i) {
+      const std::size_t p = c + i;
+      Order2Fit f;
+      if (!cand[i] || !fit_order2(row[kM0][i], row[kM1][i], row[kM2][i], row[kM3][i],
+                                  row[kW0][i], f)) {
+        fit_scalar(p);
+        continue;
+      }
+      ++fitted;
+      fail[p] = health::FailClass::kNone;
+      for (std::size_t k = 0; k < 4; ++k) s.lane[k] = row[kM0 + k][i];
+      s.pade.order = 2;
+      s.poles.assign(f.poles, f.poles + 2);
+      s.residues.assign(f.residues, f.residues + 2);
+      s.direct = 0.0;
+      s.dc_gain = f.dc_gain;
+      store(p);
+    }
+  }
+  return fitted;
 }
 
 ReducedOrderModel ReducedOrderModel::from_moments(std::span<const double> moments,

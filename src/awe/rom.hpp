@@ -132,10 +132,13 @@ struct FitScratch {
   double direct = 0.0;
   double dc_gain = 0.0;
   PadeScratch pade;
-  // Kernel internals: fit_lanes' gathered lane (2*order moments) and the
-  // residue re-fit system.
+  // Kernel internals: fit_lanes' gathered lane (2*order moments), the
+  // residue re-fit system, and the order-2 block path's per-chunk lane
+  // fields and candidate mask.
   std::vector<double> lane;
   std::vector<std::complex<double>> refit;
+  std::vector<double> block;
+  std::vector<unsigned char> candidate;
 };
 
 /// The ROM fit lane kernel: from_moments(moments, opts) operation for
@@ -150,13 +153,27 @@ health::FailClass fit_lane(std::span<const double> moments, const RomOptions& op
 /// slots: lane p (p < count) reads moment k at moments[k*stride + p]
 /// (2*opts.order moments) and on success writes out's order, poles,
 /// residues and dc_gain at point first + p, then calls on_fit(p) (when
-/// set) while `s` still holds that lane's fit.  fail[p] receives the lane's
-/// FailClass: kSingularY0 for ok[p] == 0, kNonFiniteEval for non-finite
-/// moments (both left unfitted), else fit_lane's verdict.
-void fit_lanes(std::span<const double> moments, std::size_t stride, std::size_t count,
-               std::span<const unsigned char> ok, const RomOptions& opts, FitScratch& s,
-               RomSamples& out, std::size_t first, std::span<health::FailClass> fail,
-               const std::function<void(std::size_t)>& on_fit = {});
+/// set, in lane order) while `s` holds that lane's fit.  fail[p] receives
+/// the lane's FailClass: kSingularY0 for ok[p] == 0, kNonFiniteEval for
+/// non-finite moments (both left unfitted), else fit_lane's verdict.
+/// Order 2 with fallback and stability enforcement runs a straight-line
+/// block path (unless a failpoint is armed) that is bit-identical to
+/// fit_lane and hands every lane off its common path to fit_lane; returns
+/// the number of lanes it fitted (0 on the scalar loop).  Throws
+/// std::invalid_argument when stride < count, a span is too short for
+/// `count` lanes (or `out` for slot first + count - 1), or opts.order
+/// exceeds the scratch's order.
+std::size_t fit_lanes(std::span<const double> moments, std::size_t stride, std::size_t count,
+                      std::span<const unsigned char> ok, const RomOptions& opts,
+                      FitScratch& s, RomSamples& out, std::size_t first,
+                      std::span<health::FailClass> fail,
+                      const std::function<void(std::size_t)>& on_fit = {});
+
+/// x / y as fit_lanes' order-2 block path computes it: Smith's formula
+/// inline when every real and imaginary part is zero or of magnitude in
+/// [2^-250, 2^250] (and y != 0), where it equals libgcc's __divdc3 bit for
+/// bit, else operator/.  Exposed for testing.
+std::complex<double> complex_quotient(std::complex<double> x, std::complex<double> y);
 
 /// Dense complex linear solve by Gaussian elimination with partial
 /// pivoting; used for the residue re-fit (tiny systems).  Exposed for

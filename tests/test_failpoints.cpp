@@ -186,6 +186,68 @@ TEST(FailpointsTest, LuSiteReachesTheSweepFitKernel) {
   }
 }
 
+TEST(FailpointsTest, Order2FitWithFallbackConsultsLuSiteThreeTimesPerPoint) {
+  // With Padé order fallback an order-2 fit factors three times — the
+  // q = 1 and q = 2 feasibility probes, then the solve — and consults the
+  // LU site once each, so on a 1-thread sweep check 3j + c belongs to point
+  // j.  c = 1 (the q = 1 probe) changes nothing, as q = 2 stays feasible;
+  // c = 2 (the q = 2 probe) drops point j to an order-1 fit on the primary
+  // stage; c = 3 (the solve) fails point j's primary fit and sends it down
+  // the ladder to the shifted refit.  No other point changes by a bit.
+  FailpointGuard guard;
+  const auto amp = circuits::make_opamp741();
+  const auto model = core::CompiledModel::build(
+      amp.netlist,
+      {circuits::Opamp741Circuit::kSymbolGout, circuits::Opamp741Circuit::kSymbolCcomp},
+      circuits::Opamp741Circuit::kInput, amp.out, {.order = 2});
+  const std::size_t n = 256;
+  const std::vector<sweep::Distribution> dists{
+      sweep::Distribution::lognormal(1.0 / 75.0, 0.3),
+      sweep::Distribution::lognormal(30e-12, 0.3)};
+  const std::vector<double> pts = sweep::sample_points(dists, n, 2026);
+  sweep::SweepOptions opts;
+  opts.threads = 1;
+  opts.with_rom = true;
+  const sweep::SweepResult clean = sweep::run_sweep(model, pts, n, opts);
+  ASSERT_EQ(clean.health.points_ok, n);
+  const std::size_t q = clean.rom->max_order;
+  const auto same_point = [&](const sweep::SweepResult& r, std::size_t p) {
+    return r.rom->order[p] == clean.rom->order[p] &&
+           std::memcmp(&r.rom->poles[p * q], &clean.rom->poles[p * q],
+                       q * sizeof(clean.rom->poles[0])) == 0 &&
+           std::memcmp(&r.rom->residues[p * q], &clean.rom->residues[p * q],
+                       q * sizeof(clean.rom->residues[0])) == 0 &&
+           std::memcmp(&r.rom->dc_gain[p], &clean.rom->dc_gain[p], sizeof(double)) == 0 &&
+           r.ladder_stage[p] == clean.ladder_stage[p];
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t c = 1; c <= 3; ++c) {
+      SCOPED_TRACE("point " + std::to_string(j) + ", check " + std::to_string(c));
+      fp::reset();
+      fp::arm(fp::sites::kLuSingular, "nth:" + std::to_string(3 * j + c));
+      const sweep::SweepResult hit = sweep::run_sweep(model, pts, n, opts);
+      ASSERT_EQ(fp::fire_count(fp::sites::kLuSingular), 1u);
+      for (std::size_t p = 0; p < n; ++p)
+        if (p != j) {
+          ASSERT_TRUE(same_point(hit, p)) << "point " << p << " changed";
+        }
+      switch (c) {
+        case 1:
+          EXPECT_TRUE(same_point(hit, j));
+          break;
+        case 2:
+          EXPECT_EQ(hit.point_stage(j), sweep::LadderStage::kPrimary);
+          EXPECT_EQ(hit.rom->order[j], 1u);
+          break;
+        default:
+          EXPECT_EQ(hit.point_stage(j), sweep::LadderStage::kShiftedRefit);
+          EXPECT_EQ(hit.health.shifted_refits, 1u);
+          break;
+      }
+    }
+  }
+}
+
 TEST(FailpointsTest, SparseLuSiteForcesSingularResult) {
   FailpointGuard guard;
   linalg::TripletMatrix t(2, 2);

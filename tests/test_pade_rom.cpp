@@ -5,17 +5,25 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "awe/awe.hpp"
 #include "awe/pade.hpp"
 #include "awe/rom.hpp"
+#include "circuits/coupled_lines.hpp"
 #include "circuits/fig1_rc.hpp"
+#include "circuits/opamp741.hpp"
 #include "core/awesymbolic.hpp"
+#include "engine/sweep.hpp"
+#include "health/failpoints.hpp"
 #include "health/status.hpp"
+#include "testing/netlist_gen.hpp"
 
 namespace awe::engine {
 namespace {
@@ -401,6 +409,534 @@ TEST(FitLanes, PadeBatchMatchesScalarBitForBit) {
   EXPECT_GT(refits, 0u);
   EXPECT_GT(complex_pairs, 0u);
   EXPECT_GT(direct_terms, 0u);
+}
+
+// -- fit_lanes' order-2 block path vs the scalar fit_lane -----------------
+
+using Lane = std::array<double, 4>;
+
+/// Order-2 moment lanes with their ok flags, gathered from every source the
+/// block path must agree with fit_lane on.
+struct LanePool {
+  std::vector<Lane> lanes;
+  std::vector<unsigned char> ok;
+  void add(const Lane& m, unsigned char lane_ok = 1) {
+    lanes.push_back(m);
+    ok.push_back(lane_ok);
+  }
+};
+
+/// Adds the moments of a 1-thread strict sweep of `model` over `pts`.
+void add_sweep_lanes(LanePool& pool, const core::CompiledModel& model, std::vector<double> pts,
+                     std::size_t n) {
+  sweep::SweepOptions opts;
+  opts.threads = 1;
+  const sweep::SweepResult r = sweep::run_sweep(model, std::move(pts), n, opts);
+  for (std::size_t p = 0; p < n; ++p)
+    pool.add({r.moment(0, p), r.moment(1, p), r.moment(2, p), r.moment(3, p)}, r.ok[p]);
+}
+
+core::CompiledModel opamp_model() {
+  const auto amp = circuits::make_opamp741();
+  return core::CompiledModel::build(
+      amp.netlist,
+      {circuits::Opamp741Circuit::kSymbolGout, circuits::Opamp741Circuit::kSymbolCcomp},
+      circuits::Opamp741Circuit::kInput, amp.out, {.order = 2});
+}
+
+void add_opamp_lanes(LanePool& pool, std::size_t n) {
+  const circuits::Opamp741Values nominal;
+  const std::vector<sweep::Distribution> dists{
+      sweep::Distribution::lognormal(nominal.gout_q14, 1.0),
+      sweep::Distribution::lognormal(nominal.c_comp, 1.0)};
+  add_sweep_lanes(pool, opamp_model(), sweep::sample_points(dists, n, 741), n);
+}
+
+/// The crosstalk output of a 2 x 200-segment coupled-line pair: m0 == 0 on
+/// every lane, a few complex pole pairs.
+void add_crosstalk_lanes(LanePool& pool, std::size_t n) {
+  circuits::CoupledLineValues v;
+  v.segments = 200;
+  const auto lines = circuits::make_coupled_lines(v);
+  const auto model = core::CompiledModel::build(
+      lines.netlist, {"rdrv1", "rdrv2", "cload1", "cload2"},
+      circuits::CoupledLinesCircuit::kInput, lines.line2_out, {.order = 2});
+  const std::vector<sweep::Distribution> dists{
+      sweep::Distribution::lognormal(v.r_driver, 0.5),
+      sweep::Distribution::lognormal(v.r_driver, 0.5),
+      sweep::Distribution::lognormal(v.c_load, 0.5),
+      sweep::Distribution::lognormal(v.c_load, 0.5)};
+  add_sweep_lanes(pool, model, sweep::sample_points(dists, n, 200), n);
+}
+
+/// Seeded generated decks, `per_deck` points each around their element values.
+void add_generated_lanes(LanePool& pool, std::size_t decks, std::size_t per_deck) {
+  std::size_t built = 0;
+  for (std::uint64_t i = 0; built < decks && i < 10 * decks; ++i) {
+    testing::GenOptions gen;
+    gen.seed = testing::case_seed(20261017, i);
+    const auto deck = testing::generate_deck(gen);
+    const auto out = deck.parsed.netlist.find_node(deck.parsed.output_node);
+    ASSERT_TRUE(out) << deck.text;
+    std::optional<core::CompiledModel> model;
+    try {
+      model = core::CompiledModel::build(deck.parsed.netlist, deck.parsed.symbol_elements,
+                                         deck.parsed.input_source, *out, {.order = 2});
+    } catch (const std::exception&) {
+      continue;  // a deck the symbolic build rejects has no lanes to fit
+    }
+    std::vector<sweep::Distribution> dists;
+    for (const auto& name : model->symbol_names()) {
+      const double value =
+          deck.parsed.netlist.elements()[*deck.parsed.netlist.find_element(name)].value;
+      dists.push_back(sweep::Distribution::lognormal(std::abs(value), 0.5));
+    }
+    add_sweep_lanes(pool, *model, sweep::sample_points(dists, per_deck, i), per_deck);
+    ++built;
+  }
+  EXPECT_EQ(built, decks);
+}
+
+/// Every tuple over {0, +-1/2, +-1, +-2, +-4} at a few scales: exact small
+/// moments hit the exact special cases (singular Hankel, b_2 == 0, a zero
+/// discriminant, repeated poles, zeros in every slot).
+void add_grid_lanes(LanePool& pool) {
+  const double v[] = {0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0};
+  for (const double scale : {1.0, 0x1p-600, 0x1p600, 1e-9})
+    for (const double a : v)
+      for (const double b : v)
+        for (const double c : v)
+          for (const double d : v) pool.add({a * scale, b, c / scale, d * scale});
+}
+
+/// Seeded mutations of lanes already in the pool, plus hand-shaped cases.
+void add_adversarial_lanes(LanePool& pool, std::size_t n) {
+  std::mt19937_64 rng(17);
+  const auto unit = [&] { return static_cast<double>(rng() >> 11) * 0x1p-53; };
+  const auto pick = [&](std::size_t k) { return static_cast<std::size_t>(rng() % k); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t base = pool.lanes.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    Lane m = pool.lanes[pick(base)];
+    switch (pick(11)) {
+      case 0:  // sign flips
+        for (double& x : m)
+          if (rng() & 1) x = -x;
+        break;
+      case 1:  // a (signed) zero in one slot
+        m[pick(4)] = (rng() & 1) ? 0.0 : -0.0;
+        break;
+      case 2:  // exponent shift of +-600, of the lane or of one slot
+        if (rng() & 1) {
+          const int e = (rng() & 1) ? 600 : -600;
+          for (double& x : m) x = std::ldexp(x, e);
+        } else {
+          m[pick(4)] = std::ldexp(m[pick(4)], (rng() & 1) ? 600 : -600);
+        }
+        break;
+      case 3:  // a subnormal
+        m[pick(4)] = std::bit_cast<double>((rng() & 0x800fffffffffffffULL) | 1);
+        break;
+      case 4: {  // inf / NaN
+        const double bad[] = {inf, -inf, std::nan("")};
+        m[pick(4)] = bad[pick(3)];
+        break;
+      }
+      case 5:  // random bit patterns
+        for (double& x : m) x = std::bit_cast<double>(rng());
+        break;
+      case 6:  // near-singular Hankel: m1^2 ~ m0 m2
+        if (m[0] != 0.0) {
+          const double eps[] = {0.0, 1e-16, 1e-12, 1e-9};
+          m[2] = m[1] * m[1] / m[0] * (1.0 + eps[pick(4)] * (unit() - 0.5));
+        }
+        break;
+      case 7: {  // a double pole: 1/(1 + s/a)^2 scaled, zero discriminant up to rounding
+        const double a = std::ldexp(1.0 + pick(8), static_cast<int>(pick(60)) - 30);
+        m = {1.0, -2.0 / a, 3.0 / (a * a), -4.0 / (a * a * a)};
+        break;
+      }
+      case 8: {  // b_2 == 0: a first-order rational function
+        const auto r = rational_moments({1.0 + pick(4), 1.0 + pick(4), 0.0},
+                                        {1.0 + pick(4), 0.0}, 4);
+        std::copy(r.begin(), r.end(), m.begin());
+        break;
+      }
+      case 9: {  // a right-half-plane pole
+        const double p1 = -std::ldexp(1.0 + unit(), static_cast<int>(pick(40))),
+                     p2 = std::ldexp(1.0 + unit(), static_cast<int>(pick(40)));
+        const auto r = moments_of_poles({{p1, 0}, {p2, 0}}, {{-p1, 0}, {unit() * p2, 0}}, 4);
+        std::copy(r.begin(), r.end(), m.begin());
+        break;
+      }
+      default:  // a stable complex pair
+      {
+        const double re = -std::ldexp(1.0 + unit(), static_cast<int>(pick(40))),
+                     im = re * (4.0 * unit() - 2.0);
+        const auto r = moments_of_poles({{re, im}, {re, -im}}, {{-re, im}, {-re, -im}}, 4);
+        std::copy(r.begin(), r.end(), m.begin());
+        break;
+      }
+    }
+    pool.add(m);
+  }
+}
+
+/// Why the order-2 block path hands a lane to fit_lane (or kCommon when it
+/// does not), from the scalar pieces.
+enum Route : std::size_t {
+  kCommon,
+  kNotOk,
+  kNonFiniteMoment,
+  kScaleOutOfRange,
+  kInfeasible,
+  kTrailingZero,
+  kZeroDerivative,
+  kUnstable,
+  kNonFiniteFit,
+  kRoutes
+};
+
+double moment_scale_of(const Lane& m) {
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < 3; ++k)
+    if (m[k] != 0.0 && m[k + 1] != 0.0) {
+      sum += std::log(std::abs(m[k] / m[k + 1]));
+      ++n;
+    }
+  return n == 0 ? 1.0 : std::exp(sum / static_cast<double>(n));
+}
+
+Route route_of(const Lane& m, unsigned char ok, bool& zero_disc) {
+  zero_disc = false;
+  if (!ok) return kNotOk;
+  for (const double x : m)
+    if (!std::isfinite(x)) return kNonFiniteMoment;
+  const double w0 = moment_scale_of(m);
+  if (!std::isfinite(w0) || w0 == 0.0) return kScaleOutOfRange;
+  if (max_feasible_order(m) < 2) return kInfeasible;
+  PadeScratch ps(2);
+  const health::FailClass f = pade_lane(m, 2, /*allow_fallback=*/true, ps);
+  const double d1 = ps.denominator[1], d2 = ps.denominator[2];
+  if (d2 == 0.0) return kTrailingZero;
+  zero_disc = d1 * d1 - 4.0 * d2 == 0.0;
+  if (f != health::FailClass::kNone) return kZeroDerivative;
+  for (const auto& p : ps.poles)
+    if (!(p.real() < 0.0)) return kUnstable;
+  FitScratch fs(2);
+  if (fit_lane(m, {.order = 2}, fs) != health::FailClass::kNone) return kNonFiniteFit;
+  bool finite = std::isfinite(fs.dc_gain);
+  for (const auto& r : fs.residues) finite = finite && std::isfinite(r.real()) &&
+                                             std::isfinite(r.imag());
+  return finite ? kCommon : kNonFiniteFit;
+}
+
+/// The pre-block-path fit_lanes: a per-lane fit_lane loop.
+void fit_lanes_scalar(std::span<const double> moments, std::size_t stride, std::size_t count,
+                      std::span<const unsigned char> ok, const RomOptions& opts,
+                      FitScratch& s, RomSamples& out, std::size_t first,
+                      std::span<health::FailClass> fail,
+                      const std::function<void(std::size_t)>& on_fit) {
+  for (std::size_t p = 0; p < count; ++p) {
+    if (!ok[p]) {
+      fail[p] = health::FailClass::kSingularY0;
+      continue;
+    }
+    bool finite = true;
+    for (std::size_t k = 0; k < 2 * opts.order; ++k) {
+      s.lane[k] = moments[k * stride + p];
+      finite = finite && std::isfinite(s.lane[k]);
+    }
+    fail[p] = finite ? fit_lane(s.lane, opts, s) : health::FailClass::kNonFiniteEval;
+    if (fail[p] != health::FailClass::kNone) continue;
+    const std::size_t slot = first + p;
+    const std::size_t q = std::min(s.poles.size(), out.max_order);
+    out.order[slot] = static_cast<std::uint8_t>(q);
+    for (std::size_t j = 0; j < q; ++j) {
+      out.poles[slot * out.max_order + j] = s.poles[j];
+      out.residues[slot * out.max_order + j] = s.residues[j];
+    }
+    out.dc_gain[slot] = s.dc_gain;
+    on_fit(p);
+  }
+}
+
+RomSamples nan_samples(std::size_t n, std::size_t max_order) {
+  const double nan = std::nan("");
+  RomSamples rs;
+  rs.max_order = max_order;
+  rs.order.assign(n, 0);
+  rs.poles.assign(n * max_order, {nan, nan});
+  rs.residues.assign(n * max_order, {nan, nan});
+  rs.dc_gain.assign(n, nan);
+  return rs;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// What on_fit saw of the scratch's model, as raw bits.
+void record_model(const FitScratch& s, std::size_t p, std::vector<std::uint64_t>& log) {
+  const ReducedOrderModel rom = s.model(s.lane);
+  log.push_back(p);
+  log.push_back(rom.order());
+  for (std::size_t j = 0; j < rom.order(); ++j) {
+    log.push_back(std::bit_cast<std::uint64_t>(rom.poles()[j].real()));
+    log.push_back(std::bit_cast<std::uint64_t>(rom.poles()[j].imag()));
+    log.push_back(std::bit_cast<std::uint64_t>(rom.residues()[j].real()));
+    log.push_back(std::bit_cast<std::uint64_t>(rom.residues()[j].imag()));
+  }
+  log.push_back(std::bit_cast<std::uint64_t>(rom.direct()));
+  for (const double m : rom.moments()) log.push_back(std::bit_cast<std::uint64_t>(m));
+}
+
+// The order-2 block path must give every lane fit_lane's bits: every
+// RomSamples slot (signed zeros and the NaN padding of unfitted slots
+// included), every FailClass and the model on_fit sees, over >= 200k lanes
+// from the 741, the coupled-line crosstalk output, generated decks and
+// seeded adversarial inputs, at block counts around the chunk size and
+// with holes in ok[].
+TEST(FitLanes, Order2BlockMatchesScalarFitLane) {
+  ASSERT_FALSE(health::failpoints::enabled());
+  LanePool pool;
+  add_opamp_lanes(pool, 100000);
+  const std::size_t xtalk_begin = pool.lanes.size();
+  add_crosstalk_lanes(pool, 2 * 200 * 50);
+  const std::size_t xtalk_end = pool.lanes.size();
+  add_generated_lanes(pool, 40, 500);
+  add_grid_lanes(pool);
+  add_adversarial_lanes(pool, 50000);
+  const std::size_t n = pool.lanes.size();
+  ASSERT_GE(n, 200000u);
+
+  // Holes in ok[].
+  std::mt19937_64 rng(2026);
+  for (std::size_t p = 0; p < n; ++p)
+    if (rng() % 16 == 0) pool.ok[p] = 0;
+
+  std::array<std::size_t, kRoutes> routes{};
+  std::size_t zero_discs = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    bool zero_disc = false;
+    ++routes[route_of(pool.lanes[p], pool.ok[p], zero_disc)];
+    zero_discs += zero_disc;
+  }
+  for (std::size_t r = 0; r < kRoutes; ++r) EXPECT_GT(routes[r], 0u) << "route " << r;
+  EXPECT_GT(zero_discs, 0u);
+
+  const RomOptions ropts{.order = 2};
+  RomSamples block = nan_samples(n, 2), scalar = nan_samples(n, 2);
+  std::vector<health::FailClass> block_fail(n), scalar_fail(n);
+  FitScratch block_s(2), scalar_s(2);
+  std::vector<std::uint64_t> block_log, scalar_log;
+  const std::size_t counts[] = {1, 63, 64, 65, 200};
+  std::vector<double> soa;
+  std::size_t fitted = 0, xtalk_fitted = 0, xtalk_ok = 0;
+  for (std::size_t first = 0, call = 0; first < n; ++call) {
+    const std::size_t count = std::min(counts[call % 5], n - first);
+    const std::size_t stride = count + call % 3;
+    soa.assign(4 * stride, std::nan(""));
+    for (std::size_t p = 0; p < count; ++p)
+      for (std::size_t k = 0; k < 4; ++k) soa[k * stride + p] = pool.lanes[first + p][k];
+    const std::span<const unsigned char> ok(pool.ok.data() + first, count);
+    const std::size_t f = fit_lanes(
+        soa, stride, count, ok, ropts, block_s, block, first,
+        std::span<health::FailClass>(block_fail.data() + first, count),
+        [&](std::size_t p) { record_model(block_s, first + p, block_log); });
+    fit_lanes_scalar(soa, stride, count, ok, ropts, scalar_s, scalar, first,
+                     std::span<health::FailClass>(scalar_fail.data() + first, count),
+                     [&](std::size_t p) { record_model(scalar_s, first + p, scalar_log); });
+    fitted += f;
+    if (first >= xtalk_begin && first + count <= xtalk_end) {
+      xtalk_fitted += f;
+      for (std::size_t p = 0; p < count; ++p) xtalk_ok += pool.ok[first + p];
+    }
+    first += count;
+  }
+
+  EXPECT_TRUE(same_bytes(block.order, scalar.order));
+  EXPECT_TRUE(same_bytes(block.poles, scalar.poles));
+  EXPECT_TRUE(same_bytes(block.residues, scalar.residues));
+  EXPECT_TRUE(same_bytes(block.dc_gain, scalar.dc_gain));
+  EXPECT_TRUE(block_fail == scalar_fail);
+  EXPECT_TRUE(block_log == scalar_log);
+  for (std::size_t p = 0, shown = 0; p < n && shown < 5; ++p) {
+    const bool same =
+        block.order[p] == scalar.order[p] && block_fail[p] == scalar_fail[p] &&
+        std::memcmp(&block.poles[2 * p], &scalar.poles[2 * p], 2 * sizeof(block.poles[0])) ==
+            0 &&
+        std::memcmp(&block.residues[2 * p], &scalar.residues[2 * p],
+                    2 * sizeof(block.residues[0])) == 0 &&
+        std::memcmp(&block.dc_gain[p], &scalar.dc_gain[p], sizeof(double)) == 0;
+    if (same) continue;
+    ++shown;
+    ADD_FAILURE() << "lane " << p << " differs: moments " << pool.lanes[p][0] << " "
+                  << pool.lanes[p][1] << " " << pool.lanes[p][2] << " " << pool.lanes[p][3];
+  }
+
+  // The block path fitted every common-path lane, the crosstalk lanes
+  // (m0 == 0) among them, and only those.
+  EXPECT_EQ(fitted, routes[kCommon]);
+  for (std::size_t p = xtalk_begin; p < xtalk_end; ++p)
+    if (pool.ok[p]) {
+      ASSERT_EQ(pool.lanes[p][0], 0.0);
+    }
+  EXPECT_EQ(xtalk_fitted, xtalk_ok);
+  std::size_t xtalk_complex = 0;
+  for (std::size_t p = xtalk_begin; p < xtalk_end; ++p)
+    xtalk_complex += scalar.order[p] == 2 && scalar.poles[2 * p].imag() != 0.0;
+  EXPECT_GT(xtalk_complex, 0u);
+}
+
+// A pass_predicate sweep on the block path gives the same pass flags and
+// ROM samples as the same sweep on the scalar path (any armed failpoint
+// turns the block path off).
+TEST(FitLanes, Order2BlockPassPredicateSweepMatchesScalarPath) {
+  const core::CompiledModel model = opamp_model();
+  const circuits::Opamp741Values nominal;
+  const std::vector<sweep::Distribution> dists{
+      sweep::Distribution::lognormal(nominal.gout_q14, 1.0),
+      sweep::Distribution::lognormal(nominal.c_comp, 1.0)};
+  const std::size_t n = 4096;
+  const std::vector<double> pts = sweep::sample_points(dists, n, 99);
+  // Pass when the dominant pole is slower than the sample's median one.
+  sweep::SweepOptions opts;
+  opts.threads = 1;
+  opts.with_rom = true;
+  const sweep::SweepResult probe = sweep::run_sweep(model, pts, n, opts);
+  std::vector<double> dom;
+  for (std::size_t p = 0; p < n; ++p)
+    if (probe.rom->order[p] == 2)
+      dom.push_back(std::min(std::abs(probe.rom->poles[2 * p].real()),
+                             std::abs(probe.rom->poles[2 * p + 1].real())));
+  ASSERT_FALSE(dom.empty());
+  std::nth_element(dom.begin(), dom.begin() + dom.size() / 2, dom.end());
+  const double median = dom[dom.size() / 2];
+  opts.pass_predicate = [median](const ReducedOrderModel& rom) {
+    const auto p = rom.dominant_pole();
+    return p && std::abs(p->real()) < median && rom.moments().size() == 4;
+  };
+  ASSERT_FALSE(health::failpoints::enabled());
+  const sweep::SweepResult block = sweep::run_sweep(model, pts, n, opts);
+  health::failpoints::arm(health::failpoints::sites::kLuSingular, "nth:1000000000000");
+  const sweep::SweepResult scalar = sweep::run_sweep(model, pts, n, opts);
+  health::failpoints::reset();
+  EXPECT_GT(block.pass_count, n / 4);
+  EXPECT_LT(block.pass_count, 3 * n / 4);
+  EXPECT_TRUE(same_bytes(block.pass, scalar.pass));
+  EXPECT_TRUE(same_bytes(block.rom->order, scalar.rom->order));
+  EXPECT_TRUE(same_bytes(block.rom->poles, scalar.rom->poles));
+  EXPECT_TRUE(same_bytes(block.rom->residues, scalar.rom->residues));
+  EXPECT_TRUE(same_bytes(block.rom->dc_gain, scalar.rom->dc_gain));
+  EXPECT_TRUE(same_bytes(block.ladder_stage, scalar.ladder_stage));
+}
+
+// The block path's inline complex division equals operator/ (libgcc's
+// __divdc3) bit for bit: inside its window, at the window's edges and, by
+// falling back, outside it.
+TEST(FitLanes, ComplexQuotientMatchesOperatorDivide) {
+  std::mt19937_64 rng(1992);
+  const double edges[] = {0x1p-250,
+                          0x1p250,
+                          std::nextafter(0x1p-250, 0.0),
+                          std::nextafter(0x1p-250, 1.0),
+                          std::nextafter(0x1p250, 0.0),
+                          std::nextafter(0x1p250, 1e300),
+                          0.0,
+                          1.0,
+                          std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::infinity(),
+                          std::nan("")};
+  const auto part = [&](int mode) {
+    const std::uint64_t r = rng();
+    const double sign = (r & 1) ? -1.0 : 1.0;
+    switch (mode) {
+      case 0:  // inside the window, with zeros
+        if ((r >> 1) % 8 == 0) return sign * 0.0;
+        return sign * std::ldexp(1.0 + static_cast<double>(r >> 12) * 0x1p-52,
+                                 static_cast<int>((r >> 2) % 500) - 250);
+      case 1:  // the window's edges
+        return sign * edges[(r >> 1) % std::size(edges)];
+      default:  // any finite or non-finite double
+        return std::bit_cast<double>(r);
+    }
+  };
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < 10'000'000; ++i) {
+    const int mode = i % 10 < 8 ? 0 : static_cast<int>(i % 10) - 7;
+    // Mix the modes across the four parts so edge values meet in-window ones.
+    const std::complex<double> x{part(mode), part(i % 3 == 0 ? mode : 0)};
+    const std::complex<double> y{part(i % 5 == 0 ? 0 : mode), part(mode)};
+    const std::complex<double> want = x / y, got = complex_quotient(x, y);
+    if (!same_bits(want, got) && ++mismatches <= 5)
+      ADD_FAILURE() << std::hexfloat << x << " / " << y << ": " << got << " vs " << want;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// fit_lanes rejects, like pade_solve_batch, the shapes it would index out
+// of bounds.
+struct FitLanesShape {
+  std::size_t count = 8, stride = 8;
+  std::vector<double> moments = std::vector<double>(32, 1.0);
+  std::vector<unsigned char> ok = std::vector<unsigned char>(8, 1);
+  std::vector<health::FailClass> fail = std::vector<health::FailClass>(8);
+  RomSamples out = nan_samples(8, 2);
+  FitScratch scratch{2};
+  RomOptions opts{.order = 2};
+  void run() {
+    fit_lanes(moments, stride, count, ok, opts, scratch, out, 0, fail);
+  }
+};
+
+TEST(FitLanes, RejectsStrideBelowCount) {
+  FitLanesShape sh;
+  EXPECT_NO_THROW(sh.run());
+  sh.stride = 7;
+  EXPECT_THROW(sh.run(), std::invalid_argument);
+}
+
+TEST(FitLanes, RejectsShortMomentsSpan) {
+  FitLanesShape sh;
+  sh.stride = 9;
+  sh.moments.resize(3 * 9 + 8);  // (2q - 1) * stride + count
+  EXPECT_NO_THROW(sh.run());
+  sh.moments.pop_back();
+  EXPECT_THROW(sh.run(), std::invalid_argument);
+}
+
+TEST(FitLanes, RejectsShortOkOrFailSpan) {
+  FitLanesShape sh;
+  sh.ok.pop_back();
+  EXPECT_THROW(sh.run(), std::invalid_argument);
+  FitLanesShape sf;
+  sf.fail.pop_back();
+  EXPECT_THROW(sf.run(), std::invalid_argument);
+}
+
+TEST(FitLanes, RejectsShortRomSamples) {
+  for (int field = 0; field < 4; ++field) {
+    FitLanesShape sh;
+    switch (field) {
+      case 0: sh.out.order.pop_back(); break;
+      case 1: sh.out.poles.pop_back(); break;
+      case 2: sh.out.residues.pop_back(); break;
+      default: sh.out.dc_gain.pop_back(); break;
+    }
+    EXPECT_THROW(sh.run(), std::invalid_argument) << "field " << field;
+  }
+}
+
+TEST(FitLanes, RejectsOrderAboveScratch) {
+  FitLanesShape sh;
+  sh.opts.order = 3;
+  sh.moments.resize(5 * 8 + 8);
+  EXPECT_THROW(sh.run(), std::invalid_argument);
 }
 
 }  // namespace
