@@ -294,30 +294,29 @@ void BM_BuildIncrementalEdit(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildIncrementalEdit)->Unit(benchmark::kMillisecond);
 
-// -- model open: v3 stream parse vs v4 zero-copy map --------------------
+// -- model open: stream load vs zero-copy map ----------------------------
 //
 // The format-v4 acceptance series (DESIGN.md §15): ONE model serialized
-// once into a temp directory as both the legacy v3 stream and the v4
-// blob, then re-opened cold every iteration.  The gated quantity
-// (check_bench_gate.py --dominates) is models_per_s of
-// BM_ModelOpenV4MapFirstBatch over BM_ModelOpenV3Parse: the mmap open
-// must beat the full parse by >= 10x EVEN WHEN it also pays for the
-// first width-64 batch evaluation — i.e. "open and start sweeping" went
-// from O(model size) to O(pages touched).
+// once into a temp directory, then re-opened cold every iteration, either
+// through the stream loader (read the whole blob, verify its checksum,
+// validate) or through mmap (validate in place).  The gated quantity
+// (check_bench_gate.py --dominates) is models_per_s of the map rows over
+// BM_ModelOpenStream: the mmap open must beat the full read by >= 10x,
+// and by >= 3x EVEN WHEN it also pays for the first width-64 batch
+// evaluation — i.e. "open and start sweeping" is O(pages touched), not
+// O(model size).
 //
 // The fixture deliberately carries the sections a moments-only first
 // batch never touches — the gradient stream, the strict stream, and the
 // serialized symbolic closed forms — because that asymmetry IS the
-// measured claim: the v3 loader materializes all of them eagerly (the
-// symbolic section as node-by-node expression trees), while the v4 open
-// bounds-checks their section table entries and never faults their
-// pages.  Ten symbols over a 200-segment coupled pair puts the blob near
-// a megabyte, far past the fixed open/validate overheads.
+// measured claim: the stream loader reads and checksums all of them,
+// while the mmap open bounds-checks their section table entries and never
+// faults their pages.  Ten symbols over a 200-segment coupled pair puts
+// the blob near a megabyte, far past the fixed open/validate overheads.
 
 struct OpenFixture {
   std::string dir;
-  std::string v3_path;
-  std::string v4_path;
+  std::string path;
   std::vector<double> nominals;  // per-symbol, in model symbol order
 
   OpenFixture() {
@@ -336,12 +335,9 @@ struct OpenFixture {
       nominals.push_back(
           c.netlist.elements()[*c.netlist.find_element(name)].value);
     dir = fresh_cache_dir("open");
-    v3_path = dir + "/model_v3.awemodel";
-    v4_path = dir + "/model_v4.awemodel";
-    std::ofstream v3(v3_path, std::ios::binary);
-    model.save_legacy_v3(v3);
-    std::ofstream v4(v4_path, std::ios::binary);
-    model.save(v4);
+    path = dir + "/model.awemodel";
+    std::ofstream out(path, std::ios::binary);
+    model.save(out);
   }
   ~OpenFixture() { std::filesystem::remove_all(dir); }
 
@@ -351,10 +347,10 @@ struct OpenFixture {
   }
 };
 
-void BM_ModelOpenV3Parse(benchmark::State& state) {
+void BM_ModelOpenStream(benchmark::State& state) {
   const auto& fx = OpenFixture::instance();
   for (auto _ : state) {
-    std::ifstream in(fx.v3_path, std::ios::binary);
+    std::ifstream in(fx.path, std::ios::binary);
     const auto model = core::CompiledModel::load(in);
     benchmark::DoNotOptimize(model.instruction_count());
   }
@@ -362,12 +358,12 @@ void BM_ModelOpenV3Parse(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ModelOpenV3Parse)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ModelOpenStream)->Unit(benchmark::kMillisecond);
 
 void BM_ModelOpenV4Map(benchmark::State& state) {
   const auto& fx = OpenFixture::instance();
   for (auto _ : state) {
-    const auto model = core::CompiledModel::map_file(fx.v4_path);
+    const auto model = core::CompiledModel::map_file(fx.path);
     benchmark::DoNotOptimize(model.instruction_count());
   }
   state.counters["models_per_s"] =
@@ -387,7 +383,7 @@ void BM_ModelOpenV4MapFirstBatch(benchmark::State& state) {
       points[i * kWidth + p] =
           fx.nominals[i] * (1.0 + 0.002 * static_cast<double>(p));
   for (auto _ : state) {
-    const auto model = core::CompiledModel::map_file(fx.v4_path);
+    const auto model = core::CompiledModel::map_file(fx.path);
     auto ws = model.make_batch_workspace(kWidth);
     std::vector<double> moments(model.moment_count() * kWidth);
     std::vector<unsigned char> ok(kWidth);

@@ -104,9 +104,9 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
     const circuit::NodeId outs[] = {output_node};
     cache_key = model_cache_key(netlist, symbol_elements, input_source, outs, opts);
     const std::string path = ModelCache::entry_path(build_opts.cache_dir, cache_key);
-    // map_model mmap-opens a v4 hit in place (O(pages touched)) instead of
-    // stream-parsing it; corrupt or legacy entries degrade exactly like
-    // the parsing path.
+    // map_model mmap-opens a hit in place (O(pages touched)) instead of
+    // stream-reading it; a corrupt or pre-v4 entry is quarantined and
+    // rebuilt exactly as on the stream path.
     auto cached = build_opts.map_model ? ModelCache::map_file(path, &cache_quarantined)
                                        : ModelCache::load_file(path, &cache_quarantined);
     if (cached) return std::move(*cached);
@@ -202,7 +202,7 @@ CompiledModel CompiledModel::from_blob(std::shared_ptr<const ModelBlob> blob,
   if (view.has_gradient())
     grad_program.emplace(CompiledProgram::from_code(view.gradient_code()));
 
-  // Cross-field consistency, mirroring the v3 stream loader.
+  // Cross-field consistency between the meta, symbol and program sections.
   if (meta.numerator_count != 2 * meta.order)
     throw std::runtime_error("CompiledModel::load: moment count mismatch");
   if (program.input_count() != sym.symbols.size() ||

@@ -95,8 +95,8 @@ struct BuildOptions {
   /// mmap-opening the v4 entry in place (CompiledModel::map_file) instead
   /// of stream-parsing it — O(pages touched) instead of O(model size).
   /// Evaluation results are bit-identical either way (asserted by the
-  /// mmap-determinism CI job); a v3 or corrupt entry transparently falls
-  /// back to the parse-load/quarantine path.
+  /// mmap-determinism CI job); a corrupt or pre-v4 entry is quarantined
+  /// and rebuilt exactly as on the parsing path.
   bool map_model = false;
 };
 
@@ -247,18 +247,13 @@ class CompiledModel {
   /// are bit-identical to the freshly built model.  The byte stream is
   /// versioned and deterministic: save(load(save(m))) == save(m).
   void save(std::ostream& os) const;
-  /// Throws std::runtime_error on truncated input or a format version this
-  /// build does not understand, and FailError(kCacheCorrupt) when the
-  /// payload checksum does not match (bit damage on otherwise well-formed
-  /// bytes).  The cache layer turns either into quarantine + miss.
-  /// Understands both the current v4 blob (read whole, checksum verified)
-  /// and the legacy v3 stream.
+  /// Reads the v4 blob whole into an aligned buffer and opens it like
+  /// from_blob(verify_checksum=true).  Throws std::runtime_error on
+  /// truncated input, FailError(kModelFormat) on any format version but
+  /// v4, and FailError(kCacheCorrupt) when the payload checksum does not
+  /// match (bit damage on otherwise well-formed bytes).  The cache layer
+  /// turns any of these into quarantine + miss.
   static CompiledModel load(std::istream& is);
-
-  /// Serialize in the legacy v3 stream layout (kept for the
-  /// cross-version fixtures and the v3-vs-v4 open benchmark; save()
-  /// always writes v4).
-  void save_legacy_v3(std::ostream& os) const;
 
   /// Open a v4 blob IN PLACE: structural validation + program views over
   /// the region, no stream parsing, no per-instruction allocation.  The
@@ -280,12 +275,6 @@ class CompiledModel {
   std::string blob_origin() const { return blob_ ? blob_->origin() : std::string(); }
 
  private:
-  /// Header-less body shared by save_legacy_v3/load: the v3 checksummed
-  /// payload.
-  void save_payload(std::ostream& os) const;
-  static CompiledModel load_payload(std::istream& is);
-  static CompiledModel load_v4(std::istream& is);
-
   /// Serialize the kSymbolics section payload ({u64 nnum, polynomial[nnum],
   /// polynomial det_y0}); view-backed models copy the raw section instead
   /// of parse+reserialize, preserving byte determinism for free.

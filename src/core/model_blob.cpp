@@ -13,6 +13,7 @@
 #include <vector>
 #include <stdexcept>
 
+#include "core/model_format.hpp"
 #include "health/status.hpp"
 
 namespace awe::core {
@@ -199,6 +200,12 @@ void unlink_shm_blob(const std::string& name) {
 
 // ---- validated view -----------------------------------------------------
 
+void check_format_version(std::uint32_t version) {
+  if (version != kModelFormatVersion)
+    throw health::FailError(health::FailClass::kModelFormat,
+                            "CompiledModel::load: unsupported format version");
+}
+
 ModelView ModelView::open(std::span<const std::byte> region) {
   require_little_endian_host("ModelView::open");
   if (reinterpret_cast<std::uintptr_t>(region.data()) % kAlign != 0)
@@ -209,7 +216,7 @@ ModelView ModelView::open(std::span<const std::byte> region) {
   ModelView view;
   const auto* header = reinterpret_cast<const v4::Header*>(region.data());
   if (std::memcmp(header->magic, "AWEM", 4) != 0) bad("bad magic");
-  if (header->version != 4) bad("unsupported format version");
+  check_format_version(header->version);
   if (header->endian_tag != 1)
     throw health::FailError(health::FailClass::kModelFormat,
                             "ModelView::open: model endianness mismatch");
@@ -441,7 +448,7 @@ std::string pack_model_v4(const PackInput& in) {
   std::string header;
   header.reserve(sizeof(v4::Header));
   header.append("AWEM", 4);
-  append_u32(header, 4);  // version
+  append_u32(header, kModelFormatVersion);
   append_u64(header, total_size);
   append_u64(header, fnv1a64(out.data() + sizeof(v4::Header),
                              out.size() - sizeof(v4::Header)));

@@ -12,13 +12,15 @@
 // O(model size); the same blob also serves unchanged from a heap buffer
 // or a POSIX shared-memory region (SharedModelStore hot-swap).
 //
-// Only the symbolic-polynomial section keeps the legacy stream encoding:
-// it is cold (needed for symbolic_denominator()-style introspection, never
-// for evaluation), so CompiledModel parses it lazily on first use.
+// Only the symbolic-polynomial section keeps a stream encoding (the
+// symbolic/serialize.hpp primitives): it is cold (needed for
+// symbolic_denominator()-style introspection, never for evaluation), so
+// CompiledModel parses it lazily on first use.  Pre-v4 files (v1-v3,
+// stream formats) are no longer readable: they fail with kModelFormat.
 //
 // Integrity contract: the header carries an FNV-1a checksum over the whole
 // payload, verified when a file is *published* (cache store, --map-audit,
-// SharedModelStore::publish) and on the legacy full-read load path — but
+// SharedModelStore::publish) and on the full-read stream load path — but
 // deliberately NOT on the mmap open path, where it would fault in every
 // page and destroy the O(pages touched) win.  Mapped opens instead run the
 // full structural validation (section bounds + per-instruction register/
@@ -71,7 +73,7 @@ enum class SectionKind : std::uint32_t {
   kGradConstants = 11,
   kGradOutputRegs = 12,
   kGradFusedOutputRegs = 13,
-  kSymbolics = 14,  ///< legacy-stream polynomial payload, lazily parsed
+  kSymbolics = 14,  ///< stream-encoded polynomial payload, lazily parsed
 };
 
 struct SectionEntry {
@@ -118,7 +120,7 @@ static_assert(alignof(Header) <= 64 && alignof(Meta) <= 64 &&
 }  // namespace v4
 
 /// FNV-1a 64-bit over a byte range (the model checksum primitive, shared
-/// with the v3 stream loader and the program_checksum meta fields).
+/// with the program_checksum meta fields).
 std::uint64_t fnv1a64(const void* data, std::size_t size);
 
 /// Abstract owner of a model region: heap buffer, mmap'd cache file, or a
@@ -149,6 +151,12 @@ std::shared_ptr<const ModelBlob> open_shm_blob(const std::string& name);
 /// Remove the name; existing mappings stay valid until unmapped.
 void unlink_shm_blob(const std::string& name);
 
+/// The one format-version check, shared by CompiledModel::load and
+/// ModelView::open: any version but kModelFormatVersion throws
+/// health::FailError(kModelFormat, "CompiledModel::load: unsupported
+/// format version").
+void check_format_version(std::uint32_t version);
+
 /// Non-owning, validated view over a v4 blob.  Construction via open()
 /// performs the full structural validation (everything except the
 /// checksum); accessors afterwards are plain pointer arithmetic.
@@ -156,9 +164,8 @@ class ModelView {
  public:
   /// Validate `region` as a v4 blob and build the view.  Checks, in order:
   /// platform guard (little-endian host, 64-byte base alignment) — throws
-  /// health::FailError(kModelFormat); then magic / version ("CompiledModel::
-  /// load: bad magic" / "...unsupported format version" — the same texts as
-  /// the stream loader so version-mismatch handling is uniform); then
+  /// health::FailError(kModelFormat); then magic ("CompiledModel::load:
+  /// bad magic", as the stream loader says) and check_format_version; then
   /// header/section-table/section bounds, required-section set, and record
   /// layout checks (std::runtime_error).  Does NOT verify the checksum.
   static ModelView open(std::span<const std::byte> region);
@@ -178,7 +185,7 @@ class ModelView {
   /// Executable view of the gradient program; empty spans when absent.
   symbolic::ProgramCode gradient_code() const { return gradient_; }
 
-  /// The legacy-stream polynomial payload ({u64 nnum, polynomial[nnum],
+  /// The stream-encoded polynomial payload ({u64 nnum, polynomial[nnum],
   /// polynomial det_y0}) for lazy parsing.
   std::span<const std::byte> symbolics_blob() const { return symbolics_; }
 

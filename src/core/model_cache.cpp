@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -158,21 +157,9 @@ std::optional<CompiledModel> ModelCache::map_file(const std::string& path,
                                                   bool* corrupt_quarantined) {
   namespace fp = health::failpoints;
   if (corrupt_quarantined) *corrupt_quarantined = false;
-  // Peek magic + version only; anything that is not a well-formed v4
-  // header falls through to the parsing loader, which owns the legacy-v3
-  // path and the quarantine policy for malformed files.
-  char head[8] = {};
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return std::nullopt;
-    in.read(head, sizeof(head));
-    if (static_cast<std::size_t>(in.gcount()) != sizeof(head) ||
-        std::memcmp(head, kModelMagic, sizeof(kModelMagic)) != 0)
-      return load_file(path, corrupt_quarantined);
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, head + 4, sizeof(version));
-  if (version != kModelFormatVersion) return load_file(path, corrupt_quarantined);
+  // An absent entry is a plain miss; anything present that does not open
+  // as a valid v4 blob is quarantined below.
+  if (!std::ifstream(path, std::ios::binary)) return std::nullopt;
   if (!fp::fires(fp::sites::kCacheLoadCorrupt)) {
     try {
       return CompiledModel::map_file(path);

@@ -73,14 +73,12 @@ class ModelCache {
   /// "<path>.bad" — where a corrupt entry gets quarantined.
   static std::string quarantine_path(const std::string& path) { return path + ".bad"; }
 
-  /// Zero-copy variant of load_file: peek the version field and, for a v4
-  /// entry, mmap it in place (CompiledModel::map_file) instead of parsing
-  /// the stream — O(pages touched) instead of O(model size).  A v3 entry
-  /// silently falls back to the parsing path, so a cache directory mixing
-  /// generations keeps working.  The miss/quarantine contract is identical
-  /// to load_file: any damage (truncated publish, bad section table,
-  /// foreign version) quarantines the entry to "<path>.bad" and reports a
-  /// miss.  The mapped open skips the full-payload checksum by design
+  /// Zero-copy variant of load_file: mmap the entry in place
+  /// (CompiledModel::map_file) instead of reading the stream — O(pages
+  /// touched) instead of O(model size).  The miss/quarantine contract is
+  /// identical to load_file: any damage (truncated publish, bad section
+  /// table, a pre-v4 or other foreign version) quarantines the entry to
+  /// "<path>.bad" and reports a miss.  The mapped open skips the full-payload checksum by design
   /// (DESIGN.md §15.2) — structural validation still bounds-checks every
   /// section and instruction, so a damaged entry can fail wrong only
   /// within its own numbers, never out of its region.

@@ -9,16 +9,11 @@
 namespace awe::core {
 
 inline constexpr char kModelMagic[4] = {'A', 'W', 'E', 'M'};
-// v3: the optional gradient section switched from the forward-mode
-// derivative-only layout to the reverse-mode stream (primal block embedded
-// first, then one adjoint block per symbol — DESIGN.md §14).  The section
-// framing is unchanged; the bump exists to reject v2 gradient programs,
-// whose outputs a v3 reader would misinterpret.
 // v4: offset-based, 64-byte-aligned, mmap-executable blob (DESIGN.md §15,
-// core/model_blob.hpp).  save() writes v4; load() still reads the v3
-// stream, and the cache-key version bump means v3 entries are simply
-// never looked up again (awe_build --pack-v4 upgrades a directory in
-// place).
+// core/model_blob.hpp), the only format this build reads or writes.  v1-v3
+// were stream formats; a file in any of them fails to load with
+// kModelFormat, and the cache quarantines it and rebuilds (their keys
+// embedded the old version, so a current lookup never asks for one).
 inline constexpr std::uint32_t kModelFormatVersion = 4;
 
 }  // namespace awe::core

@@ -127,13 +127,9 @@ class CompiledProgram {
 
   /// Binary serialization of the full program state: both instruction
   /// streams, the constant pool (bit-exact doubles) and both output maps.
-  /// The byte stream is versioned and deterministic — save(load(save(p)))
-  /// is byte-identical to save(p) — which is what the persistent model
-  /// cache relies on.  See DESIGN.md "Persistent compiled-model cache".
+  /// Deterministic and write-only: model format v4 hashes these bytes
+  /// into its program_checksum meta field (DESIGN.md §15.1).
   void save(std::ostream& os) const;
-  /// Throws std::runtime_error on truncated/corrupt input or on a format
-  /// version this build does not understand.
-  static CompiledProgram load(std::istream& is);
 
   /// The executable view of this program.  For an owning program the spans
   /// alias internal storage and stay valid as long as the program lives;
@@ -147,7 +143,7 @@ class CompiledProgram {
   /// Construct a program that executes directly out of `code` without
   /// copying any stream — the model-format-v4 zero-copy path.  The caller
   /// owns the backing region and must keep it alive and immutable for the
-  /// program's lifetime.  Runs the same structural validation as load()
+  /// program's lifetime.  Runs the full structural validation
   /// (register/constant/input bounds on every instruction); throws
   /// std::runtime_error on violation so a corrupt mapped file can never
   /// index out of the register file.
@@ -158,7 +154,7 @@ class CompiledProgram {
   bool view_backed() const { return external_; }
 
  private:
-  CompiledProgram() = default;  // for load() / from_code()
+  CompiledProgram() = default;  // for from_code()
 
   /// Structural validation of the current streams: every operand register,
   /// constant index and input index in bounds, output maps in bounds.

@@ -1,13 +1,15 @@
-// CompiledProgram binary save/load.  Format (version 1, all little-endian):
+// CompiledProgram binary save and structural validation.
+//
+// save() format (version 1, all little-endian):
 //   magic "AWEP", u32 version,
 //   u64 input_count, u64 register_count,
 //   u64 nconstants, f64[nconstants],
 //   stream x2 (strict, fused): u64 ninstr, per instr {u8 op, u32 dst,a,b,c},
 //   outputs x2 (strict, fused): u64 n, u32[n].
-// Bumping the version invalidates every cached model (the cache key also
-// embeds the version, so stale entries are simply never looked up).
-#include <cstring>
-#include <istream>
+// Nothing reads these bytes back: model format v4 stores the program as
+// executable sections (core/model_blob.hpp).  The v4 meta still records
+// fnv1a64 of them (program_checksum / gradient_checksum), so they must
+// stay byte-stable until a format change retires those fields.
 #include <ostream>
 #include <stdexcept>
 
@@ -32,32 +34,9 @@ void save_stream(std::ostream& os, std::span<const Instr> instrs) {
   }
 }
 
-std::vector<Instr> load_stream(std::istream& is) {
-  const std::uint64_t n = io::read_count(is);
-  std::vector<Instr> instrs(n);
-  for (Instr& in : instrs) {
-    const std::uint8_t op = io::read_u8(is);
-    if (op > static_cast<std::uint8_t>(OpCode::kFms))
-      throw std::runtime_error("CompiledProgram::load: unknown opcode");
-    in.op = static_cast<OpCode>(op);
-    in.dst = io::read_u32(is);
-    in.a = io::read_u32(is);
-    in.b = io::read_u32(is);
-    in.c = io::read_u32(is);
-  }
-  return instrs;
-}
-
 void save_regs(std::ostream& os, std::span<const std::uint32_t> regs) {
   io::write_u64(os, regs.size());
   for (std::uint32_t r : regs) io::write_u32(os, r);
-}
-
-std::vector<std::uint32_t> load_regs(std::istream& is) {
-  const std::uint64_t n = io::read_count(is);
-  std::vector<std::uint32_t> regs(n);
-  for (std::uint32_t& r : regs) r = io::read_u32(is);
-  return regs;
 }
 
 }  // namespace
@@ -76,34 +55,10 @@ void CompiledProgram::save(std::ostream& os) const {
   if (!os) throw std::runtime_error("CompiledProgram::save: write failed");
 }
 
-CompiledProgram CompiledProgram::load(std::istream& is) {
-  char magic[4];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("CompiledProgram::load: bad magic");
-  const std::uint32_t version = io::read_u32(is);
-  if (version != kVersion)
-    throw std::runtime_error("CompiledProgram::load: unsupported format version");
-
-  CompiledProgram p;
-  p.input_count_ = io::read_count(is);
-  p.register_count_ = io::read_count(is);
-  const std::uint64_t nconst = io::read_count(is);
-  p.own_constants_.resize(nconst);
-  for (double& c : p.own_constants_) c = io::read_f64(is);
-  p.own_instrs_ = load_stream(is);
-  p.own_fused_instrs_ = load_stream(is);
-  p.own_output_regs_ = load_regs(is);
-  p.own_fused_output_regs_ = load_regs(is);
-  p.rebind();
-  p.validate();
-  return p;
-}
-
 void CompiledProgram::validate() const {
   // Structural validation: every operand must stay inside the loaded
-  // register/constant/input bounds so a corrupt file (or mapped region)
-  // cannot make run() read out of range.
+  // register/constant/input bounds so a corrupt mapped region cannot
+  // make run() read out of range.
   auto check_reg = [&](std::uint32_t r) {
     if (r >= register_count_)
       throw std::runtime_error("CompiledProgram::load: register out of range");

@@ -52,12 +52,6 @@ void write_f64(std::ostream& os, double v) {
   write_u64(os, bits);
 }
 
-void write_string(std::ostream& os, const std::string& s) {
-  write_u64(os, s.size());
-  if (!s.empty()) write_bytes(os, s.data(), s.size());
-}
-
-std::uint8_t read_u8(std::istream& is) { return read_le<std::uint8_t>(is); }
 std::uint16_t read_u16(std::istream& is) { return read_le<std::uint16_t>(is); }
 std::uint32_t read_u32(std::istream& is) { return read_le<std::uint32_t>(is); }
 std::uint64_t read_u64(std::istream& is) { return read_le<std::uint64_t>(is); }
@@ -67,13 +61,6 @@ double read_f64(std::istream& is) {
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
-}
-
-std::string read_string(std::istream& is) {
-  const std::uint64_t n = read_count(is);
-  std::string s(n, '\0');
-  if (n) read_bytes(is, s.data(), n);
-  return s;
 }
 
 std::uint64_t read_count(std::istream& is, std::uint64_t limit) {

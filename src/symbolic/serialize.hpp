@@ -1,12 +1,12 @@
-// Binary serialization primitives shared by the compiled-program and
-// compiled-model writers (symbolic/compile_io.cpp, core/model_io.cpp).
+// Binary serialization primitives shared by the compiled-program writer
+// (symbolic/compile_io.cpp) and the model format v4 kSymbolics section
+// (written by core/model_io.cpp, parsed lazily by core/awesymbolic.cpp).
 //
-// The format is deliberately boring: little-endian fixed-width integers,
-// raw IEEE-754 doubles (bit-exact round trips, no text formatting drift)
-// and length-prefixed strings.  Every field is written in a fixed order
-// from fully-ordered containers, so serializing the same object twice —
-// or serializing, loading and re-serializing — produces byte-identical
-// output.  That determinism is what the on-disk model cache and the CI
+// The format is deliberately boring: little-endian fixed-width integers
+// and raw IEEE-754 doubles (bit-exact round trips, no text formatting
+// drift).  Every field is written in a fixed order from fully-ordered
+// containers, so serializing the same object twice — or serializing,
+// loading and re-serializing — produces byte-identical output.  That determinism is what the on-disk model cache and the CI
 // cache-determinism job assert.
 //
 // Readers validate as they go and throw std::runtime_error on truncated
@@ -26,8 +26,7 @@ namespace awe::symbolic::io {
 
 /// Read-only istream over an external byte range — parse in place, no
 /// copy into an istringstream.  The caller keeps the range alive for the
-/// stream's lifetime.  Used by the legacy model loader (single-read
-/// in-place parse) and the lazy v4 symbolics section.
+/// stream's lifetime.  Parses the lazy v4 kSymbolics section in place.
 class imembuf : public std::streambuf {
  public:
   imembuf(const char* data, std::size_t size) {
@@ -51,14 +50,11 @@ void write_u16(std::ostream& os, std::uint16_t v);
 void write_u32(std::ostream& os, std::uint32_t v);
 void write_u64(std::ostream& os, std::uint64_t v);
 void write_f64(std::ostream& os, double v);
-void write_string(std::ostream& os, const std::string& s);
 
-std::uint8_t read_u8(std::istream& is);
 std::uint16_t read_u16(std::istream& is);
 std::uint32_t read_u32(std::istream& is);
 std::uint64_t read_u64(std::istream& is);
 double read_f64(std::istream& is);
-std::string read_string(std::istream& is);
 
 /// Reads a length prefix and validates it against `limit`.
 std::uint64_t read_count(std::istream& is, std::uint64_t limit = kMaxCount);

@@ -2,19 +2,19 @@
 //
 // What must hold, and what these tests pin down:
 //   - pack -> load -> pack is BYTE-identical, whether the reload went
-//     through the stream parser, mmap, or shared memory (the v4 format's
-//     fixed-point property, which also makes `awe_build --pack-v4`
-//     idempotent);
+//     through the stream loader, mmap, or shared memory (the v4 format's
+//     fixed-point property), and a fresh build saves to the committed v4
+//     goldens byte for byte;
 //   - a view-backed model (heap / mmap(MAP_PRIVATE) / shm) is
-//     BIT-identical to the owned stream-parsed model — moments AND
+//     BIT-identical to the owned freshly built model — moments AND
 //     gradients, scalar AND swept across thread counts;
-//   - cross-version behavior is exact: the committed v3 golden fixtures
-//     still load (and repack to v4 with bit-identical evaluation), a v2
-//     fixture fails with the documented error text, as do truncated and
-//     bit-flipped inputs;
+//   - pre-v4 files fail closed: the committed v2/v3 fixtures fail with
+//     kModelFormat and the documented error text on the stream path, and
+//     the cache quarantines and rebuilds them; truncated and bit-flipped
+//     v4 inputs fail with their documented texts too;
 //   - the endianness/alignment guard rejects a misaligned region with
 //     FailClass::kModelFormat, not UB;
-//   - the cache's mapped open quarantines damage exactly like the parsing
+//   - the cache's mapped open quarantines damage exactly like the stream
 //     path (miss + <entry>.bad, then a rebuild stores a fresh entry);
 //   - SharedModelStore publishes atomically: a sweep pinned on generation
 //     N completes bit-identically while N+1..N+k publish underneath it,
@@ -230,7 +230,7 @@ TEST(ModelV4, LazySymbolicsMatchOwnedClosedForms) {
     EXPECT_EQ(d1[j].to_string(names), d0[j].to_string(names));
 }
 
-// -- cross-version loads and exact error texts ----------------------------
+// -- goldens, pre-v4 files and exact error texts -------------------------
 
 std::string fixture(const char* name) {
   const std::string bytes = read_file(fs::path(AWE_DATA_DIR) / name);
@@ -238,41 +238,42 @@ std::string fixture(const char* name) {
   return bytes;
 }
 
-TEST(ModelV4, GoldenV3FixturesStillLoad) {
-  for (const char* name : {"golden_v3.awemodel", "golden_v3_nograd.awemodel"}) {
-    const std::string v3 = fixture(name);
-    const CompiledModel model = stream_load(v3);
-    EXPECT_GE(model.symbol_count(), 1u);
-    EXPECT_EQ(model.moment_count(), 2 * model.order());
-  }
-}
+// The committed v4 goldens pin the format's bytes: a fresh build of kDeck
+// must save to exactly these files, and every way of opening them (stream
+// load, heap blob, mmap) must evaluate bit-identically to that build and
+// save back to the same bytes.  On a byte mismatch the fresh bytes are
+// written next to the test binary as <fixture>.actual for inspection.
+TEST(ModelV4, GoldenV4Fixtures) {
+  TempDir tmp;
+  for (const bool gradients : {true, false}) {
+    const std::string name =
+        gradients ? "golden_v4.awemodel" : "golden_v4_nograd.awemodel";
+    SCOPED_TRACE(name);
+    const CompiledModel fresh = build_model(gradients);
+    const std::string golden = fixture(name.c_str());
+    const std::string built = serialize(fresh);
+    if (built != golden) write_file(name + ".actual", built);
+    EXPECT_TRUE(built == golden) << "a fresh build no longer saves to " << name;
 
-TEST(ModelV4, GoldenV3RepacksToV4WithBitIdenticalEvaluation) {
-  const CompiledModel v3 = stream_load(fixture("golden_v3.awemodel"));
-  const std::string v4_blob = serialize(v3);
-  std::uint32_t version = 0;
-  std::memcpy(&version, v4_blob.data() + 4, 4);
-  ASSERT_EQ(version, 4u);
-  const CompiledModel v4 = stream_load(v4_blob);
-
-  std::vector<double> at(v3.symbol_count());
-  for (std::size_t i = 0; i < at.size(); ++i) at[i] = 1e3 * static_cast<double>(i + 1);
-  EXPECT_EQ(v3.moments_at(at), v4.moments_at(at));
-  if (v3.options().with_gradients) {
-    const auto g3 = v3.moments_and_gradients(at);
-    const auto g4 = v4.moments_and_gradients(at);
-    EXPECT_EQ(g3.moments, g4.moments);
-    EXPECT_EQ(g3.dm, g4.dm);
-  }
-}
-
-TEST(ModelV4, GoldenV2FailsWithExactErrorText) {
-  const std::string v2 = fixture("golden_v2.awemodel");
-  try {
-    (void)stream_load(v2);
-    FAIL() << "v2 fixture must not load";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "CompiledModel::load: unsupported format version");
+    const fs::path file = tmp.path / name;
+    write_file(file, golden);
+    const CompiledModel opened[] = {
+        stream_load(golden),
+        CompiledModel::from_blob(make_heap_blob(golden), /*verify_checksum=*/true),
+        CompiledModel::map_file(file)};
+    const std::vector<double> nominal = nominal_values(fresh);
+    const std::vector<double> skewed = {3.3e3, 1.7e-12};
+    for (const CompiledModel& model : opened) {
+      EXPECT_TRUE(serialize(model) == golden) << name << " reopened resaves differently";
+      for (const std::vector<double>& at : {nominal, skewed}) {
+        EXPECT_EQ(model.moments_at(at), fresh.moments_at(at));
+        if (!gradients) continue;
+        const auto g = model.moments_and_gradients(at);
+        const auto g0 = fresh.moments_and_gradients(at);
+        EXPECT_EQ(g.moments, g0.moments);
+        EXPECT_EQ(g.dm, g0.dm);
+      }
+    }
   }
 }
 
@@ -309,28 +310,6 @@ TEST(ModelV4, BitFlippedV4FailsAsCacheCorrupt) {
   }
 }
 
-TEST(ModelV4, TruncatedV3FailsWithExactErrorText) {
-  const std::string v3 = fixture("golden_v3.awemodel");
-  try {
-    (void)stream_load(v3.substr(0, v3.size() - 7));
-    FAIL() << "truncated v3 must not load";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "CompiledModel::load: truncated payload");
-  }
-}
-
-TEST(ModelV4, BitFlippedV3FailsAsCacheCorrupt) {
-  std::string v3 = fixture("golden_v3.awemodel");
-  v3[v3.size() - 70] ^= 0x10;
-  try {
-    (void)stream_load(v3);
-    FAIL() << "damaged v3 must not load";
-  } catch (const health::FailError& e) {
-    EXPECT_EQ(e.fail_class(), health::FailClass::kCacheCorrupt);
-    EXPECT_STREQ(e.what(), "CompiledModel::load: payload checksum mismatch");
-  }
-}
-
 TEST(ModelV4, MisalignedRegionRejectedAsModelFormat) {
   const std::string blob = serialize(build_model(false));
   std::vector<std::byte> buf(blob.size() + 64);
@@ -351,7 +330,7 @@ TEST(ModelV4, MisalignedRegionRejectedAsModelFormat) {
 
 // -- cache integration: mapped loads, quarantine, rebuild -----------------
 
-TEST(ModelV4, CacheMapFileServesV4AndFallsBackOnV3) {
+TEST(ModelV4, CacheMapFileServesV4) {
   TempDir tmp;
   const std::string v4_blob = serialize(build_model(false));
   const fs::path v4_path = tmp.path / "a.awemodel";
@@ -361,13 +340,76 @@ TEST(ModelV4, CacheMapFileServesV4AndFallsBackOnV3) {
   ASSERT_TRUE(mapped.has_value());
   EXPECT_FALSE(quarantined);
   EXPECT_TRUE(mapped->view_backed());
+}
 
-  const fs::path v3_path = tmp.path / "b.awemodel";
-  write_file(v3_path, fixture("golden_v3_nograd.awemodel"));
-  auto legacy = ModelCache::map_file(v3_path.string(), &quarantined);
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_FALSE(quarantined);
-  EXPECT_FALSE(legacy->view_backed()) << "v3 entries fall back to the parsing path";
+TEST(ModelV4, GoldenV2FailsWithExactErrorText) {
+  const std::string v2 = fixture("golden_v2.awemodel");
+  try {
+    (void)stream_load(v2);
+    FAIL() << "v2 fixture must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "CompiledModel::load: unsupported format version");
+  }
+}
+
+// Pre-v4 files (the v2/v3 stream formats) fail closed on every open path:
+// the stream loader and ModelView::open throw kModelFormat with the
+// documented text, both cache readers quarantine the entry and report a
+// miss, and a mapped build over such an entry rebuilds and stores the v4
+// bytes in its place.
+TEST(ModelV4, PreV4FixturesFailClosed) {
+  auto deck = circuit::parse_deck_string(kDeck);
+  const auto out = *deck.netlist.find_node(deck.output_node);
+  ModelOptions mopts;
+  mopts.order = 2;
+  const circuit::NodeId outs[] = {out};
+  const std::string key =
+      model_cache_key(deck.netlist, deck.symbol_elements, deck.input_source, outs, mopts);
+  const std::string v4_entry = fixture("golden_v4_nograd.awemodel");
+
+  for (const char* name :
+       {"golden_v2.awemodel", "golden_v3.awemodel", "golden_v3_nograd.awemodel"}) {
+    SCOPED_TRACE(name);
+    const std::string old = fixture(name);
+    const auto heap = make_heap_blob(old);
+    for (const bool streamed : {true, false}) {
+      try {
+        if (streamed)
+          (void)stream_load(old);
+        else
+          (void)ModelView::open(heap->bytes());
+        ADD_FAILURE() << "a pre-v4 file must not open";
+      } catch (const health::FailError& e) {
+        EXPECT_EQ(e.fail_class(), health::FailClass::kModelFormat);
+        EXPECT_STREQ(e.what(), "CompiledModel::load: unsupported format version");
+      }
+    }
+
+    TempDir tmp;
+    const std::string entry = ModelCache::entry_path(tmp.path.string(), key);
+    const std::string bad = ModelCache::quarantine_path(entry);
+    for (const bool mapped : {false, true}) {
+      write_file(entry, old);
+      fs::remove(bad);
+      bool quarantined = false;
+      const auto hit = mapped ? ModelCache::map_file(entry, &quarantined)
+                              : ModelCache::load_file(entry, &quarantined);
+      EXPECT_FALSE(hit.has_value()) << (mapped ? "map_file" : "load_file");
+      EXPECT_TRUE(quarantined) << (mapped ? "map_file" : "load_file");
+      EXPECT_TRUE(fs::exists(bad)) << (mapped ? "map_file" : "load_file");
+      EXPECT_FALSE(fs::exists(entry)) << (mapped ? "map_file" : "load_file");
+    }
+
+    write_file(entry, old);
+    BuildOptions bopts;
+    bopts.cache_dir = tmp.path.string();
+    bopts.map_model = true;
+    const CompiledModel rebuilt = CompiledModel::build(
+        deck.netlist, deck.symbol_elements, deck.input_source, out, mopts, bopts);
+    EXPECT_FALSE(rebuilt.view_backed()) << "the pre-v4 entry must not serve the build";
+    EXPECT_TRUE(read_file(entry) == v4_entry) << "the rebuild stores the v4 entry";
+    EXPECT_EQ(read_file(bad), old);
+  }
 }
 
 TEST(ModelV4, TruncatedMappedEntryQuarantinedThenRebuilt) {

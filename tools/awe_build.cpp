@@ -35,19 +35,12 @@
 //   --mmap            warm loads mmap the v4 cache entry in place
 //                     (CompiledModel::map_file, O(pages touched)) instead
 //                     of stream-parsing it; cold builds are unaffected
-//   --pack-v4 DIR     maintenance mode (no decks needed): rewrite every
-//                     *.awemodel under DIR as model format v4 via the
-//                     atomic tmp+rename discipline.  Entries already in
-//                     canonical v4 form are left byte-untouched; legacy v3
-//                     entries are upgraded in place so an old cache
-//                     becomes mmap-servable without rebuilding
-//   --map-audit DIR   maintenance mode: mmap-open every v4 *.awemodel
-//                     under DIR with FULL payload-checksum and structural
-//                     verification (the audit pays the page faults the
-//                     fast path skips — DESIGN.md §15.2); legacy v3
-//                     entries get the equivalent stream verification.
-//                     Damaged entries are quarantined to <entry>.bad;
-//                     exit 2 if any were
+//   --map-audit DIR   maintenance mode (no decks needed): mmap-open every
+//                     *.awemodel under DIR with FULL payload-checksum and
+//                     structural verification (the audit pays the page
+//                     faults the fast path skips — DESIGN.md §15.2).
+//                     Damaged and pre-v4 entries are quarantined to
+//                     <entry>.bad; exit 2 if any were
 //
 // Per deck, prints:  <cache-key>  <cold|warm>  <deck-path>
 // Exit status: 0 on success, 2 on bad usage or any failed deck.  A corrupt
@@ -55,21 +48,16 @@
 // and reported in the health JSON.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "circuit/parser.hpp"
 #include "core/cli_support.hpp"
-#include "core/model_blob.hpp"
 #include "core/model_cache.hpp"
-#include "core/model_format.hpp"
 #include "health/report.hpp"
-#include "symbolic/serialize.hpp"
 
 namespace {
 
@@ -85,88 +73,26 @@ const cli::HealthJsonSink* g_health_sink = nullptr;
                "          [--incremental] [--mmap] [--edit NAME=VALUE ...]\n"
                "          [--edit-first-numeric FACTOR] [--save-model FILE]\n"
                "          [--health-json FILE] [--quiet] deck.sp [deck2.sp ...]\n"
-               "       %s --pack-v4 DIR | --map-audit DIR\n",
+               "       %s --map-audit DIR\n",
                argv0, argv0);
   if (g_health_sink) g_health_sink->flush();
   std::exit(2);
 }
 
-/// --pack-v4: upgrade every *.awemodel under `dir` to format v4 in place.
-/// Byte-deterministic: an entry already in canonical v4 form is detected
-/// by comparing the repacked bytes and left untouched (no mtime churn, a
-/// second run is a no-op), so repack . load . repack is a fixed point.
-int pack_v4_dir(const std::string& dir, bool quiet) {
-  namespace fs = std::filesystem;
-  std::size_t upgraded = 0, unchanged = 0, failed = 0;
-  for (const auto& ent : fs::directory_iterator(dir)) {
-    if (!ent.is_regular_file() || ent.path().extension() != ".awemodel") continue;
-    const std::string path = ent.path().string();
-    try {
-      std::ifstream in(path, std::ios::binary);
-      std::ostringstream raw;
-      raw << in.rdbuf();
-      const std::string original = raw.str();
-      awe::symbolic::io::imemstream is(original.data(), original.size());
-      const awe::core::CompiledModel model = awe::core::CompiledModel::load(is);
-      std::ostringstream repacked;
-      model.save(repacked);
-      const std::string packed = repacked.str();
-      if (packed == original) {
-        ++unchanged;
-        continue;
-      }
-      const std::string tmp = path + ".pack.tmp";
-      {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(packed.data(), static_cast<std::streamsize>(packed.size()));
-        if (!out) throw std::runtime_error("cannot write " + tmp);
-      }
-      fs::rename(tmp, path);
-      ++upgraded;
-      if (!quiet) std::printf("pack  v4  %s\n", path.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "awe_build: --pack-v4: %s: %s\n", path.c_str(), e.what());
-      ++failed;
-    }
-  }
-  if (!quiet)
-    std::printf("awe_build: --pack-v4: %zu upgraded, %zu already v4, %zu failed\n",
-                upgraded, unchanged, failed);
-  return failed == 0 ? 0 : 2;
-}
-
 /// --map-audit: the integrity pass the mmap fast path deliberately skips.
-/// v4 entries are mapped and verified fully (payload checksum + every
-/// structural/cross-field check in from_blob); v3 entries get the stream
-/// loader's equivalent verification.  Damage quarantines to <entry>.bad.
+/// Every entry is mapped and verified fully (payload checksum + every
+/// structural/cross-field check in from_blob).  Damage, including a
+/// pre-v4 format version, quarantines to <entry>.bad.
 int map_audit_dir(const std::string& dir, bool quiet) {
   namespace fs = std::filesystem;
-  std::size_t ok_v4 = 0, ok_v3 = 0, quarantined = 0;
+  std::size_t ok = 0, quarantined = 0;
   for (const auto& ent : fs::directory_iterator(dir)) {
     if (!ent.is_regular_file() || ent.path().extension() != ".awemodel") continue;
     const std::string path = ent.path().string();
-    bool legacy = false;
     try {
-      char head[8] = {};
-      {
-        std::ifstream in(path, std::ios::binary);
-        in.read(head, sizeof(head));
-        if (static_cast<std::size_t>(in.gcount()) != sizeof(head))
-          throw std::runtime_error("truncated header");
-      }
-      std::uint32_t version = 0;
-      std::memcpy(&version, head + 4, sizeof(version));
-      if (version == awe::core::kModelFormatVersion) {
-        (void)awe::core::CompiledModel::from_blob(awe::core::map_file_blob(path),
-                                                  /*verify_checksum=*/true);
-        ++ok_v4;
-      } else {
-        legacy = true;
-        std::ifstream in(path, std::ios::binary);
-        (void)awe::core::CompiledModel::load(in);
-        ++ok_v3;
-      }
-      if (!quiet) std::printf("audit ok   %s %s\n", legacy ? "v3" : "v4", path.c_str());
+      (void)awe::core::CompiledModel::map_file(path, /*verify_checksum=*/true);
+      ++ok;
+      if (!quiet) std::printf("audit ok   %s\n", path.c_str());
     } catch (const std::exception& e) {
       std::error_code ec;
       const std::string bad = awe::core::ModelCache::quarantine_path(path);
@@ -179,8 +105,7 @@ int map_audit_dir(const std::string& dir, bool quiet) {
     }
   }
   if (!quiet)
-    std::printf("awe_build: --map-audit: %zu v4 ok, %zu v3 ok, %zu quarantined\n",
-                ok_v4, ok_v3, quarantined);
+    std::printf("awe_build: --map-audit: %zu ok, %zu quarantined\n", ok, quarantined);
   return quarantined == 0 ? 0 : 2;
 }
 
@@ -213,7 +138,6 @@ int main(int argc, char** argv) {
   const cli::HealthJsonSink sink = cli::HealthJsonSink::from_argv(argc, argv);
   g_health_sink = &sink;
   std::string cache_dir;
-  std::string pack_dir;
   std::string audit_dir;
   core::ModelOptions mopts;
   core::BuildOptions bopts;
@@ -242,8 +166,6 @@ int main(int argc, char** argv) {
       bopts.incremental = true;
     } else if (arg == "--mmap") {
       bopts.map_model = true;
-    } else if (arg == "--pack-v4") {
-      pack_dir = next();
     } else if (arg == "--map-audit") {
       audit_dir = next();
     } else if (arg == "--edit") {
@@ -267,12 +189,10 @@ int main(int argc, char** argv) {
       decks.push_back(arg);
     }
   }
-  // Maintenance modes run standalone: no decks, no cache instance.
-  if (!pack_dir.empty() || !audit_dir.empty()) {
+  // The maintenance mode runs standalone: no decks, no cache instance.
+  if (!audit_dir.empty()) {
     if (!decks.empty() || !cache_dir.empty()) usage(argv[0]);
-    int rc = 0;
-    if (!pack_dir.empty()) rc = pack_v4_dir(pack_dir, quiet);
-    if (rc == 0 && !audit_dir.empty()) rc = map_audit_dir(audit_dir, quiet);
+    const int rc = map_audit_dir(audit_dir, quiet);
     sink.flush();
     return rc;
   }

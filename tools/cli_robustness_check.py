@@ -125,10 +125,12 @@ def main():
     check(sum(doc["fail_classes"].values()) >= 1,
           "awe_opt early-exit report records a fail class")
 
-    # --- removed flags: the native AOT backend is gone -------------------
+    # --- removed flags: the native AOT backend and the v3 repacker are gone
     removed = [
         ("awe_build --native", "build_native",
          [args.awe_build, "--cache-dir", cache, "--native", args.deck]),
+        ("awe_build --pack-v4", "build_pack_v4",
+         [args.awe_build, "--pack-v4", cache]),
         ("awe_opt --native", "opt_native",
          [args.awe_opt, "--measure", "pole1", "--mc", "64", "--native",
           args.deck]),
