@@ -5,43 +5,7 @@
 // paper targets: parameter sweeps, transient/AC queries, closed forms and
 // C export — all from the shell.
 //
-// Usage:
-//   awesym_cli <deck.sp> [options]
-// Options:
-//   --order N              Padé order (default 2)
-//   --symbols a,b,...      override the deck's .symbol directives
-//   --auto-symbols K       pick K symbols by AWEsensitivity ranking
-//   --at v1,v2,...         evaluate at these symbol element values
-//                          (default: the deck's nominal values)
-//   --sweep name=lo:hi:n   sweep one symbol (repeatable once more for 2-D)
-//   --mc N                 Monte-Carlo sweep of N points through the
-//                          parallel sweep engine with the per-point
-//                          degradation ladder; prints an ok/degraded/
-//                          quarantined disposition summary
-//   --seed S               Monte-Carlo seed (default 42)
-//   --threads N            sweep worker threads, 0 = hardware (default 0)
-//   --cache-dir DIR        build through the persistent model cache under
-//                          DIR
-//   --mmap                 with --cache-dir: mmap a v4 cache hit in place
-//                          (CompiledModel::map_file) instead of stream-
-//                          parsing it — the zero-copy warm-open path
-//   --shm NAME             publish the built model into a SharedModelStore
-//                          backed by POSIX shared memory ("/NAME.g1") and
-//                          evaluate through the pinned view — exercises
-//                          the cross-process hot-swap path end to end
-//   --dump-moments FILE    with --mc: write every point's ok flag and raw
-//                          moments as deterministic text ("-" for stdout);
-//                          byte-identical across thread counts and
-//                          backings (heap/mmap/shm) in strict mode
-//   --health-json FILE     write the run's HealthReport as JSON
-//                          ("-" for stdout)
-//   --measure M            dc | p1 | funity | pm | t50   (default dc)
-//   --transient T:N        print N step-response samples up to time T
-//   --ac f0:f1:N           print an AC sweep table from the model
-//   --closed-forms         print symbolic pole/gain closed forms
-//   --exact                also run the traditional exact symbolic analysis
-//                          and print H(s, e) (small circuits only)
-//   --emit-c FILE          write the compiled moment program as C source
+// Exit status: 0 on success, 1 on a deck or build error, 2 on bad usage.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -66,24 +30,6 @@ namespace {
 
 using namespace awe;
 
-/// Set before argument parsing so even the usage() exit can flush a valid
-/// --health-json report (DESIGN.md §16.5).
-const cli::HealthJsonSink* g_health_sink = nullptr;
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <deck.sp> [--order N] [--symbols a,b] [--auto-symbols K]\n"
-               "          [--at v1,v2] [--sweep name=lo:hi:n] [--mc N] [--seed S]\n"
-               "          [--threads N] [--cache-dir DIR]\n"
-               "          [--mmap] [--shm NAME] [--dump-moments FILE]\n"
-               "          [--health-json FILE] [--measure M]\n"
-               "          [--transient T:N] [--ac f0:f1:N] [--closed-forms]\n"
-               "          [--emit-c FILE]\n",
-               argv0);
-  if (g_health_sink) g_health_sink->flush();
-  std::exit(2);
-}
-
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::istringstream is(s);
@@ -102,18 +48,13 @@ struct Sweep {
   }
 };
 
-Sweep parse_sweep(const std::string& spec) {
-  const auto eq = spec.find('=');
-  if (eq == std::string::npos) throw std::runtime_error("bad --sweep spec: " + spec);
-  const auto parts = split(spec.substr(eq + 1), ':');
-  if (parts.size() != 3) throw std::runtime_error("bad --sweep range: " + spec);
-  Sweep s;
-  s.name = spec.substr(0, eq);
-  s.lo = circuit::parse_spice_value(parts[0]);
-  s.hi = circuit::parse_spice_value(parts[1]);
-  s.steps = static_cast<std::size_t>(std::stoul(parts[2]));
-  if (s.steps == 0) throw std::runtime_error("sweep needs at least 1 step");
-  return s;
+/// "lo:hi:n": two SPICE values and n >= 1 points.
+Sweep parse_range(const std::string& spec, std::string name = {}) {
+  const auto p = split(spec, ':');
+  const auto n = p.size() == 3 ? cli::parse_number<std::size_t>(p[2], 1) : std::nullopt;
+  if (!n) throw std::invalid_argument("expected lo:hi:n with n >= 1");
+  return {std::move(name), circuit::parse_spice_value(p[0]),
+          circuit::parse_spice_value(p[1]), *n};
 }
 
 double measure(const engine::ReducedOrderModel& rom, const std::string& what) {
@@ -138,125 +79,114 @@ double measure(const engine::ReducedOrderModel& rom, const std::string& what) {
 int main(int argc, char** argv) {
   cli::install_sigpipe_guard();
   const cli::HealthJsonSink sink = cli::HealthJsonSink::from_argv(argc, argv);
-  g_health_sink = &sink;
-  if (argc < 2) usage(argv[0]);
-  std::string deck_path;
   std::size_t order = 2;
   std::optional<std::vector<std::string>> symbols_override;
   std::size_t auto_symbols = 0;
   std::optional<std::vector<double>> at_values;
   std::vector<Sweep> sweeps;
   std::string what = "dc";
-  std::optional<std::pair<double, std::size_t>> transient;
-  std::optional<std::tuple<double, double, std::size_t>> ac_req;
+  std::optional<Sweep> transient, ac;  // 0:T:N and f0:f1:N
   bool closed_forms = false;
   bool want_exact = false;
   std::string emit_c_path;
   std::size_t mc_points = 0;
   std::uint64_t mc_seed = 42;
-  std::size_t threads = 0;
-  std::string cache_dir;
-  std::string health_json;
+  sweep::SweepOptions sopts;
+  core::BuildOptions build_opts;
   std::string shm_name;
   std::string dump_moments;
-  bool use_mmap = false;
 
+  const cli::Parser cli{
+      .tool = "awesym_cli",
+      .synopsis = "<deck.sp> [options]",
+      .options = {
+          cli::number("--order", "N", order, "Padé order (default 2)", 1),
+          {"--symbols", "a,b,...", "override the deck's .symbol directives",
+           [&](const std::string& v) {
+             symbols_override = split(v, ',');
+             return true;
+           }},
+          cli::number("--auto-symbols", "K", auto_symbols,
+                      "pick K symbols by AWEsensitivity ranking"),
+          {"--at", "v1,v2,...", "evaluate at these symbol values (default: nominal)",
+           [&](const std::string& v) {
+             at_values.emplace();
+             for (const auto& x : split(v, ','))
+               at_values->push_back(circuit::parse_spice_value(x));
+             return true;
+           }},
+          {"--sweep", "name=lo:hi:n", "sweep one symbol (give twice for 2-D)",
+           [&](const std::string& v) {
+             const auto eq = v.find('=');
+             if (eq == std::string::npos) return false;
+             sweeps.push_back(parse_range(v.substr(eq + 1), v.substr(0, eq)));
+             return true;
+           }},
+          cli::number("--mc", "N", mc_points,
+                      "Monte Carlo sweep of N points through the sweep engine"),
+          cli::number("--seed", "S", mc_seed, "Monte Carlo seed (default 42)"),
+          cli::number("--threads", "N", sopts.threads,
+                      "sweep worker threads, 0 = hardware (default 0)"),
+          cli::text("--cache-dir", "DIR", build_opts.cache_dir,
+                    "build through the persistent model cache under DIR"),
+          cli::flag("--mmap", build_opts.map_model,
+                    "with --cache-dir: mmap a v4 cache hit in place"),
+          cli::text("--shm", "NAME", shm_name,
+                    "evaluate through a shared-memory model store (/NAME.g1)"),
+          cli::text("--dump-moments", "FILE", dump_moments,
+                    "with --mc: write every moment as text (\"-\" = stdout)"),
+          cli::HealthJsonSink::option(),
+          {"--measure", "M", "dc | p1 | funity | pm | t50 (default dc)",
+           [&](const std::string& v) {
+             what = v;
+             return v == "dc" || v == "p1" || v == "funity" || v == "pm" || v == "t50";
+           }},
+          {"--transient", "T:N", "print N step-response samples up to time T",
+           [&](const std::string& v) {
+             transient = parse_range("0:" + v);
+             return true;
+           }},
+          {"--ac", "f0:f1:N", "print an N-point AC sweep from the model",
+           [&](const std::string& v) {
+             ac = parse_range(v);
+             return true;
+           }},
+          cli::flag("--closed-forms", closed_forms,
+                    "print symbolic pole/gain closed forms"),
+          cli::flag("--exact", want_exact,
+                    "also print the exact symbolic H(s, e) (small circuits only)"),
+          cli::text("--emit-c", "FILE", emit_c_path,
+                    "write the compiled moment program as C source")},
+      .min_args = 1,
+      .max_args = 1,
+      .sink = &sink};
+  const std::string deck_path = cli.parse(argc, argv)[0];
+
+  // A deck error found after parsing: message, health JSON, exit 1.
+  const auto deck_error = [&](const std::string& msg) {
+    std::fprintf(stderr, "%s\n", msg.c_str());
+    sink.flush();
+    return 1;
+  };
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> std::string {
-        if (++i >= argc) usage(argv[0]);
-        return argv[i];
-      };
-      if (arg == "--order") {
-        order = std::stoul(next());
-      } else if (arg == "--symbols") {
-        symbols_override = split(next(), ',');
-      } else if (arg == "--auto-symbols") {
-        auto_symbols = std::stoul(next());
-      } else if (arg == "--at") {
-        at_values.emplace();
-        for (const auto& v : split(next(), ','))
-          at_values->push_back(circuit::parse_spice_value(v));
-      } else if (arg == "--sweep") {
-        sweeps.push_back(parse_sweep(next()));
-      } else if (arg == "--mc") {
-        mc_points = std::stoul(next());
-      } else if (arg == "--seed") {
-        mc_seed = std::stoull(next());
-      } else if (arg == "--threads") {
-        threads = std::stoul(next());
-      } else if (arg == "--cache-dir") {
-        cache_dir = next();
-      } else if (arg == "--mmap") {
-        use_mmap = true;
-      } else if (arg == "--shm") {
-        shm_name = next();
-      } else if (arg == "--dump-moments") {
-        dump_moments = next();
-      } else if (arg == "--health-json") {
-        health_json = next();
-      } else if (arg == "--measure") {
-        what = next();
-      } else if (arg == "--transient") {
-        const auto p = split(next(), ':');
-        if (p.size() != 2) usage(argv[0]);
-        transient = {circuit::parse_spice_value(p[0]), std::stoul(p[1])};
-      } else if (arg == "--ac") {
-        const auto p = split(next(), ':');
-        if (p.size() != 3) usage(argv[0]);
-        ac_req = {circuit::parse_spice_value(p[0]), circuit::parse_spice_value(p[1]),
-                  std::stoul(p[2])};
-      } else if (arg == "--closed-forms") {
-        closed_forms = true;
-      } else if (arg == "--exact") {
-        want_exact = true;
-      } else if (arg == "--emit-c") {
-        emit_c_path = next();
-      } else if (arg.rfind("--", 0) == 0) {
-        usage(argv[0]);
-      } else {
-        deck_path = arg;
-      }
-    }
-    if (deck_path.empty()) usage(argv[0]);
-
     std::ifstream in(deck_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open deck '%s'\n", deck_path.c_str());
-      sink.flush();
-      return 1;
-    }
+    if (!in) return deck_error("cannot open deck '" + deck_path + "'");
     auto deck = circuit::parse_deck(in);
     for (const auto& problem : deck.netlist.validate())
       std::fprintf(stderr, "warning: %s\n", problem.c_str());
-    if (deck.input_source.empty() || deck.output_node.empty()) {
-      std::fprintf(stderr, "deck needs .input and .output directives\n");
-      sink.flush();
-      return 1;
-    }
+    if (deck.input_source.empty() || deck.output_node.empty())
+      return deck_error("deck needs .input and .output directives");
     const auto out_node = deck.netlist.find_node(deck.output_node);
-    if (!out_node) {
-      std::fprintf(stderr, "unknown .output node '%s'\n", deck.output_node.c_str());
-      sink.flush();
-      return 1;
-    }
+    if (!out_node) return deck_error("unknown .output node '" + deck.output_node + "'");
 
     std::vector<std::string> symbols =
         symbols_override ? *symbols_override : deck.symbol_elements;
     if (auto_symbols > 0)
       symbols = core::select_symbols(deck.netlist, deck.input_source, *out_node, order,
                                      auto_symbols);
-    if (symbols.empty()) {
-      std::fprintf(stderr,
-                   "no symbols: use .symbol directives, --symbols or --auto-symbols\n");
-      sink.flush();
-      return 1;
-    }
+    if (symbols.empty())
+      return deck_error("no symbols: use .symbol directives, --symbols or --auto-symbols");
 
-    core::BuildOptions build_opts;
-    build_opts.cache_dir = cache_dir;
-    build_opts.map_model = use_mmap;
     core::CompiledModel built = core::CompiledModel::build(deck.netlist, symbols,
                                                            deck.input_source, *out_node,
                                                            {.order = order}, build_opts);
@@ -285,11 +215,8 @@ int main(int argc, char** argv) {
     std::vector<double> values;
     if (at_values) {
       values = *at_values;
-      if (values.size() != symbols.size()) {
-        std::fprintf(stderr, "--at needs %zu values\n", symbols.size());
-        sink.flush();
-        return 1;
-      }
+      if (values.size() != symbols.size())
+        return deck_error("--at needs " + std::to_string(symbols.size()) + " values");
     } else {
       for (const auto& s : model.symbol_names())
         values.push_back(
@@ -337,8 +264,6 @@ int main(int argc, char** argv) {
       for (const double v : values)
         dists.push_back(v > 0.0 ? sweep::Distribution::lognormal(v, 0.2)
                                 : sweep::Distribution::normal(v, 0.1 * std::abs(v) + 1e-12));
-      sweep::SweepOptions sopts;
-      sopts.threads = threads;
       sopts.with_rom = true;
       const auto sr = sweep::monte_carlo(model, dists, mc_points, mc_seed, sopts);
       const auto& h = sr.health;
@@ -393,16 +318,14 @@ int main(int argc, char** argv) {
       std::printf("at nominal values: %s = %.8g\n", what.c_str(), measure(rom, what));
       if (transient) {
         std::printf("\nstep response:\n");
-        for (std::size_t i = 0; i <= transient->second; ++i) {
-          const double t =
-              transient->first * static_cast<double>(i) / transient->second;
+        for (std::size_t i = 0; i <= transient->steps; ++i) {
+          const double t = transient->hi * static_cast<double>(i) / transient->steps;
           std::printf("  %12.5e  %12.6f\n", t, rom.step_response(t));
         }
       }
-      if (ac_req) {
-        const auto [f0, f1, n] = *ac_req;
+      if (ac) {
         std::printf("\nAC sweep (from the reduced model):\n");
-        for (const double f : engine::AcAnalysis::log_space(f0, f1, n))
+        for (const double f : engine::AcAnalysis::log_space(ac->lo, ac->hi, ac->steps))
           std::printf("  %12.5e Hz  |H|=%12.6g  phase=%8.2f deg\n", f, rom.magnitude(f),
                       rom.phase_deg(f));
       }

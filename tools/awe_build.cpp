@@ -7,49 +7,15 @@
 // every model.  Also handy interactively, to pre-warm a cache before a
 // sweep campaign or to inspect cache keys.
 //
-// Usage:
-//   awe_build --cache-dir DIR [options] deck.sp [deck2.sp ...]
-// Options:
-//   --cache-dir DIR   persistent cache directory (required)
-//   --order Q         Padé order (default 2)
-//   --threads N       extraction worker threads, 0 = hardware (default 1)
-//   --gradients       also compile the exact symbolic gradients
-//   --health-json F   write a HealthReport (cache quarantines, rebuilds,
-//                     failpoint fires, partition-block traffic) as JSON
-//                     to F ("-" for stdout)
-//   --quiet           suppress the per-deck lines
-//   --incremental     keep a per-cell partition block store under
-//                     <cache-dir>/blocks (DESIGN.md §13): an edited deck
-//                     re-extracts only its dirty cells and re-links the
-//                     model from cached blocks — bit-identical to a cold
-//                     build of the edited deck
-//   --edit NAME=VAL   set element NAME to value VAL in every deck before
-//                     building (repeatable); unknown names fail the deck
-//   --edit-first-numeric FACTOR
-//                     multiply the value of the alphabetically first
-//                     numeric (non-symbolic, non-input) R/G/C/L element
-//                     by FACTOR — a deck-agnostic one-element edit for
-//                     the incremental-determinism CI job
-//   --save-model F    serialize the (last) built model to F, for
-//                     bit-identity comparison against another build
-//   --mmap            warm loads mmap the v4 cache entry in place
-//                     (CompiledModel::map_file, O(pages touched)) instead
-//                     of stream-parsing it; cold builds are unaffected
-//   --map-audit DIR   maintenance mode (no decks needed): mmap-open every
-//                     *.awemodel under DIR with FULL payload-checksum and
-//                     structural verification (the audit pays the page
-//                     faults the fast path skips — DESIGN.md §15.2).
-//                     Damaged and pre-v4 entries are quarantined to
-//                     <entry>.bad; exit 2 if any were
-//
 // Per deck, prints:  <cache-key>  <cold|warm>  <deck-path>
 // Exit status: 0 on success, 2 on bad usage or any failed deck.  A corrupt
 // cache entry is NOT a failure: it is quarantined to <entry>.bad, rebuilt,
 // and reported in the health JSON.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,22 +28,6 @@
 namespace {
 
 using namespace awe;
-
-/// Bound before argument parsing so usage() and every early exit still
-/// flush a valid --health-json report (DESIGN.md §16.5).
-const cli::HealthJsonSink* g_health_sink = nullptr;
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --cache-dir DIR [--order Q] [--threads N] [--gradients]\n"
-               "          [--incremental] [--mmap] [--edit NAME=VALUE ...]\n"
-               "          [--edit-first-numeric FACTOR] [--save-model FILE]\n"
-               "          [--health-json FILE] [--quiet] deck.sp [deck2.sp ...]\n"
-               "       %s --map-audit DIR\n",
-               argv0, argv0);
-  if (g_health_sink) g_health_sink->flush();
-  std::exit(2);
-}
 
 /// --map-audit: the integrity pass the mmap fast path deliberately skips.
 /// Every entry is mapped and verified fully (payload checksum + every
@@ -136,67 +86,58 @@ std::string first_numeric_element(const circuit::ParsedDeck& deck) {
 int main(int argc, char** argv) {
   cli::install_sigpipe_guard();
   const cli::HealthJsonSink sink = cli::HealthJsonSink::from_argv(argc, argv);
-  g_health_sink = &sink;
   std::string cache_dir;
   std::string audit_dir;
   core::ModelOptions mopts;
   core::BuildOptions bopts;
   bool quiet = false;
-  std::string health_json;
   std::string save_model;
-  double edit_first_factor = 0.0;
+  std::optional<double> edit_first_factor;
   std::vector<std::pair<std::string, double>> edits;
-  std::vector<std::string> decks;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--cache-dir") {
-      cache_dir = next();
-    } else if (arg == "--order") {
-      mopts.order = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--threads") {
-      bopts.threads = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--gradients") {
-      mopts.with_gradients = true;
-    } else if (arg == "--incremental") {
-      bopts.incremental = true;
-    } else if (arg == "--mmap") {
-      bopts.map_model = true;
-    } else if (arg == "--map-audit") {
-      audit_dir = next();
-    } else if (arg == "--edit") {
-      const std::string spec = next();
-      const auto eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0) usage(argv[0]);
-      edits.emplace_back(spec.substr(0, eq),
-                         std::strtod(spec.c_str() + eq + 1, nullptr));
-    } else if (arg == "--edit-first-numeric") {
-      edit_first_factor = std::strtod(next(), nullptr);
-      if (edit_first_factor == 0.0) usage(argv[0]);
-    } else if (arg == "--save-model") {
-      save_model = next();
-    } else if (arg == "--health-json") {
-      health_json = next();
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage(argv[0]);
-    } else {
-      decks.push_back(arg);
-    }
-  }
+  const cli::Parser cli{
+      .tool = "awe_build",
+      .synopsis = "--cache-dir DIR [options] deck.sp [deck2.sp ...] | --map-audit DIR",
+      .options = {
+          cli::text("--cache-dir", "DIR", cache_dir, "persistent cache directory"),
+          cli::number("--order", "Q", mopts.order, "Padé order (default 2)", 1),
+          cli::number("--threads", "N", bopts.threads,
+                      "extraction worker threads, 0 = hardware (default 1)"),
+          cli::flag("--gradients", mopts.with_gradients,
+                    "also compile the exact symbolic gradients"),
+          cli::flag("--incremental", bopts.incremental,
+                    "rebuild only an edited deck's dirty cells (DESIGN.md §13)"),
+          cli::flag("--mmap", bopts.map_model,
+                    "warm loads mmap the v4 cache entry in place"),
+          {"--edit", "NAME=VAL", "set element NAME to VAL in every deck (repeatable)",
+           [&](const std::string& spec) {
+             const auto eq = spec.find('=');
+             if (eq == std::string::npos || eq == 0) return false;
+             const auto value = cli::parse_number<double>(spec.substr(eq + 1));
+             if (value) edits.emplace_back(spec.substr(0, eq), *value);
+             return value.has_value();
+           }},
+          cli::number("--edit-first-numeric", "FACTOR", edit_first_factor,
+                      "scale the first-named numeric R/G/C/L by FACTOR != 0"),
+          cli::text("--save-model", "FILE", save_model,
+                    "write the (last) built model to FILE"),
+          cli::text("--map-audit", "DIR", audit_dir,
+                    "fully verify DIR/*.awemodel; quarantine bad ones (exit 2)"),
+          cli::HealthJsonSink::option(),
+          cli::flag("--quiet", quiet, "suppress the per-deck lines")},
+      .max_args = SIZE_MAX,
+      .sink = &sink};
+  const std::vector<std::string> decks = cli.parse(argc, argv);
+  if (edit_first_factor == 0.0) cli.fail("--edit-first-numeric needs a nonzero factor");
   // The maintenance mode runs standalone: no decks, no cache instance.
   if (!audit_dir.empty()) {
-    if (!decks.empty() || !cache_dir.empty()) usage(argv[0]);
+    if (!decks.empty() || !cache_dir.empty())
+      cli.fail("--map-audit takes no decks and no --cache-dir");
     const int rc = map_audit_dir(audit_dir, quiet);
     sink.flush();
     return rc;
   }
-  if (cache_dir.empty() || decks.empty() || mopts.order < 1) usage(argv[0]);
+  if (cache_dir.empty() || decks.empty()) cli.fail("needs --cache-dir and a deck");
 
   core::ModelCache cache(cache_dir);
   int failures = 0;
@@ -215,15 +156,15 @@ int main(int argc, char** argv) {
       // been edited — so a cold build of the edited file and an
       // incremental rebuild from here must byte-agree.
       for (const auto& [name, value] : edits) deck.netlist.set_value(name, value);
-      if (edit_first_factor != 0.0) {
+      if (edit_first_factor) {
         const std::string target = first_numeric_element(deck);
         if (target.empty())
           throw std::runtime_error("--edit-first-numeric: no numeric element");
         const auto idx = deck.netlist.find_element(target);
         deck.netlist.set_value(*idx, deck.netlist.elements()[*idx].value *
-                                         edit_first_factor);
+                                         *edit_first_factor);
         if (!quiet)
-          std::printf("edit  %s *= %g  %s\n", target.c_str(), edit_first_factor,
+          std::printf("edit  %s *= %g  %s\n", target.c_str(), *edit_first_factor,
                       path.c_str());
       }
 

@@ -5,59 +5,21 @@
 // sweep engine), shrinks any mismatch to a minimal reproducing deck, and
 // writes deterministic JSON statistics.
 //
-// Usage:
-//   awe_fuzz [options]
-// Options:
-//   --count N            cases to run (default 100)
-//   --seed S             campaign master seed (default 42)
-//   --order Q            Padé order; 2Q moments compared (default 2)
-//   --max-dim D          MNA dimension budget, <= 16 (default 12)
-//   --max-nodes N        spine node cap (default 6)
-//   --fault F            none | perturb-fast  (inject a defect to test
-//                        the detector; perturb-fast skews the fused
-//                        kernel's m_0 by 2^-10)
-//   --no-shrink          skip minimization of failing decks
-//   --json FILE          write the JSON stats report to FILE
-//   --minimized-out DIR  write each minimized failing deck to DIR
-//   --emit-corpus DIR    ALSO write every deck whose oracles agree to DIR
-//                        (regression-corpus seeding)
-//   --cache-dir DIR      route every compiled-model build through the
-//                        persistent cache under DIR and round-trip the
-//                        model through the binary serializer before use —
-//                        the serializer becomes a sixth implicit oracle
-//                        (any save/load defect reports as a mismatch)
-//   --gradients          rebuild each agreeing case with compiled
-//                        reverse-mode gradients and cross-check every
-//                        d(moment)/d(value) against central finite
-//                        differences AND the adjoint numeric
-//                        sensitivities — the gradient subsystem becomes
-//                        a seventh oracle.  Non-differentiable symbol
-//                        elements are skipped (never a mismatch).
-//   --quiet              summary line only
-//
+// stdout: the JSON report (unless --json FILE or --quiet), then a summary
+// line and one line per mismatch.
 // Exit status: 0 = no mismatches, 1 = mismatches found, 2 = bad usage.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "core/cli_support.hpp"
 #include "testing/fuzz.hpp"
 
 namespace {
 
 using namespace awe;
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--count N] [--seed S] [--order Q] [--max-dim D]\n"
-               "          [--max-nodes N] [--fault none|perturb-fast] [--no-shrink]\n"
-               "          [--json FILE] [--minimized-out DIR] [--emit-corpus DIR]\n"
-               "          [--cache-dir DIR] [--gradients] [--quiet]\n",
-               argv0);
-  std::exit(2);
-}
 
 void write_file(const std::filesystem::path& path, const std::string& text) {
   std::ofstream os(path);
@@ -71,54 +33,43 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  cli::install_sigpipe_guard();
   testing::FuzzOptions opts;
   std::string json_file, minimized_dir, corpus_dir;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--count") {
-      opts.count = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--seed") {
-      opts.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--order") {
-      opts.oracle.order = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--max-dim") {
-      opts.gen.max_mna_dim = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--max-nodes") {
-      opts.gen.max_spine_nodes = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--fault") {
-      const std::string f = next();
-      if (f == "none") {
-        opts.oracle.fault = testing::FaultInjection::kNone;
-      } else if (f == "perturb-fast") {
-        opts.oracle.fault = testing::FaultInjection::kPerturbFastMoment0;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (arg == "--no-shrink") {
-      opts.shrink = false;
-    } else if (arg == "--json") {
-      json_file = next();
-    } else if (arg == "--minimized-out") {
-      minimized_dir = next();
-    } else if (arg == "--emit-corpus") {
-      corpus_dir = next();
-    } else if (arg == "--cache-dir") {
-      opts.oracle.cache_dir = next();
-    } else if (arg == "--gradients") {
-      opts.oracle.gradients = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (opts.oracle.order < 1 || opts.count < 1) usage(argv[0]);
+  const cli::Parser cli{
+      .tool = "awe_fuzz",
+      .synopsis = "[options]",
+      .options = {
+          cli::number("--count", "N", opts.count, "cases to run (default 100)", 1),
+          cli::number("--seed", "S", opts.seed, "campaign master seed (default 42)"),
+          cli::number("--order", "Q", opts.oracle.order,
+                      "Padé order; 2Q moments compared (default 2)", 1),
+          cli::number("--max-dim", "D", opts.gen.max_mna_dim,
+                      "MNA dimension budget, <= 16 (default 12)"),
+          cli::number("--max-nodes", "N", opts.gen.max_spine_nodes,
+                      "spine node cap (default 6)"),
+          {"--fault", "F", "none | perturb-fast (skew the fused kernel's m_0 by 2^-10)",
+           [&](const std::string& f) {
+             if (f != "none" && f != "perturb-fast") return false;
+             opts.oracle.fault = f == "none" ? testing::FaultInjection::kNone
+                                             : testing::FaultInjection::kPerturbFastMoment0;
+             return true;
+           }},
+          cli::flag("--no-shrink", opts.shrink,
+                    "skip minimization of failing decks", false),
+          cli::text("--json", "FILE", json_file, "write the JSON stats report to FILE"),
+          cli::text("--minimized-out", "DIR", minimized_dir,
+                    "write each minimized failing deck to DIR"),
+          cli::text("--emit-corpus", "DIR", corpus_dir,
+                    "also write every deck whose oracles agree to DIR"),
+          cli::text("--cache-dir", "DIR", opts.oracle.cache_dir,
+                    "build through the model cache under DIR, round-tripping each model"),
+          cli::flag("--gradients", opts.oracle.gradients,
+                    "cross-check compiled gradients (adjoint, finite differences)"),
+          cli::flag("--quiet", quiet, "summary line only")}};
+  cli.parse(argc, argv);
 
   if (!corpus_dir.empty()) {
     std::filesystem::create_directories(corpus_dir);
@@ -147,6 +98,8 @@ int main(int argc, char** argv) {
   const std::string json = sum.to_json();
   if (!json_file.empty()) write_file(json_file, json);
 
+  // Under the SIGPIPE guard a consumer that closed stdout early ("| head")
+  // only makes these writes fail; the exit status still reports mismatches.
   if (!quiet && json_file.empty()) std::fputs(json.c_str(), stdout);
   std::printf("awe_fuzz: %zu cases — %zu agree, %zu mismatch, %zu ill-conditioned, "
               "%zu singular (worst rel err %.3g @ seed %llu)\n",

@@ -4,46 +4,15 @@
 // bench_serve_latency times for the committed perf baseline, so the CLI's
 // percentiles and the gated bench rows can never disagree.
 //
-// Usage:
-//   awe_loadgen (--unix PATH | --host H --port P) [options]
-// Options:
-//   --connections N    concurrent client connections (default 4)
-//   --requests N       requests per connection (default 32)
-//   --duration-ms T    stop after T ms instead of a fixed count
-//   --op ping|eval     request kind (default eval)
-//   --mc N             eval via server-side Monte Carlo of N points (default 64)
-//   --deadline-ms D    attach a per-request deadline
-//   --summary          ask for summary responses (no per-point moments)
-//   --seed S           base seed; connection c uses S+c (default 1)
-//   --timeout-ms T     client-side response timeout (default 30000)
-//   --json             emit one machine-readable JSON summary line
-//   --quiet            suppress the human summary
-//
 // Exit status: 0 when every connection completed its protocol (shed and
 // deadline-expired responses are VALID protocol outcomes — the daemon
 // degrading under load is what they measure); 1 when any connection hit a
 // transport error or a malformed response.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/cli_support.hpp"
 #include "serve/loadgen.hpp"
-
-namespace {
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s (--unix PATH | --host H --port P) [--connections N]\n"
-               "          [--requests N] [--duration-ms T] [--op ping|eval] [--mc N]\n"
-               "          [--deadline-ms D] [--summary] [--seed S] [--timeout-ms T]\n"
-               "          [--json] [--quiet]\n",
-               argv0);
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace awe;
@@ -51,32 +20,35 @@ int main(int argc, char** argv) {
   serve::loadgen::CampaignOptions opt;
   bool json = false;
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--unix") opt.unix_path = next();
-    else if (arg == "--host") opt.host = next();
-    else if (arg == "--port") opt.port = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--connections") opt.connections = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--requests") opt.requests = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--duration-ms") opt.duration_ms = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--op") opt.op = next();
-    else if (arg == "--mc") opt.mc = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--deadline-ms") opt.deadline_ms = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--summary") opt.summary = true;
-    else if (arg == "--seed") opt.seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--timeout-ms") opt.timeout_ms = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--json") json = true;
-    else if (arg == "--quiet") quiet = true;
-    else usage(argv[0]);
-  }
-  if ((opt.unix_path.empty() && opt.port == 0) ||
-      (!opt.unix_path.empty() && opt.port != 0) ||
-      (opt.op != "ping" && opt.op != "eval") || opt.connections == 0)
-    usage(argv[0]);
+  const cli::Parser cli{
+      .tool = "awe_loadgen",
+      .synopsis = "(--unix PATH | --host H --port P) [options]",
+      .options = {
+          cli::text("--unix", "PATH", opt.unix_path, "daemon's unix socket"),
+          cli::text("--host", "H", opt.host, "daemon's TCP host (default 127.0.0.1)"),
+          cli::number("--port", "P", opt.port, "daemon's TCP port"),
+          cli::number("--connections", "N", opt.connections,
+                      "concurrent client connections (default 4)", 1),
+          cli::number("--requests", "N", opt.requests,
+                      "requests per connection (default 32)"),
+          cli::number("--duration-ms", "T", opt.duration_ms,
+                      "stop after T ms instead of a fixed count"),
+          cli::text("--op", "OP", opt.op, "ping | eval (default eval)"),
+          cli::number("--mc", "N", opt.mc,
+                      "eval: server-side Monte Carlo points (default 64)"),
+          cli::number("--deadline-ms", "D", opt.deadline_ms,
+                      "attach a per-request deadline"),
+          cli::flag("--summary", opt.summary, "ask for summary responses"),
+          cli::number("--seed", "S", opt.seed,
+                      "base seed; connection c uses S+c (default 1)"),
+          cli::number("--timeout-ms", "T", opt.timeout_ms,
+                      "client-side response timeout (default 30000)"),
+          cli::flag("--json", json, "emit one machine-readable JSON summary line"),
+          cli::flag("--quiet", quiet, "suppress the human summary")}};
+  cli.parse(argc, argv);
+  if (opt.unix_path.empty() == (opt.port == 0))
+    cli.fail("needs exactly one of --unix, --port");
+  if (opt.op != "ping" && opt.op != "eval") cli.fail("--op must be ping or eval");
 
   const serve::loadgen::CampaignResult res = serve::loadgen::run_campaign(opt);
   const double p50 = res.percentile_us(50);

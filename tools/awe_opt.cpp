@@ -9,39 +9,10 @@
 // gradient-determinism CI job: --grad-dump writes every sweep gradient as
 // deterministic text, byte-compared across thread counts.
 //
-// Usage:
-//   awe_opt [options] deck.sp
-// Options:
-//   --order Q         Padé order (default 2)
-//   --measure M       dcgain | elmore | pole1 (default pole1)
-//   --target V        re-center the nominal so the measure hits V
-//                     (log-space Gauss-Newton on the exact gradients)
-//   --corners FRAC    worst/best-case corner search over the box
-//                     [value*(1-FRAC), value*(1+FRAC)] per symbol
-//   --mc N            Monte Carlo sample count for the yield study
-//                     (lognormal around the nominal; with --target the
-//                     yield is reported before AND after re-centering)
-//   --sigma S         lognormal sigma for --mc (default 0.2)
-//   --seed S          Monte Carlo seed (default 1992)
-//   --spec-pole-hz F  yield spec: stable AND |Re p1|/2pi < F
-//   --grad-dump FILE  run a gradient sweep over the --mc points and write
-//                     moments, gradients and pole sensitivities as
-//                     deterministic text ("-" for stdout) — byte-identical
-//                     across thread counts in strict mode
-//   --threads N       sweep workers, 0 = hardware (default 1)
-//   --width W         sweep lane-block width (default 64)
-//   --fast            EvalMode::kFast (default strict)
-//   --cache-dir DIR   persistent model cache to build through
-//   --mmap            with --cache-dir: mmap a v4 cache hit in place
-//                     instead of stream-parsing it (zero-copy warm open)
-//   --health-json F   write a HealthReport as JSON to F ("-" for stdout)
-//   --quiet           suppress the narrative lines
 // Exit status: 0 on success, 1 when a requested optimization failed to
 // improve/converge, 2 on bad usage or deck errors.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -57,22 +28,6 @@
 namespace {
 
 using namespace awe;
-
-/// Bound before argument parsing so usage() and every early exit still
-/// flush a valid --health-json report (DESIGN.md §16.5).
-const cli::HealthJsonSink* g_health_sink = nullptr;
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--order Q] [--measure dcgain|elmore|pole1] [--target V]\n"
-               "          [--corners FRAC] [--mc N] [--sigma S] [--seed S]\n"
-               "          [--spec-pole-hz F] [--grad-dump FILE] [--threads N]\n"
-               "          [--width W] [--fast] [--cache-dir DIR] [--mmap]\n"
-               "          [--health-json FILE] [--quiet] deck.sp\n",
-               argv0);
-  if (g_health_sink) g_health_sink->flush();
-  std::exit(2);
-}
 
 /// Deterministic text serialization of a gradient sweep: every value
 /// printed with %.17g (round-trips doubles exactly), rows in a fixed
@@ -118,7 +73,6 @@ void dump_gradients(std::FILE* out, const sweep::SweepResult& res) {
 int main(int argc, char** argv) {
   cli::install_sigpipe_guard();
   const cli::HealthJsonSink sink = cli::HealthJsonSink::from_argv(argc, argv);
-  g_health_sink = &sink;
   core::ModelOptions mopts;
   mopts.with_gradients = true;
   core::BuildOptions bopts;
@@ -131,58 +85,45 @@ int main(int argc, char** argv) {
   double mc_sigma = 0.2;
   std::uint64_t mc_seed = 1992;
   std::optional<double> spec_pole_hz;
-  std::string grad_dump, cache_dir, health_json, deck_path;
+  std::string grad_dump;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--order") {
-      mopts.order = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--measure") {
-      if (!opt::parse_measure(next(), measure)) usage(argv[0]);
-    } else if (arg == "--target") {
-      target = std::strtod(next(), nullptr);
-    } else if (arg == "--corners") {
-      corners_frac = std::strtod(next(), nullptr);
-      if (!(*corners_frac > 0.0 && *corners_frac < 1.0)) usage(argv[0]);
-    } else if (arg == "--mc") {
-      mc_n = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--sigma") {
-      mc_sigma = std::strtod(next(), nullptr);
-    } else if (arg == "--seed") {
-      mc_seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--spec-pole-hz") {
-      spec_pole_hz = std::strtod(next(), nullptr);
-    } else if (arg == "--grad-dump") {
-      grad_dump = next();
-    } else if (arg == "--threads") {
-      sopts.threads = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--width") {
-      sopts.batch_width = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--fast") {
-      sopts.mode = core::EvalMode::kFast;
-    } else if (arg == "--cache-dir") {
-      cache_dir = next();
-    } else if (arg == "--mmap") {
-      bopts.map_model = true;
-    } else if (arg == "--health-json") {
-      health_json = next();
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage(argv[0]);
-    } else if (deck_path.empty()) {
-      deck_path = arg;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (deck_path.empty() || mopts.order < 1) usage(argv[0]);
-  bopts.cache_dir = cache_dir;
+  const cli::Parser cli{
+      .tool = "awe_opt",
+      .synopsis = "[options] deck.sp",
+      .options = {
+          cli::number("--order", "Q", mopts.order, "Padé order (default 2)", 1),
+          {"--measure", "M", "dcgain | elmore | pole1 (default pole1)",
+           [&](const std::string& m) { return opt::parse_measure(m, measure); }},
+          cli::number("--target", "V", target,
+                      "re-center the nominal so the measure hits V"),
+          cli::number("--corners", "FRAC", corners_frac,
+                      "worst/best-case corners over value*(1 +- FRAC), 0 < FRAC < 1",
+                      std::nextafter(0.0, 1.0), std::nextafter(1.0, 0.0)),
+          cli::number("--mc", "N", mc_n,
+                      "Monte Carlo yield samples (before and after --target)"),
+          cli::number("--sigma", "S", mc_sigma, "lognormal sigma for --mc (default 0.2)"),
+          cli::number("--seed", "S", mc_seed, "Monte Carlo seed (default 1992)"),
+          cli::number("--spec-pole-hz", "F", spec_pole_hz,
+                      "yield spec: stable and |Re p1|/2pi < F"),
+          cli::text("--grad-dump", "FILE", grad_dump,
+                    "dump moments, gradients and pole sensitivities (- = stdout)"),
+          cli::number("--threads", "N", sopts.threads,
+                      "sweep workers, 0 = hardware (default 1)"),
+          cli::number("--width", "W", sopts.batch_width,
+                      "sweep lane-block width (default 64)"),
+          cli::flag("--fast", sopts.mode,
+                    "EvalMode::kFast (default strict)", core::EvalMode::kFast),
+          cli::text("--cache-dir", "DIR", bopts.cache_dir,
+                    "persistent model cache to build through"),
+          cli::flag("--mmap", bopts.map_model,
+                    "with --cache-dir: mmap a v4 cache hit in place"),
+          cli::HealthJsonSink::option(),
+          cli::flag("--quiet", quiet, "suppress the narrative lines")},
+      .min_args = 1,
+      .max_args = 1,
+      .sink = &sink};
+  const std::string deck_path = cli.parse(argc, argv)[0];
 
   int exit_code = 0;
   try {

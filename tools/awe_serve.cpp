@@ -5,45 +5,6 @@
 // control, slow-client eviction, watchdog supervision, crash-safe hot
 // reload over the shared model store, and a graceful SIGTERM drain.
 //
-// Usage:
-//   awe_serve --deck FILE (--unix PATH | --tcp [--host H] [--port P]) [options]
-// Options:
-//   --deck FILE             circuit deck with .symbol/.input/.output
-//   --order Q               Padé order (default 2)
-//   --cache-dir DIR         build/reload through the persistent model
-//                           cache (corrupt entries quarantine to .bad and
-//                           rebuild instead of failing the reload)
-//   --shm NAME              back the model store with POSIX shared memory
-//                           ("/NAME.g<gen>"); default is private heap.  A
-//                           kill -9'd predecessor's stale region names are
-//                           replaced on startup — restart needs no cleanup
-//   --workers N             eval worker threads (default 2)
-//   --threads-per-worker N  sweep pool width per worker (default 1)
-//   --max-queue N           queued requests before shedding (default 16)
-//   --max-line-bytes N      request line cap; longer evicts (default 1MiB)
-//   --max-inflight-bytes N  queued request bytes before shedding (default 8MiB)
-//   --max-points N          per-request point cap (default 1Mi)
-//   --default-deadline-ms N deadline applied when a request names none (0 = none)
-//   --max-deadline-ms N     clamp for requested deadlines (default 60000)
-//   --idle-timeout-ms N     evict silent connections after N ms (default: never)
-//   --read-stall-ms N       mid-line stall eviction (default 2000)
-//   --write-timeout-ms N    response write stall eviction (default 2000)
-//   --drain-timeout-ms N    SIGTERM drain budget (default 10000)
-//   --watchdog              monitor worker heartbeats; force-cancel a
-//                           worker wedged past its request deadline and
-//                           fail the queue fast when all workers wedge
-//   --watchdog-interval-ms N / --watchdog-grace-ms N   (defaults 100 / 500)
-//   --reload-attempts N     reload retry budget (default 3)
-//   --reload-backoff-ms N   first retry backoff, doubling (default 25)
-//   --debug-ops             enable the "sleep" op and eval.cancel_after_checks
-//                           (deterministic fault-matrix testing only)
-//   --health-json FILE      flush the server-lifetime HealthReport on exit
-//                           ("-" for stdout).  Written on EVERY exit path,
-//                           startup failures and bad usage included
-//   --ready-file FILE       write "unix PATH\n" or "tcp HOST PORT\n" once
-//                           listening (CI wait-for-ready handshake)
-//   --quiet                 suppress the startup/shutdown lines
-//
 // Signals: SIGTERM starts a graceful drain (stop accepting, finish or
 // deadline-out in-flight work, flush health, exit 0); SIGINT hard-stops.
 // SIGPIPE is ignored — a vanished client is an eviction, not a death.
@@ -54,7 +15,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -73,23 +33,6 @@ void on_signal(int sig) {
   [[maybe_unused]] const ssize_t rc = ::write(g_signal_pipe_write, &b, 1);
 }
 
-int usage(const char* argv0, const awe::cli::HealthJsonSink& sink) {
-  std::fprintf(stderr,
-               "usage: %s --deck FILE (--unix PATH | --tcp [--host H] [--port P])\n"
-               "          [--order Q] [--cache-dir DIR] [--shm NAME] [--workers N]\n"
-               "          [--threads-per-worker N] [--max-queue N] [--max-line-bytes N]\n"
-               "          [--max-inflight-bytes N] [--max-points N]\n"
-               "          [--default-deadline-ms N] [--max-deadline-ms N]\n"
-               "          [--idle-timeout-ms N] [--read-stall-ms N] [--write-timeout-ms N]\n"
-               "          [--drain-timeout-ms N] [--watchdog] [--watchdog-interval-ms N]\n"
-               "          [--watchdog-grace-ms N] [--reload-attempts N]\n"
-               "          [--reload-backoff-ms N] [--debug-ops] [--health-json FILE]\n"
-               "          [--ready-file FILE] [--quiet]\n",
-               argv0);
-  sink.flush();
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,61 +44,65 @@ int main(int argc, char** argv) {
   std::string ready_file;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "awe_serve: %s needs a value\n", arg.c_str());
-        std::exit(usage(argv[0], sink));
-      }
-      return argv[++i];
-    };
-    auto next_u64 = [&] { return std::strtoull(next(), nullptr, 10); };
-    if (arg == "--deck") cfg.deck_path = next();
-    else if (arg == "--unix") cfg.unix_path = next();
-    else if (arg == "--tcp") cfg.tcp = true;
-    else if (arg == "--host") cfg.host = next();
-    else if (arg == "--port") cfg.port = static_cast<std::uint16_t>(next_u64());
-    else if (arg == "--order") cfg.model.order = next_u64();
-    else if (arg == "--cache-dir") cfg.cache_dir = next();
-    else if (arg == "--shm") cfg.store_name = next();
-    else if (arg == "--workers") cfg.workers = next_u64();
-    else if (arg == "--threads-per-worker") cfg.threads_per_worker = next_u64();
-    else if (arg == "--max-queue") cfg.max_queue = next_u64();
-    else if (arg == "--max-line-bytes") cfg.max_line_bytes = next_u64();
-    else if (arg == "--max-inflight-bytes") cfg.max_inflight_bytes = next_u64();
-    else if (arg == "--max-points") cfg.max_points = next_u64();
-    else if (arg == "--default-deadline-ms") cfg.default_deadline_ms = next_u64();
-    else if (arg == "--max-deadline-ms") cfg.max_deadline_ms = next_u64();
-    else if (arg == "--idle-timeout-ms")
-      cfg.idle_timeout = std::chrono::milliseconds(next_u64());
-    else if (arg == "--read-stall-ms")
-      cfg.read_stall_timeout = std::chrono::milliseconds(next_u64());
-    else if (arg == "--write-timeout-ms")
-      cfg.write_timeout = std::chrono::milliseconds(next_u64());
-    else if (arg == "--drain-timeout-ms")
-      cfg.drain_timeout = std::chrono::milliseconds(next_u64());
-    else if (arg == "--watchdog") cfg.watchdog = true;
-    else if (arg == "--watchdog-interval-ms")
-      cfg.watchdog_interval = std::chrono::milliseconds(next_u64());
-    else if (arg == "--watchdog-grace-ms")
-      cfg.watchdog_grace = std::chrono::milliseconds(next_u64());
-    else if (arg == "--reload-attempts") cfg.reload_attempts = next_u64();
-    else if (arg == "--reload-backoff-ms")
-      cfg.reload_backoff = std::chrono::milliseconds(next_u64());
-    else if (arg == "--debug-ops") cfg.debug_ops = true;
-    else if (arg == "--health-json") (void)next();  // consumed by the sink
-    else if (arg == "--ready-file") ready_file = next();
-    else if (arg == "--quiet") quiet = true;
-    else {
-      std::fprintf(stderr, "awe_serve: unknown argument %s\n", arg.c_str());
-      return usage(argv[0], sink);
-    }
-  }
-  if (cfg.deck_path.empty() || (cfg.unix_path.empty() && !cfg.tcp) ||
-      (!cfg.unix_path.empty() && cfg.tcp) || cfg.workers == 0 ||
-      cfg.model.order < 1)
-    return usage(argv[0], sink);
+  const cli::Parser cli{
+      .tool = "awe_serve",
+      .synopsis = "--deck FILE (--unix PATH | --tcp [--host H] [--port P]) [options]",
+      .options = {
+          cli::text("--deck", "FILE", cfg.deck_path,
+                    "circuit deck with .symbol/.input/.output"),
+          cli::text("--unix", "PATH", cfg.unix_path, "listen on a unix socket"),
+          cli::flag("--tcp", cfg.tcp, "listen on TCP"),
+          cli::text("--host", "H", cfg.host, "TCP host (default 127.0.0.1)"),
+          cli::number("--port", "P", cfg.port, "TCP port (default 0 = any free port)"),
+          cli::number("--order", "Q", cfg.model.order, "Padé order (default 2)", 1),
+          cli::text("--cache-dir", "DIR", cfg.cache_dir,
+                    "build/reload through the persistent model cache"),
+          cli::text("--shm", "NAME", cfg.store_name,
+                    "back the model store with shared memory /NAME.g<gen>"),
+          cli::number("--workers", "N", cfg.workers,
+                      "eval worker threads (default 2)", 1),
+          cli::number("--threads-per-worker", "N", cfg.threads_per_worker,
+                      "sweep pool width per worker (default 1)"),
+          cli::number("--max-queue", "N", cfg.max_queue,
+                      "queued requests before shedding (default 16)"),
+          cli::number("--max-line-bytes", "N", cfg.max_line_bytes,
+                      "request line cap; longer evicts (default 1MiB)"),
+          cli::number("--max-inflight-bytes", "N", cfg.max_inflight_bytes,
+                      "queued request bytes before shedding (default 8MiB)"),
+          cli::number("--max-points", "N", cfg.max_points,
+                      "per-request point cap (default 1Mi)"),
+          cli::number("--default-deadline-ms", "N", cfg.default_deadline_ms,
+                      "deadline when a request names none (default 0 = none)"),
+          cli::number("--max-deadline-ms", "N", cfg.max_deadline_ms,
+                      "clamp for requested deadlines (default 60000)"),
+          cli::number("--idle-timeout-ms", "N", cfg.idle_timeout,
+                      "evict silent connections after N ms (default never)"),
+          cli::number("--read-stall-ms", "N", cfg.read_stall_timeout,
+                      "mid-line stall eviction (default 2000)"),
+          cli::number("--write-timeout-ms", "N", cfg.write_timeout,
+                      "response write stall eviction (default 2000)"),
+          cli::number("--drain-timeout-ms", "N", cfg.drain_timeout,
+                      "SIGTERM drain budget (default 10000)"),
+          cli::flag("--watchdog", cfg.watchdog,
+                    "force-cancel workers wedged past their deadline"),
+          cli::number("--watchdog-interval-ms", "N", cfg.watchdog_interval,
+                      "watchdog heartbeat check period (default 100)"),
+          cli::number("--watchdog-grace-ms", "N", cfg.watchdog_grace,
+                      "grace past the deadline before a kick (default 500)"),
+          cli::number("--reload-attempts", "N", cfg.reload_attempts,
+                      "reload retry budget (default 3)"),
+          cli::number("--reload-backoff-ms", "N", cfg.reload_backoff,
+                      "first reload retry backoff, doubling (default 25)"),
+          cli::flag("--debug-ops", cfg.debug_ops,
+                    "enable the sleep op and eval.cancel_after_checks (tests)"),
+          cli::HealthJsonSink::option(),
+          cli::text("--ready-file", "FILE", ready_file,
+                    "write \"unix\" or \"tcp HOST PORT\" once listening"),
+          cli::flag("--quiet", quiet, "suppress the startup/shutdown lines")},
+      .sink = &sink};
+  cli.parse(argc, argv);
+  if (cfg.deck_path.empty() || cfg.unix_path.empty() == !cfg.tcp)
+    cli.fail("needs --deck and exactly one of --unix, --tcp");
 
   serve::Server server(std::move(cfg));
   try {
