@@ -95,8 +95,8 @@ struct BuildOptions {
   /// mmap-opening the v4 entry in place (CompiledModel::map_file) instead
   /// of stream-parsing it — O(pages touched) instead of O(model size).
   /// Evaluation results are bit-identical either way (asserted by the
-  /// mmap-determinism CI job); a corrupt or pre-v4 entry is quarantined
-  /// and rebuilt exactly as on the parsing path.
+  /// determinism matrix's backing rows); a corrupt or pre-v4 entry is
+  /// quarantined and rebuilt exactly as on the parsing path.
   bool map_model = false;
 };
 

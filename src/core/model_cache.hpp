@@ -14,7 +14,7 @@
 //
 // Because CompiledModel::save is deterministic and load restores the exact
 // bytes, a cached model is bit-identical to a cold build — in kStrict AND
-// kFast — which the cache-determinism CI job and test_model_cache assert.
+// kFast — which test_model_cache and the determinism matrix's rows assert.
 #pragma once
 
 #include <cstddef>

@@ -9,7 +9,7 @@
 //
 // Every container is ordered and every double is written bit-exact, so
 // save -> load -> save round trips byte-identically (asserted by
-// test_model_v4's committed goldens and the CI cache-determinism job).
+// test_model_v4's committed goldens and the determinism matrix's cache rows).
 // The checksum makes silent media damage (a flipped bit in a program
 // constant would otherwise load as a plausible-but-wrong model) a detected
 // load failure, which the cache layer quarantines like any other corrupt

@@ -21,8 +21,8 @@
 // itself — packing, region creation and checksum verification all happen
 // outside the lock.  Generations are monotonically increasing and a
 // sweep pinned on generation N completes bit-identically while N+1 (or
-// N+5) publishes — asserted by test_model_v4 and the CI mmap-determinism
-// job.
+// N+5) publishes — asserted by test_model_v4 and the determinism matrix's
+// --shm backing rows.
 #pragma once
 
 #include <cstddef>

@@ -12,7 +12,7 @@
 //
 // Deterministic by construction: no randomness, no cross-point state —
 // the same model and options always produce the same iterates, which is
-// what the gradient-determinism CI job byte-compares.
+// what the determinism matrix's gradient rows byte-compare.
 #pragma once
 
 #include <cstdint>

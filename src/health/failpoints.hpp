@@ -28,8 +28,8 @@
 
 namespace awe::health::failpoints {
 
-/// Registered site names.  New sites must be added here so tests and the
-/// failpoint-matrix CI job can enumerate them.
+/// Registered site names; new sites go here.  tools/determinism_matrix.py
+/// fails unless each site outside serve.* has a row that arms it.
 namespace sites {
 inline constexpr const char* kLuSingular = "linalg.lu_singular";
 inline constexpr const char* kSparseSingular = "linalg.sparse_singular";

@@ -5,7 +5,7 @@
 // (fitted / degraded-with-stage / quarantined), ladder-stage counters, and
 // cache quarantine activity.  SweepResult carries one; awesym_cli,
 // awe_build and awe_fuzz emit it as JSON.  to_json is deterministic (fixed
-// key order, no timestamps) so run-twice-diff CI jobs stay byte-stable.
+// key order, no timestamps) so run-twice comparisons stay byte-stable.
 #pragma once
 
 #include <array>

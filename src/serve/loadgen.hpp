@@ -1,7 +1,7 @@
 // Load-generation campaign against a running awe_serve daemon
 // (DESIGN.md §16.6).  One code path computes the latency distribution for
 // BOTH consumers — the awe_loadgen CLI and bench_serve_latency — so the
-// committed perf baseline and the CI robustness job can never disagree on
+// committed perf baseline and the serve fault matrix can never disagree on
 // what "p99" means.
 #pragma once
 

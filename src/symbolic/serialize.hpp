@@ -6,8 +6,8 @@
 // and raw IEEE-754 doubles (bit-exact round trips, no text formatting
 // drift).  Every field is written in a fixed order from fully-ordered
 // containers, so serializing the same object twice — or serializing,
-// loading and re-serializing — produces byte-identical output.  That determinism is what the on-disk model cache and the CI
-// cache-determinism job assert.
+// loading and re-serializing — produces byte-identical output.  That determinism is what the on-disk model cache and the
+// determinism matrix's cache rows assert.
 //
 // Readers validate as they go and throw std::runtime_error on truncated
 // or malformed input; they never read uninitialized memory.  Sizes are

@@ -1,11 +1,12 @@
 // awe_build — build compiled models from decks through the persistent
 // model cache.
 //
-// The workhorse behind the cache-determinism CI job: building the same
-// decks into two fresh cache directories must produce byte-identical
-// entries, and a second run against a warm cache must load (not rebuild)
-// every model.  Also handy interactively, to pre-warm a cache before a
-// sweep campaign or to inspect cache keys.
+// The workhorse behind the determinism matrix's cache and incremental rows
+// (tools/determinism_matrix.py): building the same decks into two fresh
+// cache directories must produce byte-identical entries, and a second run
+// against a warm cache must load (not rebuild) every model.  Also handy
+// interactively, to pre-warm a cache before a sweep campaign or to inspect
+// cache keys.
 //
 // Per deck, prints:  <cache-key>  <cold|warm>  <deck-path>
 // Exit status: 0 on success, 2 on bad usage or any failed deck.  A corrupt
@@ -60,7 +61,8 @@ int map_audit_dir(const std::string& dir, bool quiet) {
 }
 
 /// Alphabetically first numeric two-terminal R/G/C/L of the deck — the
-/// canonical "edit one element" target used by the CI determinism job.
+/// canonical "edit one element" target of the determinism matrix's
+/// incremental rows.
 std::string first_numeric_element(const circuit::ParsedDeck& deck) {
   std::string best;
   for (const auto& e : deck.netlist.elements()) {

@@ -6,8 +6,9 @@
 // nominal re-centering (hit a performance target) and worst-case corner
 // search, and the batched sweep engine scores the result statistically
 // (Monte Carlo yield before vs after).  Also the workhorse behind the
-// gradient-determinism CI job: --grad-dump writes every sweep gradient as
-// deterministic text, byte-compared across thread counts.
+// determinism matrix's gradient rows (tools/determinism_matrix.py):
+// --grad-dump writes every sweep gradient as deterministic text,
+// byte-compared across thread counts and heap/mmap backings.
 //
 // Exit status: 0 on success, 1 when a requested optimization failed to
 // improve/converge, 2 on bad usage or deck errors.

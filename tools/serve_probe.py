@@ -3,8 +3,8 @@
 
 Each scenario starts a daemon, speaks the raw line-delimited JSON protocol
 over its unix socket, injects one fault, and asserts the daemon's counters
-and survival.  Used by the tool_awe_serve_smoke ctest and every leg of the
-serve-robustness CI job.
+and survival.  Used by the tool_awe_serve_smoke ctest (smoke) and the
+tool_awe_serve_probe ctest (all).
 
   serve_probe.py --serve BIN --loadgen BIN --deck FILE --workdir DIR SCENARIO
 
