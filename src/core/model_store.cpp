@@ -45,8 +45,15 @@ std::uint64_t SharedModelStore::publish_packed(std::string_view blob) {
   std::shared_ptr<const ModelBlob> region =
       backing_ == Backing::kShm ? create_shm_blob(shm_name(gen), bytes)
                                 : make_heap_blob(blob);
-  auto model = std::make_shared<const CompiledModel>(
-      CompiledModel::from_blob(region, /*verify_checksum=*/true));
+  std::shared_ptr<const CompiledModel> model;
+  try {
+    model = std::make_shared<const CompiledModel>(
+        CompiledModel::from_blob(region, /*verify_checksum=*/true));
+  } catch (...) {
+    // Never published, so nothing else unlinks the region's name.
+    if (backing_ == Backing::kShm) unlink_shm_blob(shm_name(gen));
+    throw;
+  }
 
   std::shared_ptr<const CompiledModel> retired_model;
   std::uint64_t retired_gen = 0;

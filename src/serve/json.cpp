@@ -21,8 +21,8 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string_view text, std::size_t max_depth)
-      : text_(text), max_depth_(max_depth) {}
+  Parser(std::string_view text, std::size_t max_depth, Rows* rows)
+      : text_(text), max_depth_(max_depth), rows_(rows) {}
 
   Value run() {
     Value v;
@@ -98,7 +98,12 @@ class Parser {
       skip_ws();
       if (peek() != ':') fail("expected ':'");
       ++pos_;
-      parse_value(v.object.emplace_back(std::move(key), Value{}).second, depth + 1);
+      // Only the first top-level member of that name is offered to the rows
+      // consumer; a captured one is left out of the tree.
+      Rows* const rows = depth == 0 && rows_ && key == rows_->key
+                             ? std::exchange(rows_, nullptr) : nullptr;
+      if (!rows || !read_rows(*rows, depth + 1))
+        parse_value(v.object.emplace_back(std::move(key), Value{}).second, depth + 1);
       skip_ws();
       const char sep = peek();
       ++pos_;
@@ -178,26 +183,34 @@ class Parser {
     }
   }
 
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  /// The characters a number token is made of.
+  static bool in_number_token(char c) {
+    return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-';
+  }
+
+  /// The one number routine of both consumers.  from_chars reads the
+  /// number in place when it takes a whole token: it succeeds, stops where
+  /// the token ends, and its last character is a digit or '.' (it read
+  /// digits, not "inf" or "nan").  Otherwise ("+1", "1e-400", "1-2",
+  /// "inf") the token is scanned and strtod decides, as it always has.
   double parse_number() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' ||
-          c == '-')
-        ++pos_;
-      else
-        break;
-    }
-    if (pos_ == start) fail("expected value");
     const char* const first = text_.data() + start;
-    const char* const last = text_.data() + pos_;
+    const char* const text_end = text_.data() + text_.size();
     double d = 0.0;
-    const auto [ptr, ec] = std::from_chars(first, last, d);
-    if (ptr == last && ec == std::errc{}) return d;
-    // from_chars rejects what strtod accepts ("+1") and reports underflow
-    // ("1e-400") as out of range; strtod decides those, as it always has.
-    const std::string token(first, last);
+    if (const auto [ptr, ec] = std::from_chars(first, text_end, d);
+        ec == std::errc{} && (is_digit(ptr[-1]) || ptr[-1] == '.') &&
+        (ptr == text_end || !in_number_token(*ptr))) {
+      pos_ = static_cast<std::size_t>(ptr - text_.data());
+      return d;
+    }
+    while (pos_ < text_.size() && in_number_token(text_[pos_])) ++pos_;
+    if (pos_ == start) fail("expected value");
+    // strtod accepts what from_chars rejects ("+1") and reads underflow
+    // ("1e-400") as a value where from_chars reports out of range.
+    const std::string token(first, text_.data() + pos_);
     char* end = nullptr;
     d = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size() || !std::isfinite(d)) {
@@ -207,8 +220,54 @@ class Parser {
     return d;
   }
 
+  /// The rows consumer: reads the member value at pos_ into `rows` when it
+  /// is a non-empty array of arrays of rows.width numbers.  Anything else,
+  /// including a ParseError, puts pos_ back, captures nothing and returns
+  /// false, so the tree parses the same bytes as if this had never run.
+  bool read_rows(Rows& rows, std::size_t depth) {
+    const std::size_t start = pos_;
+    // The tree would check the depth of the array, a row and a cell.
+    if (rows.width != 0 && depth + 2 <= max_depth_) {
+      try {
+        if (read_rows_body(rows)) return true;
+      } catch (const ParseError&) {
+      }
+    }
+    pos_ = start;
+    rows.values.clear();
+    rows.count = 0;
+    return false;
+  }
+
+  bool read_rows_body(Rows& rows) {
+    skip_ws();
+    if (peek() != '[') return false;
+    ++pos_;
+    for (;;) {
+      skip_ws();
+      if (peek() != '[') return false;
+      ++pos_;
+      for (std::size_t i = 0; i < rows.width; ++i) {
+        skip_ws();
+        const char c = peek();
+        if (!is_digit(c) && c != '-' && c != '.') return false;  // not a number
+        rows.values.push_back(parse_number());
+        skip_ws();
+        if (peek() != (i + 1 < rows.width ? ',' : ']')) return false;
+        ++pos_;
+      }
+      ++rows.count;
+      skip_ws();
+      const char sep = peek();
+      ++pos_;
+      if (sep == ']') return true;
+      if (sep != ',') return false;
+    }
+  }
+
   std::string_view text_;
   std::size_t max_depth_;
+  Rows* rows_;  ///< the member still wanted by the rows consumer, if any
   std::size_t pos_ = 0;
 };
 
@@ -244,7 +303,13 @@ void dump_to(const Value& v, std::string& out) {
 }  // namespace
 
 Value parse(std::string_view text, std::size_t max_depth) {
-  return Parser(text, max_depth).run();
+  return Parser(text, max_depth, nullptr).run();
+}
+
+Value parse(std::string_view text, Rows& rows, std::size_t max_depth) {
+  rows.values.clear();
+  rows.count = 0;
+  return Parser(text, max_depth, &rows).run();
 }
 
 std::string dump(const Value& v) {

@@ -55,6 +55,24 @@ struct Value {
 /// `max_depth` bounds array/object nesting.
 Value parse(std::string_view text, std::size_t max_depth = 64);
 
+/// The rows consumer (DESIGN.md §16.1): the first `key` member of the
+/// top-level object, when its value is a non-empty array of arrays of
+/// exactly `width` numbers, is read straight into `values` (row-major)
+/// and left out of the returned tree.  Any other shape, or any error inside
+/// it, rewinds to the value's first byte and parses it into the tree, so
+/// every accepted double, error message and offset is the tree's own.
+struct Rows {
+  Rows(std::string_view key, std::size_t width) : key(key), width(width) {}
+
+  std::string_view key;
+  std::size_t width;           ///< numbers per row; 0 never captures
+  std::vector<double> values;  ///< count * width numbers, row-major
+  std::size_t count = 0;       ///< rows captured; 0 when the tree holds the member
+};
+
+/// parse(), with `rows` capturing the member it names.
+Value parse(std::string_view text, Rows& rows, std::size_t max_depth = 64);
+
 /// Serialize deterministically: members in insertion order, numbers as
 /// append_number writes them, no whitespace.
 std::string dump(const Value& v);

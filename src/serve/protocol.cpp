@@ -31,9 +31,12 @@ const char* to_string(Op op) {
 
 Request parse_request(const std::string& line, std::size_t num_symbols,
                       std::size_t max_points) {
+  // `points` comes straight out of the parser as rows; only a shape the
+  // rows consumer turns down lands in the tree, for the checks below.
+  json::Rows rows{"points", num_symbols};
   json::Value doc;
   try {
-    doc = json::parse(line);
+    doc = json::parse(line, rows);
   } catch (const json::ParseError& e) {
     throw ProtocolError(e.what());
   }
@@ -61,12 +64,19 @@ Request parse_request(const std::string& line, std::size_t num_symbols,
   if (req.op != Op::kEval) return req;
 
   EvalRequest& ev = req.eval;
-  const json::Value* points = doc.find("points");
+  const json::Value* points = rows.count ? nullptr : doc.find("points");
   const json::Value* mc = doc.find("mc");
-  if ((points == nullptr) == (mc == nullptr))
+  if ((rows.count != 0 || points != nullptr) == (mc != nullptr))
     throw ProtocolError("eval needs exactly one of \"points\" or \"mc\"");
 
-  if (points) {
+  if (const std::size_t n = rows.count) {
+    if (n > max_points) throw ProtocolError("too many points");
+    ev.num_points = n;
+    ev.points_soa.resize(num_symbols * n);
+    for (std::size_t p = 0; p < n; ++p)
+      for (std::size_t i = 0; i < num_symbols; ++i)
+        ev.points_soa[i * n + p] = rows.values[p * num_symbols + i];
+  } else if (points) {
     if (!points->is_array() || points->array.empty())
       throw ProtocolError("\"points\" must be a non-empty array of arrays");
     const std::size_t n = points->array.size();

@@ -540,6 +540,8 @@ TEST(ModelV4, FailedPublishLeavesStoreUnchanged) {
   EXPECT_THROW(store.publish_packed(damaged), std::exception);
   EXPECT_EQ(store.generation(), 1u);
   EXPECT_EQ(store.acquire(), before);
+  // The rejected generation's region is gone, not left behind in shm.
+  EXPECT_THROW(open_shm_blob("awe_v4_failed_publish_test.g2"), std::exception);
 }
 
 }  // namespace
