@@ -336,5 +336,202 @@ TEST(OracleHealthTest, FuzzSummaryJsonEmbedsHealth) {
   EXPECT_EQ(json, sum.to_json());
 }
 
+// -- byte goldens of the two JSON documents -------------------------------
+//
+// awe_build --health-json and awe_fuzz --json are compared byte for byte
+// across runs and builds, so their layout is pinned here exactly: every
+// counter distinct, seeds past 2^53, and doubles that need all 17 digits.
+
+TEST(HealthReportTest, JsonGoldenAtBothIndents) {
+  HealthReport h;
+  std::uint64_t v = 101;
+  for (std::size_t i = 1; i < health::kFailClassCount; ++i) h.fail_counts[i] = v++;
+  for (std::uint64_t* c :
+       {&h.points_total, &h.points_ok, &h.points_degraded, &h.points_quarantined,
+        &h.strict_reevals, &h.order_fallbacks, &h.shifted_refits,
+        &h.cache_corrupt_quarantined, &h.cache_rebuilds, &h.partition_blocks_reused,
+        &h.partition_blocks_built, &h.partition_blocks_quarantined, &h.serve_requests,
+        &h.serve_shed, &h.serve_deadline_expired, &h.serve_evicted,
+        &h.serve_reload_failures, &h.failpoint_fires})
+    *c = v++;
+  EXPECT_EQ(h.to_json(0), R"({
+  "points": {"total": 113, "ok": 114, "degraded": 115, "quarantined": 116},
+  "ladder": {"strict_reevals": 117, "order_fallbacks": 118, "shifted_refits": 119},
+  "cache": {"corrupt_quarantined": 120, "rebuilds": 121},
+  "partition_blocks": {"reused": 122, "built": 123, "quarantined": 124},
+  "serve": {"requests": 125, "shed": 126, "deadline_expired": 127, "evicted": 128, "reload_failures": 129},
+  "failpoint_fires": 130,
+  "fail_classes": {
+    "singular-y0": 101,
+    "hankel-ill-conditioned": 102,
+    "order-collapse": 103,
+    "all-poles-unstable": 104,
+    "non-finite-eval": 105,
+    "cache-corrupt": 106,
+    "injected-fault": 107,
+    "task-exception": 108,
+    "unknown": 109,
+    "model-format": 110,
+    "deadline": 111,
+    "overloaded": 112
+  }
+})");
+  EXPECT_EQ(h.to_json(2), R"({
+    "points": {"total": 113, "ok": 114, "degraded": 115, "quarantined": 116},
+    "ladder": {"strict_reevals": 117, "order_fallbacks": 118, "shifted_refits": 119},
+    "cache": {"corrupt_quarantined": 120, "rebuilds": 121},
+    "partition_blocks": {"reused": 122, "built": 123, "quarantined": 124},
+    "serve": {"requests": 125, "shed": 126, "deadline_expired": 127, "evicted": 128, "reload_failures": 129},
+    "failpoint_fires": 130,
+    "fail_classes": {
+      "singular-y0": 101,
+      "hankel-ill-conditioned": 102,
+      "order-collapse": 103,
+      "all-poles-unstable": 104,
+      "non-finite-eval": 105,
+      "cache-corrupt": 106,
+      "injected-fault": 107,
+      "task-exception": 108,
+      "unknown": 109,
+      "model-format": 110,
+      "deadline": 111,
+      "overloaded": 112
+    }
+  })");
+}
+
+constexpr std::uint64_t kMaxSeed = 18446744073709551615ull;  // 2^64 - 1
+constexpr std::uint64_t kBigSeed = 15807225528648180854ull;  // > 2^53
+
+TEST(OracleHealthTest, FuzzSummaryJsonGoldenWithFailures) {
+  testing::FuzzSummary sum;
+  sum.seed = kMaxSeed;
+  sum.count = 2;
+  sum.agree = 3;
+  sum.mismatch = 4;
+  sum.ill_conditioned = 5;
+  sum.singular = 6;
+  sum.pade_flagged = 7;
+  sum.gradients_checked = 8;
+  sum.gradients_skipped = 9;
+  sum.moments_compared = 10;
+  sum.moments_skipped = 11;
+  sum.elements_generated = 12;
+  sum.max_mna_dim = 13;
+  sum.worst_rel_err = 1.0 / 3.0;
+  sum.worst_seed = kBigSeed;
+  sum.health.record_failure(FailClass::kHankelIllConditioned);
+  sum.failures.push_back({kBigSeed,
+                          "q\" bs\\ nl\n cr\r tab\t one\x01 us\x1f bs\b ff\f utf8 \xc3\xa9",
+                          "r1 a 0 1\n.end\n", "", 0});
+  sum.failures.push_back({kMaxSeed, "second", "deck\ttext", "min\\imized", 5});
+  EXPECT_EQ(sum.to_json(), R"({
+  "seed": 18446744073709551615,
+  "count": 2,
+  "agree": 3,
+  "mismatch": 4,
+  "ill_conditioned": 5,
+  "singular": 6,
+  "pade_flagged": 7,
+  "gradients_checked": 8,
+  "gradients_skipped": 9,
+  "moments_compared": 10,
+  "moments_skipped": 11,
+  "elements_generated": 12,
+  "max_mna_dim": 13,
+  "worst_rel_err": 0.33333333333333331,
+  "worst_seed": 15807225528648180854,
+  "health": {
+    "points": {"total": 0, "ok": 0, "degraded": 0, "quarantined": 0},
+    "ladder": {"strict_reevals": 0, "order_fallbacks": 0, "shifted_refits": 0},
+    "cache": {"corrupt_quarantined": 0, "rebuilds": 0},
+    "partition_blocks": {"reused": 0, "built": 0, "quarantined": 0},
+    "serve": {"requests": 0, "shed": 0, "deadline_expired": 0, "evicted": 0, "reload_failures": 0},
+    "failpoint_fires": 0,
+    "fail_classes": {
+      "singular-y0": 0,
+      "hankel-ill-conditioned": 1,
+      "order-collapse": 0,
+      "all-poles-unstable": 0,
+      "non-finite-eval": 0,
+      "cache-corrupt": 0,
+      "injected-fault": 0,
+      "task-exception": 0,
+      "unknown": 0,
+      "model-format": 0,
+      "deadline": 0,
+      "overloaded": 0
+    }
+  },
+  "failures": [
+    {
+      "seed": 15807225528648180854,
+      "detail": "q\" bs\\ nl\n cr\r tab\t one\u0001 us\u001f bs\u0008 ff\u000c utf8 )"
+            "\xc3\xa9" R"(",
+      "minimized_elements": 0,
+      "deck": "r1 a 0 1\n.end\n",
+      "minimized": ""
+    },
+    {
+      "seed": 18446744073709551615,
+      "detail": "second",
+      "minimized_elements": 5,
+      "deck": "deck\ttext",
+      "minimized": "min\\imized"
+    }
+  ]
+}
+)");
+}
+
+TEST(OracleHealthTest, FuzzSummaryJsonGoldenWithoutFailures) {
+  testing::FuzzSummary sum;
+  sum.seed = kBigSeed;
+  sum.count = 1;
+  sum.worst_rel_err = 5e-324;
+  sum.worst_seed = kMaxSeed;
+  EXPECT_EQ(sum.to_json(), R"({
+  "seed": 15807225528648180854,
+  "count": 1,
+  "agree": 0,
+  "mismatch": 0,
+  "ill_conditioned": 0,
+  "singular": 0,
+  "pade_flagged": 0,
+  "gradients_checked": 0,
+  "gradients_skipped": 0,
+  "moments_compared": 0,
+  "moments_skipped": 0,
+  "elements_generated": 0,
+  "max_mna_dim": 0,
+  "worst_rel_err": 4.9406564584124654e-324,
+  "worst_seed": 18446744073709551615,
+  "health": {
+    "points": {"total": 0, "ok": 0, "degraded": 0, "quarantined": 0},
+    "ladder": {"strict_reevals": 0, "order_fallbacks": 0, "shifted_refits": 0},
+    "cache": {"corrupt_quarantined": 0, "rebuilds": 0},
+    "partition_blocks": {"reused": 0, "built": 0, "quarantined": 0},
+    "serve": {"requests": 0, "shed": 0, "deadline_expired": 0, "evicted": 0, "reload_failures": 0},
+    "failpoint_fires": 0,
+    "fail_classes": {
+      "singular-y0": 0,
+      "hankel-ill-conditioned": 0,
+      "order-collapse": 0,
+      "all-poles-unstable": 0,
+      "non-finite-eval": 0,
+      "cache-corrupt": 0,
+      "injected-fault": 0,
+      "task-exception": 0,
+      "unknown": 0,
+      "model-format": 0,
+      "deadline": 0,
+      "overloaded": 0
+    }
+  },
+  "failures": []
+}
+)");
+}
+
 }  // namespace
 }  // namespace awe

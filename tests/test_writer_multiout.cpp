@@ -12,6 +12,7 @@
 #include "core/awesymbolic.hpp"
 #include "partition/partitioner.hpp"
 #include "symbolic/compile.hpp"
+#include "testing/netlist_gen.hpp"
 
 namespace awe {
 namespace {
@@ -90,6 +91,88 @@ TEST(Writer, ConductanceSubstitution) {
   strict.strict = true;
   std::ostringstream os2;
   EXPECT_THROW(circuit::write_netlist(os2, nl, strict), std::invalid_argument);
+}
+
+// Written and generated decks are compared byte for byte (fuzz reports,
+// the determinism matrix), so every value keeps all 17 significant digits.
+TEST(Writer, ExactValueGolden) {
+  circuit::ParsedDeck d;
+  d.title = "exact values";
+  auto& nl = d.netlist;
+  nl.add_voltage_source("vin", nl.node("in"), circuit::kGround, 1.0);
+  nl.add_resistor("r1", nl.node("in"), nl.node("out"), 1.0 / 3.0);
+  nl.add_capacitor("c1", nl.node("out"), circuit::kGround, 1e-15);
+  nl.add_inductor("l1", nl.node("out"), nl.node("x"), 47455.116774790571);
+  nl.add_conductance("g1", nl.node("x"), circuit::kGround, 3.0);
+  d.symbol_elements = {"r1", "c1"};
+  d.input_source = "vin";
+  d.output_node = "out";
+  EXPECT_EQ(deck_to_string(d), R"(*exact values
+vin in 0 1
+r1 in out 0.33333333333333331
+c1 out 0 1.0000000000000001e-15
+l1 out x 47455.116774790571
+rg1 x 0 0.33333333333333331 ; conductance 3 S written as resistance
+.symbol r1
+.symbol c1
+.input vin
+.output out
+.end
+)");
+}
+
+TEST(Writer, GeneratedDeckGolden) {
+  testing::GenOptions opts;
+  opts.seed = 7;
+  EXPECT_EQ(testing::generate_deck(opts).text, R"(* awe_fuzz generated deck seed=7
+.subckt rcpi a b
+rs1 a m 123.29599990187589
+rs2 m b 439.46185356452099
+cs1 m 0 3.4640007575590663e-11
+.ends
+rsp1 n1 0 7166.7446359478936
+rsp2 n2 n1 20.935199604115692
+rb5 n1 nb3 998.51185667129914
+rb4 nb3 0 1907.702023420037
+vin n1 0 1
+rsn7 nb3 ms6 2865.6916659078506
+vsn8 ms6 n2 0
+hd10 nh9 n1 vsn8 200.0818902691006
+rl12 n1 m11 12.232409189515375
+ll13 m11 nh9 1.3284970787244047e-07
+cd14 nb3 m11 2.36794934776828e-11
+gd15 nb3 n2 nh9 0 0.0012851789806602549
+rl17 nh9 m16 1218.2385219510231
+ll18 m16 n2 5.9815694471260769e-07
+gd19 nh9 nb3 n2 0 0.004875545831930333
+.symbol rsp1 rsn7
+.input vin
+.output ms6
+.end
+)");
+  opts.seed = 42;
+  EXPECT_EQ(testing::generate_deck(opts).text, R"(* awe_fuzz generated deck seed=42
+.subckt rcpi a b
+rs1 a m 51.020294497820835
+rs2 m b 1019.3071615469368
+cs1 m 0 9.2398850944732805e-13
+.ends
+rsp1 n1 0 152.91635843481151
+rsp2 n2 0 4168.995908010017
+rsp3 n3 n2 77800.578735878124
+rsp4 n4 n3 995.99781069603591
+rb7 n1 nb5 230.70616605168169
+rb6 nb5 0 3086.998652622804
+iin n1 0 1
+ed9 ne8 n2 n1 0 0.11712104844318173
+rl11 n1 m10 15.395979710156597
+ll12 m10 nb5 1.0867839327031239e-07
+x13 m10 nb5 rcpi
+.symbol ll12 rsp1
+.input iin
+.output n1
+.end
+)");
 }
 
 TEST(Writer, RoundTripElectricallyIdentical) {
