@@ -1,25 +1,19 @@
 #include "circuit/writer.hpp"
 
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
+#include "text/json.hpp"
+
 namespace awe::circuit {
 namespace {
-
-/// Full-precision value formatting (round-trips through strtod).
-std::string fmt(double v) {
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
 
 void write_element(std::ostream& os, const Netlist& nl, const Element& e,
                    const WriteOptions& opts) {
   const auto node = [&](NodeId n) { return nl.node_name(n); };
   switch (e.kind) {
     case ElementKind::kResistor:
-      os << e.name << ' ' << node(e.pos) << ' ' << node(e.neg) << ' ' << fmt(e.value);
+      os << e.name << ' ' << node(e.pos) << ' ' << node(e.neg) << ' ' << json::exact(e.value);
       break;
     case ElementKind::kConductance:
       if (opts.strict)
@@ -28,27 +22,27 @@ void write_element(std::ostream& os, const Netlist& nl, const Element& e,
       if (e.value <= 0.0)
         throw std::invalid_argument("write_deck: non-positive conductance '" + e.name +
                                     "' cannot be written as a resistor");
-      os << e.name << ' ' << node(e.pos) << ' ' << node(e.neg) << ' ' << fmt(1.0 / e.value)
-         << " ; conductance " << fmt(e.value) << " S written as resistance";
+      os << e.name << ' ' << node(e.pos) << ' ' << node(e.neg) << ' ' << json::exact(1.0 / e.value)
+         << " ; conductance " << json::exact(e.value) << " S written as resistance";
       break;
     case ElementKind::kCapacitor:
     case ElementKind::kInductor:
     case ElementKind::kVoltageSource:
     case ElementKind::kCurrentSource:
-      os << e.name << ' ' << node(e.pos) << ' ' << node(e.neg) << ' ' << fmt(e.value);
+      os << e.name << ' ' << node(e.pos) << ' ' << node(e.neg) << ' ' << json::exact(e.value);
       break;
     case ElementKind::kVccs:
     case ElementKind::kVcvs:
       os << e.name << ' ' << node(e.pos) << ' ' << node(e.neg) << ' ' << node(e.ctrl_pos)
-         << ' ' << node(e.ctrl_neg) << ' ' << fmt(e.value);
+         << ' ' << node(e.ctrl_neg) << ' ' << json::exact(e.value);
       break;
     case ElementKind::kCccs:
     case ElementKind::kCcvs:
       os << e.name << ' ' << node(e.pos) << ' ' << node(e.neg) << ' ' << e.ctrl_source
-         << ' ' << fmt(e.value);
+         << ' ' << json::exact(e.value);
       break;
     case ElementKind::kMutual:
-      os << e.name << ' ' << e.ctrl_source << ' ' << e.ctrl_source2 << ' ' << fmt(e.value);
+      os << e.name << ' ' << e.ctrl_source << ' ' << e.ctrl_source2 << ' ' << json::exact(e.value);
       break;
   }
   os << '\n';

@@ -247,6 +247,8 @@ class CompiledModel {
   /// are bit-identical to the freshly built model.  The byte stream is
   /// versioned and deterministic: save(load(save(m))) == save(m).
   void save(std::ostream& os) const;
+  /// The bytes save() writes.
+  std::string pack() const;
   /// Reads the v4 blob whole into an aligned buffer and opens it like
   /// from_blob(verify_checksum=true).  Throws std::runtime_error on
   /// truncated input, FailError(kModelFormat) on any format version but

@@ -13,12 +13,17 @@
 #include <vector>
 #include <stdexcept>
 
+#include "circuit/content_hash.hpp"
 #include "core/model_format.hpp"
 #include "health/status.hpp"
 
 namespace awe::core {
 
 namespace {
+
+using enc::put_f64;
+using enc::put_u32;
+using enc::put_u64;
 
 using symbolic::Instr;
 
@@ -39,18 +44,6 @@ void require_little_endian_host(const char* who) {
     throw health::FailError(health::FailClass::kModelFormat,
                             std::string(who) +
                                 ": model format v4 requires a little-endian host");
-}
-
-void append_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.append(b, 4);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.append(b, 8);
 }
 
 void append_zeros(std::string& out, std::size_t n) { out.append(n, '\0'); }
@@ -377,10 +370,10 @@ std::string pack_model_v4(const PackInput& in) {
   out.reserve(static_cast<std::size_t>(total_size));
   append_zeros(out, sizeof(v4::Header));  // header patched in below
   for (const SectionPlan& s : plan) {
-    append_u32(out, static_cast<std::uint32_t>(s.kind));
-    append_u32(out, 0);
-    append_u64(out, s.offset);
-    append_u64(out, s.size);
+    put_u32(out, static_cast<std::uint32_t>(s.kind));
+    put_u32(out, 0);
+    put_u64(out, s.offset);
+    put_u64(out, s.size);
   }
 
   auto emit = [&](const SectionPlan& s, auto&& body) {
@@ -392,17 +385,17 @@ std::string pack_model_v4(const PackInput& in) {
 
   std::size_t pi = 0;
   emit(plan[pi++], [&] {  // kMeta
-    append_u64(out, in.order);
-    append_u64(out, in.port_count);
-    append_u64(out, in.global_dim);
-    append_u64(out, in.symbols.size());
-    append_u64(out, in.numerator_count);
-    append_u64(out, in.program_checksum);
-    append_u64(out, in.gradient ? in.gradient_checksum : 0);
-    append_u64(out, in.program.input_count);
-    append_u64(out, in.program.register_count);
-    append_u64(out, in.gradient ? in.gradient->input_count : 0);
-    append_u64(out, in.gradient ? in.gradient->register_count : 0);
+    put_u64(out, in.order);
+    put_u64(out, in.port_count);
+    put_u64(out, in.global_dim);
+    put_u64(out, in.symbols.size());
+    put_u64(out, in.numerator_count);
+    put_u64(out, in.program_checksum);
+    put_u64(out, in.gradient ? in.gradient_checksum : 0);
+    put_u64(out, in.program.input_count);
+    put_u64(out, in.program.register_count);
+    put_u64(out, in.gradient ? in.gradient->input_count : 0);
+    put_u64(out, in.gradient ? in.gradient->register_count : 0);
     out.push_back(in.enforce_stability ? 1 : 0);
     out.push_back(in.allow_order_fallback ? 1 : 0);
     out.push_back(in.gradient ? 1 : 0);
@@ -411,9 +404,9 @@ std::string pack_model_v4(const PackInput& in) {
   emit(plan[pi++], [&] {  // kSymbols
     std::uint32_t name_off = 0;
     for (const part::SymbolSpec& s : in.symbols) {
-      append_u64(out, s.element_index);
-      append_u32(out, name_off);
-      append_u32(out, static_cast<std::uint32_t>(s.name.size()));
+      put_u64(out, s.element_index);
+      put_u32(out, name_off);
+      put_u32(out, static_cast<std::uint32_t>(s.name.size()));
       out.push_back(s.reciprocal ? 1 : 0);
       append_zeros(out, 7);
       name_off += static_cast<std::uint32_t>(s.name.size());
@@ -430,13 +423,13 @@ std::string pack_model_v4(const PackInput& in) {
       for (const Instr& ins : p.fused) append_instr(out, ins);
     });
     emit(plan[pi++], [&] {
-      for (const double c : p.constants) append_u64(out, std::bit_cast<std::uint64_t>(c));
+      for (const double c : p.constants) put_f64(out, c);
     });
     emit(plan[pi++], [&] {
-      for (const std::uint32_t r : p.outputs) append_u32(out, r);
+      for (const std::uint32_t r : p.outputs) put_u32(out, r);
     });
     emit(plan[pi++], [&] {
-      for (const std::uint32_t r : p.fused_outputs) append_u32(out, r);
+      for (const std::uint32_t r : p.fused_outputs) put_u32(out, r);
     });
   };
   emit_program(in.program);
@@ -448,12 +441,12 @@ std::string pack_model_v4(const PackInput& in) {
   std::string header;
   header.reserve(sizeof(v4::Header));
   header.append("AWEM", 4);
-  append_u32(header, kModelFormatVersion);
-  append_u64(header, total_size);
-  append_u64(header, fnv1a64(out.data() + sizeof(v4::Header),
-                             out.size() - sizeof(v4::Header)));
-  append_u32(header, static_cast<std::uint32_t>(plan.size()));
-  append_u32(header, in.gradient ? kFlagHasGradient : 0);
+  put_u32(header, kModelFormatVersion);
+  put_u64(header, total_size);
+  put_u64(header, fnv1a64(out.data() + sizeof(v4::Header),
+                          out.size() - sizeof(v4::Header)));
+  put_u32(header, static_cast<std::uint32_t>(plan.size()));
+  put_u32(header, in.gradient ? kFlagHasGradient : 0);
   header.push_back('\x01');  // endian tag: little
   append_zeros(header, 31);
   out.replace(0, sizeof(v4::Header), header);

@@ -1,12 +1,8 @@
 #include "core/model_cache.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -15,6 +11,7 @@
 #include "core/model_format.hpp"
 #include "health/failpoints.hpp"
 #include "health/report.hpp"
+#include "partition/block_store.hpp"
 
 namespace awe::core {
 
@@ -34,18 +31,9 @@ using enc::put_u32;
 using enc::put_u64;
 using enc::put_u8;
 
-std::atomic<std::uint64_t> g_tmp_counter{0};
-
-/// Quarantine a damaged entry to "<path>.bad" and count it.  Best-effort:
-/// a quarantine that cannot rename still surfaces as a miss, never as an
-/// exception.
-void quarantine_entry(const std::string& path, bool* corrupt_quarantined) {
-  std::error_code ec;
-  std::filesystem::remove(ModelCache::quarantine_path(path), ec);
-  std::filesystem::rename(path, ModelCache::quarantine_path(path), ec);
-  if (ec) std::filesystem::remove(path, ec);
-  health::global_counters().cache_corrupt_quarantined.fetch_add(
-      1, std::memory_order_relaxed);
+/// Quarantine a damaged entry to "<path>.bad", count it, and report it.
+void quarantine(const std::string& path, bool* corrupt_quarantined) {
+  part::quarantine_entry(path, health::global_counters().cache_corrupt_quarantined);
   if (corrupt_quarantined) *corrupt_quarantined = true;
 }
 
@@ -149,7 +137,7 @@ std::optional<CompiledModel> ModelCache::load_file(const std::string& path,
   // Corrupt/truncated/foreign-version entry: quarantine it to <path>.bad
   // (evidence preserved, never re-probed) and report a miss; the cold
   // build that follows stores a fresh entry at the original path.
-  quarantine_entry(path, corrupt_quarantined);
+  quarantine(path, corrupt_quarantined);
   return std::nullopt;
 }
 
@@ -167,7 +155,7 @@ std::optional<CompiledModel> ModelCache::map_file(const std::string& path,
       // fall through to quarantine
     }
   }
-  quarantine_entry(path, corrupt_quarantined);
+  quarantine(path, corrupt_quarantined);
   return std::nullopt;
 }
 
@@ -177,36 +165,10 @@ void ModelCache::store_file(const std::string& dir, const std::string& key,
   namespace fp = health::failpoints;
   fs::create_directories(dir);
   const std::string final_path = entry_path(dir, key);
-  // Injection site: a writer that died mid-store WITHOUT the atomic
-  // tmp+rename discipline, leaving a torn entry at the final path.  The
-  // next load must quarantine it, never throw.
-  if (fp::fires(fp::sites::kCacheStoreCrash)) {
-    std::ostringstream bytes;
-    model.save(bytes);
-    const std::string s = bytes.str();
-    std::ofstream out(final_path, std::ios::binary | std::ios::trunc);
-    out.write(s.data(), static_cast<std::streamsize>(s.size() / 2));
-    return;
-  }
-  // Unique temp name per process+store, atomically renamed into place: a
-  // reader never opens a half-written entry, and the last of several
-  // racing builders wins with an identical byte stream anyway.
-  std::ostringstream tmp_name;
-  tmp_name << final_path << ".tmp." << ::getpid() << "."
-           << g_tmp_counter.fetch_add(1, std::memory_order_relaxed);
-  const std::string tmp_path = tmp_name.str();
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("ModelCache: cannot write " + tmp_path);
-    model.save(out);
-    if (!out) throw std::runtime_error("ModelCache: write failed for " + tmp_path);
-  }
+  // A torn entry from the store_crash site is quarantined by the next
+  // load, never thrown.
+  if (!part::write_entry(final_path, model.pack(), fp::sites::kCacheStoreCrash)) return;
   std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    throw std::runtime_error("ModelCache: rename into " + final_path + " failed");
-  }
   // Injection sites: post-rename media damage (truncation, a flipped bit)
   // that the load-side validation must catch and quarantine.
   if (fp::fires(fp::sites::kCacheStoreTruncate)) {

@@ -41,6 +41,12 @@ std::uint64_t serialized_checksum(const symbolic::CompiledProgram& program) {
 }  // namespace
 
 void CompiledModel::save(std::ostream& os) const {
+  const std::string blob = pack();
+  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  if (!os) throw std::runtime_error("CompiledModel::save: write failed");
+}
+
+std::string CompiledModel::pack() const {
   PackInput in;
   in.order = opts_.order;
   in.enforce_stability = opts_.enforce_stability;
@@ -57,9 +63,7 @@ void CompiledModel::save(std::ostream& os) const {
   if (grad_program_) in.gradient_checksum = serialized_checksum(*grad_program_);
   const std::string symbolics = symbolics_payload();
   in.symbolics_blob = symbolics;
-  const std::string blob = pack_model_v4(in);
-  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!os) throw std::runtime_error("CompiledModel::save: write failed");
+  return pack_model_v4(in);
 }
 
 std::string CompiledModel::symbolics_payload() const {

@@ -1,6 +1,9 @@
 #include "health/report.hpp"
 
-#include <sstream>
+#include <initializer_list>
+#include <utility>
+
+#include "text/json.hpp"
 
 namespace awe::health {
 
@@ -29,36 +32,46 @@ void HealthReport::merge(const HealthReport& other) {
 
 std::string HealthReport::to_json(int indent) const {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const std::string in1 = pad + "  ";
-  const std::string in2 = pad + "    ";
-  std::ostringstream os;
-  os << "{\n";
-  os << in1 << "\"points\": {\"total\": " << points_total << ", \"ok\": " << points_ok
-     << ", \"degraded\": " << points_degraded
-     << ", \"quarantined\": " << points_quarantined << "},\n";
-  os << in1 << "\"ladder\": {\"strict_reevals\": " << strict_reevals
-     << ", \"order_fallbacks\": " << order_fallbacks
-     << ", \"shifted_refits\": " << shifted_refits << "},\n";
-  os << in1 << "\"cache\": {\"corrupt_quarantined\": " << cache_corrupt_quarantined
-     << ", \"rebuilds\": " << cache_rebuilds << "},\n";
-  os << in1 << "\"partition_blocks\": {\"reused\": " << partition_blocks_reused
-     << ", \"built\": " << partition_blocks_built
-     << ", \"quarantined\": " << partition_blocks_quarantined << "},\n";
-  os << in1 << "\"serve\": {\"requests\": " << serve_requests
-     << ", \"shed\": " << serve_shed
-     << ", \"deadline_expired\": " << serve_deadline_expired
-     << ", \"evicted\": " << serve_evicted
-     << ", \"reload_failures\": " << serve_reload_failures << "},\n";
-  os << in1 << "\"failpoint_fires\": " << failpoint_fires << ",\n";
-  os << in1 << "\"fail_classes\": {\n";
+  std::string out = "{";
+  // One line per counter group: "name": {"key": n, ...},
+  const auto group = [&](const char* name,
+                         std::initializer_list<std::pair<const char*, std::uint64_t>> members) {
+    out += '\n' + pad + "  ";
+    json::append_quoted(out, name);
+    out += ": {";
+    const char* sep = "";
+    for (const auto& [key, n] : members) {
+      out += std::exchange(sep, ", ");
+      json::append_quoted(out, key);
+      out += ": ";
+      json::append_uint(out, n);
+    }
+    out += "},";
+  };
+  group("points", {{"total", points_total}, {"ok", points_ok},
+                   {"degraded", points_degraded}, {"quarantined", points_quarantined}});
+  group("ladder", {{"strict_reevals", strict_reevals}, {"order_fallbacks", order_fallbacks},
+                   {"shifted_refits", shifted_refits}});
+  group("cache", {{"corrupt_quarantined", cache_corrupt_quarantined},
+                  {"rebuilds", cache_rebuilds}});
+  group("partition_blocks", {{"reused", partition_blocks_reused},
+                             {"built", partition_blocks_built},
+                             {"quarantined", partition_blocks_quarantined}});
+  group("serve", {{"requests", serve_requests}, {"shed", serve_shed},
+                  {"deadline_expired", serve_deadline_expired}, {"evicted", serve_evicted},
+                  {"reload_failures", serve_reload_failures}});
+  out += '\n' + pad + "  \"failpoint_fires\": ";
+  json::append_uint(out, failpoint_fires);
+  out += ",\n" + pad + "  \"fail_classes\": {";
   // kNone is a non-event; every real class appears, fired or not.
   for (std::size_t i = 1; i < kFailClassCount; ++i) {
-    os << in2 << "\"" << code(static_cast<FailClass>(i)) << "\": " << fail_counts[i]
-       << (i + 1 < kFailClassCount ? ",\n" : "\n");
+    out += (i > 1 ? ",\n" : "\n") + pad + "    ";
+    json::append_quoted(out, code(static_cast<FailClass>(i)));
+    out += ": ";
+    json::append_uint(out, fail_counts[i]);
   }
-  os << in1 << "}\n";
-  os << pad << "}";
-  return os.str();
+  out += '\n' + pad + "  }\n" + pad + "}";
+  return out;
 }
 
 GlobalCounters& global_counters() {

@@ -90,15 +90,9 @@ std::optional<std::vector<std::vector<double>>> BlockStore::load(
     valid = h.final1() == get_u64(body, body.size() - 8);
   }
   if (!valid) {
-    // Torn or damaged entry: preserve the evidence as <entry>.bad (never
-    // re-probed) and report a miss — the caller recomputes and re-stores.
-    // Best-effort: a failed rename still must surface as a miss.
-    std::error_code ec;
-    std::filesystem::remove(path + ".bad", ec);
-    std::filesystem::rename(path, path + ".bad", ec);
-    if (ec) std::filesystem::remove(path, ec);
-    health::global_counters().partition_blocks_quarantined.fetch_add(
-        1, std::memory_order_relaxed);
+    // Torn or damaged entry: report a miss — the caller recomputes and
+    // re-stores.
+    quarantine_entry(path, health::global_counters().partition_blocks_quarantined);
     return std::nullopt;
   }
 
@@ -115,35 +109,44 @@ std::optional<std::vector<std::vector<double>>> BlockStore::load(
 
 void BlockStore::store(const std::string& key, std::size_t nb,
                        const std::vector<std::vector<double>>& blocks) {
+  std::filesystem::create_directories(dir_);
+  // A torn block from the cache.partition site is quarantined by the next
+  // load and rebuilt, never thrown.
+  write_entry(entry_path(dir_, key), encode(nb, blocks.size(), blocks),
+              health::failpoints::sites::kPartitionBlock);
+}
+
+bool write_entry(const std::string& path, std::string_view bytes, const char* crash_site) {
   namespace fs = std::filesystem;
-  namespace fp = health::failpoints;
-  fs::create_directories(dir_);
-  const std::string final_path = entry_path(dir_, key);
-  const std::string body = encode(nb, blocks.size(), blocks);
-  // Injection site: a writer that died mid-store WITHOUT the tmp+rename
-  // discipline, leaving a torn block at the final path.  The next load
-  // must quarantine it and rebuild, never throw.
-  if (fp::fires(fp::sites::kPartitionBlock)) {
-    std::ofstream out(final_path, std::ios::binary | std::ios::trunc);
-    out.write(body.data(), static_cast<std::streamsize>(body.size() / 2));
-    return;
+  if (health::failpoints::fires(crash_site)) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+    return false;
   }
-  std::ostringstream tmp_name;
-  tmp_name << final_path << ".tmp." << ::getpid() << "."
-           << g_tmp_counter.fetch_add(1, std::memory_order_relaxed);
-  const std::string tmp_path = tmp_name.str();
+  const std::string tmp_path =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(g_tmp_counter.fetch_add(1, std::memory_order_relaxed));
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("BlockStore: cannot write " + tmp_path);
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out) throw std::runtime_error("BlockStore: write failed for " + tmp_path);
+    if (!out) throw std::runtime_error("cache: cannot write " + tmp_path);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!out) throw std::runtime_error("cache: write failed for " + tmp_path);
   }
   std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
+  fs::rename(tmp_path, path, ec);
   if (ec) {
     fs::remove(tmp_path, ec);
-    throw std::runtime_error("BlockStore: rename into " + final_path + " failed");
+    throw std::runtime_error("cache: rename into " + path + " failed");
   }
+  return true;
+}
+
+void quarantine_entry(const std::string& path, std::atomic<std::uint64_t>& counter) {
+  std::error_code ec;
+  std::filesystem::remove(path + ".bad", ec);
+  std::filesystem::rename(path, path + ".bad", ec);
+  if (ec) std::filesystem::remove(path, ec);
+  counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace awe::part

@@ -11,9 +11,12 @@
 // verbatim, so a reloaded block is bit-identical to a fresh one.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace awe::part {
@@ -45,5 +48,22 @@ class BlockStore {
  private:
   std::string dir_;
 };
+
+// The entry discipline of both on-disk caches, this store and
+// core::ModelCache (DESIGN.md §15).
+
+/// Write `bytes` to "<path>.tmp.<pid>.<n>" and rename it over `path`: a
+/// reader never opens a half-written entry, and the last of several racing
+/// writers wins with identical bytes.  When the failpoint `crash_site`
+/// fires, half the bytes land at `path` with no rename, as a writer that
+/// died mid-store leaves them, and the result is false.  Throws
+/// std::runtime_error when the write or the rename fails, removing the temp
+/// file on a failed rename.
+bool write_entry(const std::string& path, std::string_view bytes, const char* crash_site);
+
+/// Move a damaged entry to "<path>.bad" (evidence kept, never re-probed)
+/// and add one to `counter`.  Best-effort: when the rename fails the entry
+/// is removed, so a quarantine always surfaces as a miss, never a throw.
+void quarantine_entry(const std::string& path, std::atomic<std::uint64_t>& counter);
 
 }  // namespace awe::part

@@ -7,8 +7,8 @@
 #include <chrono>
 #include <thread>
 
-#include "serve/json.hpp"
 #include "serve/net.hpp"
+#include "text/json.hpp"
 
 namespace awe::serve::loadgen {
 namespace {

@@ -15,7 +15,7 @@
 #include <string_view>
 #include <vector>
 
-#include "serve/json.hpp"
+#include "text/json.hpp"
 
 namespace awe::serve {
 

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+
+#include "text/json.hpp"
 
 namespace awe::symbolic {
 namespace {
@@ -629,15 +630,14 @@ void CompiledProgram::run_batch_fast(std::span<const double> inputs,
 
 namespace {
 
-/// Format a double as a self-contained C expression.  %.17g round-trips
-/// every finite value; infinities and NaN have no portable C literal, so
-/// they are emitted as IEEE division expressions (no <math.h> required).
+/// Format a double as a self-contained C expression.  The exact form
+/// round-trips every finite value; infinities and NaN have no portable C
+/// literal, so they are emitted as IEEE division expressions (no <math.h>
+/// required).
 std::string c_literal(double v) {
   if (std::isnan(v)) return "(0.0 / 0.0)";
   if (std::isinf(v)) return v > 0.0 ? "(1.0 / 0.0)" : "(-1.0 / 0.0)";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return std::string(buf);
+  return json::exact(v);
 }
 
 }  // namespace

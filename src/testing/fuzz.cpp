@@ -1,77 +1,59 @@
 #include "testing/fuzz.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
+#include <utility>
 
 #include "testing/shrink.hpp"
+#include "text/json.hpp"
 
 namespace awe::testing {
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string FuzzSummary::to_json() const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"seed\": " << seed << ",\n";
-  os << "  \"count\": " << count << ",\n";
-  os << "  \"agree\": " << agree << ",\n";
-  os << "  \"mismatch\": " << mismatch << ",\n";
-  os << "  \"ill_conditioned\": " << ill_conditioned << ",\n";
-  os << "  \"singular\": " << singular << ",\n";
-  os << "  \"pade_flagged\": " << pade_flagged << ",\n";
-  os << "  \"gradients_checked\": " << gradients_checked << ",\n";
-  os << "  \"gradients_skipped\": " << gradients_skipped << ",\n";
-  os << "  \"moments_compared\": " << moments_compared << ",\n";
-  os << "  \"moments_skipped\": " << moments_skipped << ",\n";
-  os << "  \"elements_generated\": " << elements_generated << ",\n";
-  os << "  \"max_mna_dim\": " << max_mna_dim << ",\n";
-  os << "  \"worst_rel_err\": " << json_double(worst_rel_err) << ",\n";
-  os << "  \"worst_seed\": " << worst_seed << ",\n";
-  os << "  \"health\": " << health.to_json(2) << ",\n";
-  os << "  \"failures\": [";
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    const auto& f = failures[i];
-    os << (i ? "," : "") << "\n    {\n";
-    os << "      \"seed\": " << f.seed << ",\n";
-    os << "      \"detail\": \"" << json_escape(f.detail) << "\",\n";
-    os << "      \"minimized_elements\": " << f.minimized_elements << ",\n";
-    os << "      \"deck\": \"" << json_escape(f.deck) << "\",\n";
-    os << "      \"minimized\": \"" << json_escape(f.minimized) << "\"\n";
-    os << "    }";
+  std::string out = "{";
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"seed", seed},
+      {"count", count},
+      {"agree", agree},
+      {"mismatch", mismatch},
+      {"ill_conditioned", ill_conditioned},
+      {"singular", singular},
+      {"pade_flagged", pade_flagged},
+      {"gradients_checked", gradients_checked},
+      {"gradients_skipped", gradients_skipped},
+      {"moments_compared", moments_compared},
+      {"moments_skipped", moments_skipped},
+      {"elements_generated", elements_generated},
+      {"max_mna_dim", max_mna_dim}};
+  for (const auto& [key, n] : counts) {
+    out += "\n  \"";
+    out += key;
+    out += "\": ";
+    json::append_uint(out, n);
+    out += ',';
   }
-  os << (failures.empty() ? "]" : "\n  ]") << "\n}\n";
-  return os.str();
+  out += "\n  \"worst_rel_err\": ";
+  json::append_exact(out, worst_rel_err);
+  out += ",\n  \"worst_seed\": ";
+  json::append_uint(out, worst_seed);
+  out += ",\n  \"health\": ";
+  out += health.to_json(2);
+  out += ",\n  \"failures\": [";
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    const FuzzFailure& f = failures[i];
+    out += i ? ",\n    {\n      \"seed\": " : "\n    {\n      \"seed\": ";
+    json::append_uint(out, f.seed);
+    out += ",\n      \"detail\": ";
+    json::append_quoted(out, f.detail);
+    out += ",\n      \"minimized_elements\": ";
+    json::append_uint(out, f.minimized_elements);
+    out += ",\n      \"deck\": ";
+    json::append_quoted(out, f.deck);
+    out += ",\n      \"minimized\": ";
+    json::append_quoted(out, f.minimized);
+    out += "\n    }";
+  }
+  out += failures.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  return out;
 }
 
 OracleResult run_case(std::uint64_t seed, const FuzzOptions& opts) {

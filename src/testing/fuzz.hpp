@@ -58,7 +58,8 @@ struct FuzzSummary {
   health::HealthReport health;
   std::vector<FuzzFailure> failures;
 
-  /// Deterministic JSON (fixed key order, C locale, %.17g doubles).
+  /// Deterministic JSON (fixed key order, doubles in the exact "%.17g"
+  /// form of json::append_exact).
   std::string to_json() const;
 };
 

@@ -1,13 +1,13 @@
 #include "testing/netlist_gen.hpp"
 
 #include <cmath>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "circuit/mna.hpp"
 #include "testing/wellposed.hpp"
+#include "text/json.hpp"
 
 namespace awe::testing {
 namespace {
@@ -45,12 +45,6 @@ class Rng {
  private:
   std::uint64_t state_;
 };
-
-std::string fmt(double v) {
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
 
 class DeckGen {
  public:
@@ -104,9 +98,9 @@ class DeckGen {
     if (!use_subckt_) return;
     // RC-pi two-port: one internal node per instance, no aux unknowns.
     cards_ << ".subckt rcpi a b\n"
-           << "rs1 a m " << fmt(rng_.log_uniform(50.0, 5e3)) << '\n'
-           << "rs2 m b " << fmt(rng_.log_uniform(50.0, 5e3)) << '\n'
-           << "cs1 m 0 " << fmt(rng_.log_uniform(1e-13, 1e-9)) << '\n'
+           << "rs1 a m " << json::exact(rng_.log_uniform(50.0, 5e3)) << '\n'
+           << "rs2 m b " << json::exact(rng_.log_uniform(50.0, 5e3)) << '\n'
+           << "cs1 m 0 " << json::exact(rng_.log_uniform(1e-13, 1e-9)) << '\n'
            << ".ends\n";
   }
 
@@ -121,7 +115,7 @@ class DeckGen {
       nodes_.push_back(node);
       const std::string r = fresh("rsp");
       cards_ << r << ' ' << node << ' ' << parent << ' '
-             << fmt(rng_.log_uniform(10.0, 1e5)) << '\n';
+             << json::exact(rng_.log_uniform(10.0, 1e5)) << '\n';
       symbol_pool_.push_back(r);
     }
     // Ballast: a two-resistor chain to a fresh node.  The far resistor is
@@ -134,9 +128,9 @@ class DeckGen {
     ballast_ = fresh("rb");
     nodes_.push_back(ballast_node_);
     cards_ << fresh("rb") << ' ' << nodes_.front() << ' ' << ballast_node_ << ' '
-           << fmt(rng_.log_uniform(10.0, 1e5)) << '\n'
+           << json::exact(rng_.log_uniform(10.0, 1e5)) << '\n'
            << ballast_ << ' ' << ballast_node_ << " 0 "
-           << fmt(rng_.log_uniform(10.0, 1e5)) << '\n';
+           << json::exact(rng_.log_uniform(10.0, 1e5)) << '\n';
     symbol_pool_.push_back(ballast_);
   }
 
@@ -170,7 +164,7 @@ class DeckGen {
     const std::string a = any_node();
     const std::string b = rng_.coin(0.6) ? "0" : other_node(a);
     const std::string c = fresh("cd");
-    cards_ << c << ' ' << a << ' ' << b << ' ' << fmt(rng_.log_uniform(1e-13, 1e-8))
+    cards_ << c << ' ' << a << ' ' << b << ' ' << json::exact(rng_.log_uniform(1e-13, 1e-8))
            << '\n';
     symbol_pool_.push_back(c);
   }
@@ -179,7 +173,7 @@ class DeckGen {
     const std::string a = any_node();
     const std::string b = other_node(a);
     const std::string r = fresh("rx");
-    cards_ << r << ' ' << a << ' ' << b << ' ' << fmt(rng_.log_uniform(10.0, 1e5))
+    cards_ << r << ' ' << a << ' ' << b << ' ' << json::exact(rng_.log_uniform(10.0, 1e5))
            << '\n';
     symbol_pool_.push_back(r);
   }
@@ -196,9 +190,9 @@ class DeckGen {
     const std::string l = fresh("ll");
     nodes_.push_back(mid);
     ++aux_;
-    cards_ << r << ' ' << a << ' ' << mid << ' ' << fmt(rng_.log_uniform(10.0, 2e3))
+    cards_ << r << ' ' << a << ' ' << mid << ' ' << json::exact(rng_.log_uniform(10.0, 2e3))
            << '\n'
-           << l << ' ' << mid << ' ' << b << ' ' << fmt(rng_.log_uniform(1e-9, 1e-5))
+           << l << ' ' << mid << ' ' << b << ' ' << json::exact(rng_.log_uniform(1e-9, 1e-5))
            << '\n';
     symbol_pool_.push_back(r);
     symbol_pool_.push_back(l);
@@ -213,7 +207,7 @@ class DeckGen {
     const std::string cn = other_node(cp);
     const std::string g = fresh("gd");
     cards_ << g << ' ' << a << ' ' << b << ' ' << cp << ' ' << cn << ' '
-           << fmt(rng_.log_uniform(1e-5, 1e-2)) << '\n';
+           << json::exact(rng_.log_uniform(1e-5, 1e-2)) << '\n';
     symbol_pool_.push_back(g);
   }
 
@@ -226,7 +220,7 @@ class DeckGen {
     nodes_.push_back(out);
     ++aux_;
     cards_ << fresh("ed") << ' ' << out << ' ' << back << ' ' << cp << ' ' << cn << ' '
-           << fmt(rng_.log_uniform(0.1, 10.0)) << '\n';
+           << json::exact(rng_.log_uniform(0.1, 10.0)) << '\n';
   }
 
   /// F/H control currents flow through a dedicated 0 V sense source — never
@@ -250,7 +244,7 @@ class DeckGen {
     sense_source_ = fresh("vsn");
     nodes_.push_back(mid);
     ++aux_;
-    cards_ << r << ' ' << a << ' ' << mid << ' ' << fmt(rng_.log_uniform(50.0, 5e3))
+    cards_ << r << ' ' << a << ' ' << mid << ' ' << json::exact(rng_.log_uniform(50.0, 5e3))
            << '\n'
            << sense_source_ << ' ' << mid << ' ' << b << " 0\n";
     symbol_pool_.push_back(r);
@@ -263,7 +257,7 @@ class DeckGen {
     const std::string a = any_node();
     const std::string b = other_node(a);
     cards_ << fresh("fd") << ' ' << a << ' ' << b << ' ' << sense_source_ << ' '
-           << fmt(rng_.log_uniform(0.05, 2.0)) << '\n';
+           << json::exact(rng_.log_uniform(0.05, 2.0)) << '\n';
   }
 
   void add_ccvs() {
@@ -275,7 +269,7 @@ class DeckGen {
     nodes_.push_back(out);
     ++aux_;
     cards_ << fresh("hd") << ' ' << out << ' ' << back << ' ' << sense_source_ << ' '
-           << fmt(rng_.log_uniform(1.0, 1e3)) << '\n';
+           << json::exact(rng_.log_uniform(1.0, 1e3)) << '\n';
   }
 
   void add_mutual() {
@@ -286,7 +280,7 @@ class DeckGen {
     const std::string l1 = free_inductors_[i];
     const std::string l2 = free_inductors_[j];
     cards_ << fresh("kd") << ' ' << l1 << ' ' << l2 << ' '
-           << fmt(0.2 + 0.75 * rng_.real()) << '\n';
+           << json::exact(0.2 + 0.75 * rng_.real()) << '\n';
     // Coupled inductors may not be symbolic; drop them from both pools.
     for (const auto& l : {l1, l2}) {
       std::erase(free_inductors_, l);

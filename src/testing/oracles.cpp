@@ -11,6 +11,7 @@
 #include "core/awesymbolic.hpp"
 #include "engine/sweep.hpp"
 #include "exact/exact_symbolic.hpp"
+#include "text/json.hpp"
 
 namespace awe::testing {
 namespace {
@@ -48,13 +49,6 @@ Path run_path(const std::function<std::vector<double>()>& fn) {
     p.fail = health::FailClass::kUnknown;
   }
   return p;
-}
-
-std::string fmt(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
 }
 
 /// Per-moment cancellation factors c_k = scale_k / |m_k| with
@@ -278,7 +272,7 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
   for (const double v : hub.m) peak = std::max(peak, std::abs(v));
   if (peak > kNearSingular) {
     res.status = OracleStatus::kIllConditioned;
-    res.detail = "near-singular Y0: |m| peaks at " + fmt(peak);
+    res.detail = "near-singular Y0: |m| peaks at " + json::exact(peak);
     return res;
   }
 
@@ -332,9 +326,9 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
       const double tol_eff = tol * std::clamp(c, 1.0, tol_cap);
       if (err <= tol_eff) continue;
       std::ostringstream why;
-      why << la << " vs " << lb << " at moment " << k << ": " << fmt(a.m[k]) << " vs "
-          << fmt(b.m[k]) << " (rel err " << fmt(err) << ", cancellation " << fmt(c)
-          << ")";
+      why << la << " vs " << lb << " at moment " << k << ": " << json::exact(a.m[k]) << " vs "
+          << json::exact(b.m[k]) << " (rel err " << json::exact(err) << ", cancellation "
+          << json::exact(c) << ")";
       if (c > opts.ill_limit) {
         ill = true;
         if (ill_detail.empty()) ill_detail = why.str();
@@ -359,8 +353,8 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
       res.status = OracleStatus::kMismatch;
       res.mismatch_kind = "sweep not bit-identical";
       res.detail = "sweep strict mode is not bit-identical to scalar at moment " +
-                   std::to_string(k) + ": " + fmt(strict_path.m[k]) + " vs " +
-                   fmt(sweep_path.m[k]);
+                   std::to_string(k) + ": " + json::exact(strict_path.m[k]) + " vs " +
+                   json::exact(sweep_path.m[k]);
       return res;
     }
   }
@@ -394,8 +388,8 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
         res.status = OracleStatus::kMismatch;
         res.mismatch_kind = "gradient primal not bit-identical";
         res.detail = "gradient program's embedded moment " + std::to_string(k) +
-                     " differs from forward strict: " + fmt(mg.moments[k]) +
-                     " vs " + fmt(strict_path.m[k]);
+                     " differs from forward strict: " + json::exact(mg.moments[k]) +
+                     " vs " + json::exact(strict_path.m[k]);
         return res;
       }
 
@@ -442,8 +436,8 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
             res.mismatch_kind = "gradient reverse vs adjoint";
             std::ostringstream why;
             why << "reverse-mode vs adjoint d(m_" << k << ")/d(" << names[i]
-                << "): " << fmt(rev) << " vs " << fmt(adj) << " (rel err "
-                << fmt(err_a) << ", cancellation " << fmt(c) << ")";
+                << "): " << json::exact(rev) << " vs " << json::exact(adj) << " (rel err "
+                << json::exact(err_a) << ", cancellation " << json::exact(c) << ")";
             res.detail = why.str();
             break;
           }
@@ -458,8 +452,8 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
             res.mismatch_kind = "gradient reverse vs fd";
             std::ostringstream why;
             why << "reverse-mode vs central FD d(m_" << k << ")/d(" << names[i]
-                << "): " << fmt(rev) << " vs " << fmt(fd) << " (rel err "
-                << fmt(err_f) << ", cancellation " << fmt(c) << ")";
+                << "): " << json::exact(rev) << " vs " << json::exact(fd) << " (rel err "
+                << json::exact(err_f) << ", cancellation " << json::exact(c) << ")";
             res.detail = why.str();
             break;
           }

@@ -1,4 +1,4 @@
-#include "serve/json.hpp"
+#include "text/json.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-namespace awe::serve::json {
+namespace awe::json {
 
 const Value* Value::find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
@@ -419,9 +419,20 @@ std::string number_to_string(double d) {
   return out;
 }
 
+void append_exact(std::string& out, double d) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 17).ptr);
+}
+
+std::string exact(double d) {
+  std::string out;
+  append_exact(out, d);
+  return out;
+}
+
 void append_uint(std::string& out, std::uint64_t v) {
   char buf[24];
   out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
-}  // namespace awe::serve::json
+}  // namespace awe::json

@@ -466,7 +466,7 @@ TEST(OracleHealthTest, FuzzSummaryJsonGoldenWithFailures) {
   "failures": [
     {
       "seed": 15807225528648180854,
-      "detail": "q\" bs\\ nl\n cr\r tab\t one\u0001 us\u001f bs\u0008 ff\u000c utf8 )"
+      "detail": "q\" bs\\ nl\n cr\r tab\t one\u0001 us\u001f bs\b ff\f utf8 )"
             "\xc3\xa9" R"(",
       "minimized_elements": 0,
       "deck": "r1 a 0 1\n.end\n",

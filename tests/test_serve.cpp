@@ -26,9 +26,9 @@
 #include <thread>
 #include <vector>
 
-#include "serve/json.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
+#include "text/json.hpp"
 
 namespace awe::serve {
 namespace {

@@ -1,4 +1,4 @@
-// Differential tests for the wire number codec (serve/json, DESIGN.md §16.1).
+// Differential tests for the wire number codec (text/json, DESIGN.md §16.1).
 //
 // The daemon's number encoding is wire-frozen: clients and goldens compare
 // bytes.  These tests hold json::number_to_string to a test-local copy of
@@ -19,11 +19,12 @@
 #include <cstdlib>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 
-#include "serve/json.hpp"
+#include "text/json.hpp"
 
-namespace awe::serve::json {
+namespace awe::json {
 namespace {
 
 /// The printf/strtod formatter the codec must match byte for byte.
@@ -133,6 +134,57 @@ TEST(ServeJsonNumber, MatchesPrintfFormatterOnTenMillionDoubles) {
   EXPECT_EQ(c.failures(), 0u) << "of " << c.checked() << " doubles";
 }
 
+// append_exact is the one "%.17g" of the tree: exported C constants,
+// written decks and fuzz reports print through it.  It must print what
+// snprintf("%.17g") and an ostream at precision(17) print, byte for byte.
+TEST(ServeJsonNumber, ExactMatchesPrintfAndOstream) {
+  std::size_t checked = 0, failures = 0;
+  std::ostringstream os;
+  os.precision(17);
+  const auto check = [&](double d) {
+    ++checked;
+    const std::string got = exact(d);
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    os.str("");
+    os << d;
+    if ((got != buf || got != os.str()) && failures++ < 10)
+      ADD_FAILURE() << "exact " << got << " vs printf " << buf << " vs ostream " << os.str();
+  };
+  std::uint64_t state = 0x17e8c7;
+  const auto splitmix64 = [&state] {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+
+  for (int i = 0; i < 1'000'000; ++i) check(std::bit_cast<double>(splitmix64()));
+  const std::uint64_t mantissa = (std::uint64_t{1} << 52) - 1;
+  for (int i = 0; i < 100'000; ++i) {
+    const double d = std::bit_cast<double>(splitmix64() & mantissa);
+    check(d);
+    check(-d);
+  }
+  for (std::uint64_t m = 1; m <= 512; ++m) check(std::bit_cast<double>(m));
+  for (int e = -1074; e <= 1023; ++e) {
+    check(std::ldexp(1.0, e));
+    check(-std::ldexp(1.0, e));
+  }
+  // Integers from 1e15 to 1e17, where %g's fixed/scientific switch at 17
+  // digits sits and doubles stop being able to hold every integer.
+  for (int i = 0; i < 100'000; ++i)
+    check(static_cast<double>(1'000'000'000'000'000ull +
+                              splitmix64() % 99'000'000'000'000'000ull));
+  for (const double d : {1e15, 1e16, 1e17, 99999999999999999.0, 9007199254740993.0})
+    for (const double s : {1.0, -1.0}) check(s * d);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double d : {0.0, -0.0, HUGE_VAL, -HUGE_VAL, nan, -nan}) check(d);
+
+  EXPECT_GE(checked, 1'000'000u);
+  EXPECT_EQ(failures, 0u) << "of " << checked << " doubles";
+}
+
 TEST(ServeJsonNumber, KnownWireForms) {
   EXPECT_EQ(number_to_string(0.0), "0");
   EXPECT_EQ(number_to_string(-0.0), "-0");
@@ -232,4 +284,4 @@ TEST(ServeJsonNumber, RandomTokensDecodeAsStrtodDid) {
 }
 
 }  // namespace
-}  // namespace awe::serve::json
+}  // namespace awe::json

@@ -25,6 +25,7 @@
 #include "core/cli_support.hpp"
 #include "core/model_cache.hpp"
 #include "health/report.hpp"
+#include "partition/block_store.hpp"
 
 namespace {
 
@@ -45,11 +46,8 @@ int map_audit_dir(const std::string& dir, bool quiet) {
       ++ok;
       if (!quiet) std::printf("audit ok   %s\n", path.c_str());
     } catch (const std::exception& e) {
-      std::error_code ec;
-      const std::string bad = awe::core::ModelCache::quarantine_path(path);
-      fs::remove(bad, ec);
-      fs::rename(path, bad, ec);
-      if (ec) fs::remove(path, ec);
+      awe::part::quarantine_entry(path,
+                                  awe::health::global_counters().cache_corrupt_quarantined);
       ++quarantined;
       std::fprintf(stderr, "awe_build: --map-audit: %s: %s (quarantined)\n",
                    path.c_str(), e.what());
