@@ -13,22 +13,6 @@
 namespace awe::engine {
 namespace {
 
-/// Pick a frequency scale w0 so the scaled moments mu_k = m_k * w0^k have
-/// comparable magnitudes.  The ratio of consecutive moment magnitudes
-/// estimates the dominant time constant.
-double moment_scale(std::span<const double> m) {
-  double ratio_sum = 0.0;
-  std::size_t n = 0;
-  for (std::size_t k = 0; k + 1 < m.size(); ++k) {
-    if (m[k] != 0.0 && m[k + 1] != 0.0) {
-      ratio_sum += std::log(std::abs(m[k] / m[k + 1]));
-      ++n;
-    }
-  }
-  if (n == 0) return 1.0;
-  return std::exp(ratio_sum / static_cast<double>(n));
-}
-
 constexpr double kProbePivotTol = 1e-10;  // max_feasible_order's feasibility test
 constexpr double kSolvePivotTol = 1e-13;  // the solve's (LuFactorization's default)
 

@@ -8,7 +8,11 @@
 // matrices; poles are scaled back afterwards.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -54,6 +58,47 @@ struct PadeScratch {
   std::vector<std::size_t> perm;
   linalg::Matrix companion;
 };
+
+/// The frequency scale w0 of a fit over the moments m (s -> s/w0, so the
+/// scaled moments are mu_k = m_k w0^k): a power of two near the geometric
+/// mean of |m_k / m_{k+1}|, taken from binary exponents (DESIGN.md §7).
+/// With e_k the exponent of m_k and S the sum of e_k - e_{k+1} over the n
+/// consecutive pairs whose moments are both nonzero, w0 = 2^e with
+/// e = floor((2S + n) / (2n)), the mean rounded half up.  Scaling by w0
+/// rounds nothing, and moments m_k 2^(-jk) get exactly the scale w0 2^j.
+/// w0 = 1 when no pair counts.  A non-finite moment in a counted pair
+/// gives what the geometric mean exp(mean log|m_k/m_{k+1}|) gives: +inf
+/// for an infinite m_k, 0 for an infinite m_{k+1}, NaN for both signs of
+/// infinity or a NaN.  pade_lane and fit_lanes share this one function.
+inline double moment_scale(std::span<const double> m) {
+  const auto exponent = [](double x) {
+    const int biased = static_cast<int>((std::bit_cast<std::uint64_t>(x) >> 52) & 0x7ff);
+    return biased != 0 ? biased - 1023 : std::ilogb(x);  // ilogb for subnormals
+  };
+  int sum = 0, n = 0;
+  bool up = false, down = false, nan = false;
+  for (std::size_t k = 0; k + 1 < m.size(); ++k) {
+    const double a = m[k], b = m[k + 1];
+    if (a == 0.0 || b == 0.0) continue;
+    ++n;
+    if (std::isfinite(a) && std::isfinite(b)) {
+      sum += exponent(a) - exponent(b);
+    } else if (std::isnan(a) || std::isnan(b) || std::isinf(a) == std::isinf(b)) {
+      nan = true;  // |a/b| is NaN
+    } else {
+      (std::isinf(a) ? up : down) = true;  // |a/b| is +inf or 0
+    }
+  }
+  if (nan || (up && down)) return std::numeric_limits<double>::quiet_NaN();
+  if (up) return std::numeric_limits<double>::infinity();
+  if (down) return 0.0;
+  if (n == 0) return 1.0;
+  const int num = 2 * sum + n, den = 2 * n;
+  const int e = num / den - (num % den < 0 ? 1 : 0);
+  if (e >= -1022 && e <= 1023)
+    return std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023) << 52);
+  return std::ldexp(1.0, e);  // subnormal, 0 or inf
+}
 
 /// The Padé half of the ROM fit lane kernel.  Runs, operation for
 /// operation, what pade_from_moments(moments, order) runs — preceded, when

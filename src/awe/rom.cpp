@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "health/failpoints.hpp"
@@ -133,8 +135,13 @@ FitScratch& thread_scratch(std::size_t order) {
 // handed to fit_lane.
 
 constexpr std::size_t kBlockLanes = 64;
-/// Rows of FitScratch::block, kBlockLanes doubles each.
-enum BlockRow : std::size_t { kM0, kM1, kM2, kM3, kT0, kT1, kT2, kTerms, kW0, kBlockRows };
+/// Rows of FitScratch::block, kBlockLanes doubles each: the moments and
+/// scale in, fit_order2's results out.
+enum BlockRow : std::size_t {
+  kM0, kM1, kM2, kM3, kW0,
+  kP0Re, kP0Im, kP1Re, kP1Im, kR0Re, kR0Im, kR1Re, kR1Im, kDc,
+  kBlockRows
+};
 
 /// Zero, or a magnitude in [2^-250, 2^250]: the window where Smith's
 /// formula has no overflow, underflow or subnormal intermediate.
@@ -171,7 +178,8 @@ struct Order2Fit {
 };
 
 /// fit_lane on moments m0..m3 with w0 = moment_scale(m0..m3), when the
-/// lane is on the common path; false (f unspecified) when it is not.
+/// lane is on the common path; false (f unspecified) when it is not.  The
+/// per-lane reference of fit_order2_pair.
 bool fit_order2(double m0, double m1, double m2, double m3, double w0, Order2Fit& f) {
   if (!std::isfinite(w0) || w0 == 0.0) return false;
   // scale_moments at q = 2: the running power is 1, w0, w0*w0, (w0*w0)*w0.
@@ -245,6 +253,158 @@ bool fit_order2(double m0, double m1, double m2, double m3, double w0, Order2Fit
   return std::isfinite(f.dc_gain) && std::isfinite(f.residues[0].real()) &&
          std::isfinite(f.residues[0].imag()) && std::isfinite(f.residues[1].real()) &&
          std::isfinite(f.residues[1].imag());
+}
+
+// fit_order2 on two lanes at once, in GCC vector types (DESIGN.md §7).
+// Every operation is the scalar one per element, so each lane gets
+// fit_order2's bits; branches become both arms and a bit-mask select (not
+// vector ?:, which not every compiler accepts).  The kernel does not
+// decide a lane's verdict: it returns an exit mask of the lanes fit_order2
+// must redo, which covers fit_order2's own early-outs and every step where
+// the scalar code would run something else: __muldc3's NaN recovery, a
+// quotient outside the Smith window, and a scale whose unscaling division
+// is not an exact multiplication.
+typedef double V2d __attribute__((vector_size(16)));
+typedef std::int64_t V2i __attribute__((vector_size(16)));
+
+[[gnu::always_inline]] inline V2d splat(double x) { return V2d{x, x}; }
+[[gnu::always_inline]] inline V2d load2(const double* p) {
+  V2d v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+[[gnu::always_inline]] inline void store2(double* p, V2d v) { std::memcpy(p, &v, sizeof v); }
+/// m ? a : b per element; m is all ones or all zeros per element.
+[[gnu::always_inline]] inline V2d pick(V2i m, V2d a, V2d b) {
+  return (V2d)((m & (V2i)a) | (~m & (V2i)b));
+}
+[[gnu::always_inline]] inline V2d vabs(V2d x) {
+  return (V2d)((V2i)x & V2i{INT64_MAX, INT64_MAX});
+}
+/// std::max(a, b): b when a < b, else a (NaN and signed zeros included).
+[[gnu::always_inline]] inline V2d vmax(V2d a, V2d b) { return pick((V2i)(a < b), b, a); }
+[[gnu::always_inline]] inline V2i in_window(V2d x) {
+  const V2d a = vabs(x);
+  return (V2i)(a == splat(0.0)) | ((V2i)(a >= splat(0x1p-250)) & (V2i)(a <= splat(0x1p250)));
+}
+
+struct V2c {
+  V2d re, im;
+};
+/// x * y as GCC expands std::complex's operator*, without its call to
+/// __muldc3 when both parts are NaN: such a product leaves NaN parts in a
+/// quotient operand, and cdiv's window test sends the lane back.
+[[gnu::always_inline]] inline V2c cmul(V2c x, V2c y) {
+  return {x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re};
+}
+/// quotient(x, y), Smith's formula only; `exit` gets the lanes outside
+/// its window.  Inside it every part of the quotient is below 2^502 in
+/// magnitude (the denominator is at least max(|c|, |d|)), so finite.
+[[gnu::always_inline]] inline V2c cdiv(V2c x, V2c y, V2i& exit) {
+  const V2d a = x.re, b = x.im, c = y.re, d = y.im;
+  exit |= ~(in_window(a) & in_window(b) & in_window(c) & in_window(d)) |
+          ((V2i)(c == splat(0.0)) & (V2i)(d == splat(0.0)));
+  const V2i by_d = (V2i)(vabs(c) < vabs(d));
+  const V2d top = pick(by_d, c, d), bottom = pick(by_d, d, c);
+  const V2d ratio = top / bottom;
+  const V2d denom = (top * ratio) + bottom;
+  const V2d lead = pick(by_d, a, b), other = pick(by_d, b, a), scaled = other * ratio;
+  return {((lead * ratio) + other) / denom, pick(by_d, scaled - a, b - scaled) / denom};
+}
+
+/// fit_order2 on lanes i and i + 1 of the block rows; returns the exit
+/// mask and stores the fits of the other lanes in the result rows.
+[[gnu::always_inline]] inline V2i fit_order2_pair(double* const row[], std::size_t i) {
+  const V2d zero = splat(0.0), one = splat(1.0);
+  const V2d m0 = load2(row[kM0] + i), m1 = load2(row[kM1] + i), m2 = load2(row[kM2] + i),
+            m3 = load2(row[kM3] + i), w0 = load2(row[kW0] + i);
+  // w0 = 2^e: keep |e| <= 511, so that w0 * w0 and 2^-2e are normal and
+  // each unscaling division by w0 or w0 * w0 is a multiplication by its
+  // exact inverse.
+  const V2i bits = (V2i)w0;
+  const V2i biased = (bits >> 52) & V2i{0x7ff, 0x7ff};
+  V2i exit = ~((V2i)(w0 > zero) & (biased >= V2i{1023 - 511, 1023 - 511}) &
+               (biased <= V2i{1023 + 511, 1023 + 511}));
+  const V2d inv = (V2d)((V2i{2046, 2046} << 52) - bits), inv2 = inv * inv;
+
+  const V2d w2 = w0 * w0;
+  const V2d mu0 = m0, mu1 = m1 * w0, mu2 = m2 * w2, mu3 = m3 * (w2 * w0);
+  V2d u00 = mu1, u01 = mu0, u10 = mu2, u11 = mu1;
+  V2d s0 = vmax(vmax(zero, vabs(u00)), vabs(u01));
+  s0 = pick((V2i)(s0 == zero), one, s0);
+  V2d s1 = vmax(vmax(zero, vabs(u10)), vabs(u11));
+  s1 = pick((V2i)(s1 == zero), one, s1);
+  V2d best = vabs(u00) / s0;
+  const V2d cand = vabs(u10) / s1;
+  const V2i swapped = (V2i)(cand > best);
+  best = pick(swapped, cand, best);
+  const V2d t00 = u00, t01 = u01, t0 = s0;
+  u00 = pick(swapped, u10, u00);
+  u10 = pick(swapped, t00, u10);
+  u01 = pick(swapped, u11, u01);
+  u11 = pick(swapped, t01, u11);
+  s0 = pick(swapped, s1, s0);
+  s1 = pick(swapped, t0, s1);
+  exit |= (V2i)(best < splat(1e-10));
+  const V2d l10 = u10 / u00;
+  u11 = pick((V2i)(l10 != zero), u11 - l10 * u01, u11);
+  exit |= (V2i)(vabs(u11) / s1 < splat(1e-10));
+
+  V2d y0 = pick(swapped, -mu3, -mu2), y1 = pick(swapped, -mu2, -mu3);
+  y1 = y1 - l10 * y0;
+  y1 = y1 / u11;
+  y0 = y0 - u01 * y1;
+  y0 = y0 / u00;
+  const V2d n0 = mu0, n1 = (mu1 + y0 * mu0) * inv;
+  const V2d d1 = y0 * inv, d2 = y1 * inv2;
+  exit |= (V2i)(d2 == zero);
+
+  const V2d disc = d1 * d1 - splat(4.0) * d2 * one;
+  const V2i real = (V2i)(disc >= zero);
+  V2d root = pick(real, disc, -disc);
+  root = V2d{std::sqrt(root[0]), std::sqrt(root[1])};
+  const V2d q = splat(-0.5) * (d1 + pick((V2i)(d1 >= zero), one, splat(-1.0)) * root);
+  // One division per quotient pair of the two arms: real roots q / d2 and
+  // 1 / q, complex ones -d1 / (2 d2) and sqrt(-disc) / (2 d2).
+  const V2d twice = splat(2.0) * d2;
+  const V2d first = pick(real, q, -d1) / pick(real, d2, twice);
+  const V2d second = pick(real, one, root) / pick(real, q, twice);
+  const V2c p0{first, pick(real, zero, second)};
+  const V2c p1{pick(real, pick((V2i)(q != zero), second, zero), first),
+               pick(real, zero, -second)};
+  exit |= ~((V2i)(p0.re < zero) & (V2i)(p1.re < zero));
+
+  const V2c czero{zero, zero};
+  V2c r[2];
+  const V2c poles[2] = {p0, p1};
+  for (int k = 0; k < 2; ++k) {
+    const V2c p = poles[k];
+    V2c num = cmul(czero, p);
+    num.re = num.re + n1;
+    num = cmul(num, p);
+    num.re = num.re + n0;
+    V2c dden = cmul(czero, p);
+    dden.re = dden.re + d2 * splat(2.0);
+    dden = cmul(dden, p);
+    dden.re = dden.re + d1 * one;
+    exit |= (V2i)(dden.re == zero) & (V2i)(dden.im == zero);
+    r[k] = cdiv(num, dden, exit);
+  }
+  const V2c h0 = cdiv(r[0], {zero - p0.re, zero - p0.im}, exit);
+  const V2c h1 = cdiv(r[1], {zero - p1.re, zero - p1.im}, exit);
+  // Window-bounded quotients: the residues and the DC gain are finite.
+  const V2d dc = (zero + h0.re) + h1.re;
+
+  store2(row[kP0Re] + i, p0.re);
+  store2(row[kP0Im] + i, p0.im);
+  store2(row[kP1Re] + i, p1.re);
+  store2(row[kP1Im] + i, p1.im);
+  store2(row[kR0Re] + i, r[0].re);
+  store2(row[kR0Im] + i, r[0].im);
+  store2(row[kR1Re] + i, r[1].re);
+  store2(row[kR1Im] + i, r[1].im);
+  store2(row[kDc] + i, dc);
+  return exit;
 }
 
 [[noreturn]] void throw_fit_failure(health::FailClass c) {
@@ -360,60 +520,66 @@ std::size_t fit_lanes(std::span<const double> moments, std::size_t stride, std::
   double* row[kBlockRows];
   for (std::size_t r = 0; r < kBlockRows; ++r) row[r] = s.block.data() + r * kBlockLanes;
   unsigned char* const cand = s.candidate.data();
+  const std::size_t mo = out.max_order, q = std::min<std::size_t>(2, mo);
+  std::uint8_t* const order_out = out.order.data();
+  std::complex<double>* const poles_out = out.poles.data();
+  std::complex<double>* const residues_out = out.residues.data();
+  double* const dc_out = out.dc_gain.data();
   std::size_t fitted = 0;
   for (std::size_t c = 0; c < count; c += kBlockLanes) {
     const std::size_t w = std::min(kBlockLanes, count - c);
-    // Pass 1, branch-free: gather, the finiteness mask and moment_scale's
-    // terms |m_k / m_{k+1}|.  A term with a zero moment is skipped there;
-    // here it is 1, whose log (+0) leaves the sum unchanged since the sum
-    // starts at +0 and so never is -0.
+    // Pass 1: gather, the ok/finite mask and moment_scale.
     for (std::size_t i = 0; i < w; ++i) {
       const std::size_t p = c + i;
-      const double m0 = moments[p], m1 = moments[stride + p], m2 = moments[2 * stride + p],
-                   m3 = moments[3 * stride + p];
-      row[kM0][i] = m0;
-      row[kM1][i] = m1;
-      row[kM2][i] = m2;
-      row[kM3][i] = m3;
-      cand[i] = (ok[p] != 0) & std::isfinite(m0) & std::isfinite(m1) & std::isfinite(m2) &
-                std::isfinite(m3);
-      const bool t0 = m0 != 0.0 && m1 != 0.0, t1 = m1 != 0.0 && m2 != 0.0,
-                 t2 = m2 != 0.0 && m3 != 0.0;
-      row[kT0][i] = t0 ? std::abs(m0 / m1) : 1.0;
-      row[kT1][i] = t1 ? std::abs(m1 / m2) : 1.0;
-      row[kT2][i] = t2 ? std::abs(m2 / m3) : 1.0;
-      row[kTerms][i] = static_cast<double>(t0) + static_cast<double>(t1) +
-                       static_cast<double>(t2);
+      const double m[4] = {moments[p], moments[stride + p], moments[2 * stride + p],
+                           moments[3 * stride + p]};
+      for (std::size_t k = 0; k < 4; ++k) row[kM0 + k][i] = m[k];
+      cand[i] = (ok[p] != 0) & std::isfinite(m[0]) & std::isfinite(m[1]) &
+                std::isfinite(m[2]) & std::isfinite(m[3]);
+      row[kW0][i] = moment_scale(m);
     }
-    // Pass 2: moment_scale's log and exp, as scalar libm calls (a vector
-    // libm would round differently).
-    for (std::size_t i = 0; i < w; ++i) {
-      if (!cand[i]) continue;
-      double sum = 0.0;
-      sum += std::log(row[kT0][i]);
-      sum += std::log(row[kT1][i]);
-      sum += std::log(row[kT2][i]);
-      row[kW0][i] = row[kTerms][i] == 0.0 ? 1.0 : std::exp(sum / row[kTerms][i]);
+    // Pass 2: the two-lane kernel over whole pairs (an odd chunk's last
+    // pair reads a stale lane and ignores it).
+    std::int64_t leave[kBlockLanes];
+    for (std::size_t i = 0; i < w; i += 2) {
+      const V2i exit = fit_order2_pair(row, i);
+      std::memcpy(leave + i, &exit, sizeof exit);
     }
-    // Pass 3: the straight-line fit; lanes off the common path go to
-    // fit_lane, in lane order.
+    // Pass 3: store the kernel's fits; a lane it left is redone by
+    // fit_order2, and one off the common path goes to fit_lane, in lane order.
     for (std::size_t i = 0; i < w; ++i) {
       const std::size_t p = c + i;
       Order2Fit f;
-      if (!cand[i] || !fit_order2(row[kM0][i], row[kM1][i], row[kM2][i], row[kM3][i],
-                                  row[kW0][i], f)) {
+      if (!cand[i]) {
+        fit_scalar(p);
+        continue;
+      }
+      if (!leave[i]) {
+        f = {{{row[kP0Re][i], row[kP0Im][i]}, {row[kP1Re][i], row[kP1Im][i]}},
+             {{row[kR0Re][i], row[kR0Im][i]}, {row[kR1Re][i], row[kR1Im][i]}},
+             row[kDc][i]};
+      } else if (!fit_order2(row[kM0][i], row[kM1][i], row[kM2][i], row[kM3][i], row[kW0][i],
+                             f)) {
         fit_scalar(p);
         continue;
       }
       ++fitted;
       fail[p] = health::FailClass::kNone;
+      const std::size_t slot = first + p;
+      order_out[slot] = static_cast<std::uint8_t>(q);
+      for (std::size_t j = 0; j < q; ++j) {
+        poles_out[slot * mo + j] = f.poles[j];
+        residues_out[slot * mo + j] = f.residues[j];
+      }
+      dc_out[slot] = f.dc_gain;
+      if (!on_fit) continue;
       for (std::size_t k = 0; k < 4; ++k) s.lane[k] = row[kM0 + k][i];
       s.pade.order = 2;
       s.poles.assign(f.poles, f.poles + 2);
       s.residues.assign(f.residues, f.residues + 2);
       s.direct = 0.0;
       s.dc_gain = f.dc_gain;
-      store(p);
+      on_fit(p);
     }
   }
   return fitted;

@@ -70,9 +70,6 @@ class ModelCache {
   static std::optional<CompiledModel> load_file(const std::string& path,
                                                 bool* corrupt_quarantined = nullptr);
 
-  /// "<path>.bad" — where a corrupt entry gets quarantined.
-  static std::string quarantine_path(const std::string& path) { return path + ".bad"; }
-
   /// Zero-copy variant of load_file: mmap the entry in place
   /// (CompiledModel::map_file) instead of reading the stream — O(pages
   /// touched) instead of O(model size).  The miss/quarantine contract is

@@ -126,25 +126,28 @@ bool write_entry(const std::string& path, std::string_view bytes, const char* cr
   const std::string tmp_path =
       path + ".tmp." + std::to_string(::getpid()) + "." +
       std::to_string(g_tmp_counter.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cache: cannot write " + tmp_path);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw std::runtime_error("cache: write failed for " + tmp_path);
-  }
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("cache: cannot write " + tmp_path);
+  // From here on every failure removes the temp file before it throws.
+  const auto fail = [&](const std::string& what) {
+    std::error_code ec;
+    fs::remove(tmp_path, ec);
+    throw std::runtime_error(what);
+  };
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();  // flushes: a short write (full disk, file size limit) shows here
+  if (!out) fail("cache: write failed for " + tmp_path);
   std::error_code ec;
   fs::rename(tmp_path, path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    throw std::runtime_error("cache: rename into " + path + " failed");
-  }
+  if (ec) fail("cache: rename into " + path + " failed");
   return true;
 }
 
 void quarantine_entry(const std::string& path, std::atomic<std::uint64_t>& counter) {
+  const std::string bad = quarantine_path(path);
   std::error_code ec;
-  std::filesystem::remove(path + ".bad", ec);
-  std::filesystem::rename(path, path + ".bad", ec);
+  std::filesystem::remove(bad, ec);
+  std::filesystem::rename(path, bad, ec);
   if (ec) std::filesystem::remove(path, ec);
   counter.fetch_add(1, std::memory_order_relaxed);
 }

@@ -57,13 +57,17 @@ class BlockStore {
 /// writers wins with identical bytes.  When the failpoint `crash_site`
 /// fires, half the bytes land at `path` with no rename, as a writer that
 /// died mid-store leaves them, and the result is false.  Throws
-/// std::runtime_error when the write or the rename fails, removing the temp
-/// file on a failed rename.
+/// std::runtime_error when the open, the write, the close or the rename
+/// fails; a failure after the open removes the temp file first.
 bool write_entry(const std::string& path, std::string_view bytes, const char* crash_site);
 
-/// Move a damaged entry to "<path>.bad" (evidence kept, never re-probed)
-/// and add one to `counter`.  Best-effort: when the rename fails the entry
-/// is removed, so a quarantine always surfaces as a miss, never a throw.
+/// "<path>.bad": where quarantine_entry moves a damaged entry.
+inline std::string quarantine_path(const std::string& path) { return path + ".bad"; }
+
+/// Move a damaged entry to quarantine_path(path) (evidence kept, never
+/// re-probed) and add one to `counter`.  Best-effort: when the rename fails
+/// the entry is removed, so a quarantine always surfaces as a miss, never a
+/// throw.
 void quarantine_entry(const std::string& path, std::atomic<std::uint64_t>& counter);
 
 }  // namespace awe::part

@@ -32,6 +32,7 @@
 #include "linalg/lu.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_lu.hpp"
+#include "partition/block_store.hpp"
 
 namespace awe {
 namespace {
@@ -336,7 +337,7 @@ void check_cache_corruption(const std::string& site, bool arm_before_store) {
     EXPECT_EQ(st.rebuilds_after_quarantine, 1u) << site;
     EXPECT_EQ(st.disk_hits, 0u) << site;
   }
-  EXPECT_TRUE(std::filesystem::exists(core::ModelCache::quarantine_path(entry)))
+  EXPECT_TRUE(std::filesystem::exists(part::quarantine_path(entry)))
       << site;
   EXPECT_TRUE(std::filesystem::exists(entry)) << site;  // rebuilt replacement
   EXPECT_GE(health::global_counters().cache_corrupt_quarantined.load(),
@@ -385,7 +386,7 @@ TEST(FailpointsTest, LoadFileReportsQuarantineThroughOutParam) {
   EXPECT_FALSE(loaded.has_value());
   EXPECT_TRUE(quarantined);
   EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_TRUE(std::filesystem::exists(core::ModelCache::quarantine_path(path)));
+  EXPECT_TRUE(std::filesystem::exists(part::quarantine_path(path)));
 }
 
 // -- global counters -----------------------------------------------------

@@ -14,8 +14,11 @@
 //   - port_admittance_moments_inplace leaves the netlist untouched on
 //     every exit path (the mutate-and-restore satellite).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -27,6 +30,8 @@
 #include "circuit/writer.hpp"
 #include "core/model_cache.hpp"
 #include "engine/thread_pool.hpp"
+#include "health/failpoints.hpp"
+#include "partition/block_store.hpp"
 #include "partition/port_moments.hpp"
 
 namespace awe::core {
@@ -292,6 +297,35 @@ TEST(ModelCache, CorruptEntryFallsBackToColdBuild) {
   const auto repaired = ModelCache::load_file(ModelCache::entry_path(dir.string(), key));
   ASSERT_TRUE(repaired.has_value());
   EXPECT_EQ(serialize(model), serialize(*repaired));
+}
+
+/// In a forked child: write 64 KiB through part::write_entry under a 4 KiB
+/// file size limit.  0 when the write threw and left neither the entry nor
+/// a "<entry>.tmp.<pid>.<n>" file in `dir`.
+int write_past_size_limit(const std::filesystem::path& dir) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  const rlimit limit{4096, 4096};
+  if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) return 2;
+  const std::string entry = (dir / "entry.awemodel").string();
+  bool threw = false;
+  try {
+    part::write_entry(entry, std::string(64 * 1024, 'x'),
+                      health::failpoints::sites::kCacheStoreCrash);
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  std::size_t left = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    left += e.path().filename().string().find(".tmp.") != std::string::npos;
+  return threw && left == 0 && !std::filesystem::exists(entry) ? 0 : 1;
+}
+
+// A write that fails after the temp file is open (here the file size
+// limit cuts it at 4 KiB) throws and leaves no temp file behind.  The
+// limit is set in a forked child so it cannot reach the rest of the suite.
+TEST(ModelCache, FailedWriteEntryRemovesItsTempFile) {
+  const auto dir = fresh_dir("write_fail");
+  EXPECT_EXIT(std::_Exit(write_past_size_limit(dir)), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ModelCache, LruHitsEvictionsAndStats) {

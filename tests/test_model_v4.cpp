@@ -38,6 +38,7 @@
 #include "core/model_store.hpp"
 #include "engine/sweep.hpp"
 #include "health/status.hpp"
+#include "partition/block_store.hpp"
 
 namespace awe::core {
 namespace {
@@ -387,7 +388,7 @@ TEST(ModelV4, PreV4FixturesFailClosed) {
 
     TempDir tmp;
     const std::string entry = ModelCache::entry_path(tmp.path.string(), key);
-    const std::string bad = ModelCache::quarantine_path(entry);
+    const std::string bad = part::quarantine_path(entry);
     for (const bool mapped : {false, true}) {
       write_file(entry, old);
       fs::remove(bad);
@@ -446,7 +447,7 @@ TEST(ModelV4, TruncatedMappedEntryQuarantinedThenRebuilt) {
   write_file(entry, good.substr(0, good.size() / 2));
   const CompiledModel rebuilt = CompiledModel::build(
       deck.netlist, deck.symbol_elements, deck.input_source, out, mopts, bopts);
-  EXPECT_TRUE(fs::exists(ModelCache::quarantine_path(entry.string())));
+  EXPECT_TRUE(fs::exists(part::quarantine_path(entry.string())));
   EXPECT_EQ(read_file(entry), good) << "rebuild must restore the identical entry";
   EXPECT_EQ(rebuilt.moments_at(nominal_values(rebuilt)), warm_moments);
 }

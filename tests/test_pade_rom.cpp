@@ -5,6 +5,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -597,15 +598,16 @@ enum Route : std::size_t {
   kRoutes
 };
 
+/// moment_scale of finite moments: 2^e, e the mean binary exponent
+/// difference of the consecutive nonzero pairs, rounded half up.
 double moment_scale_of(const Lane& m) {
-  double sum = 0.0;
-  std::size_t n = 0;
+  int sum = 0, n = 0;
   for (std::size_t k = 0; k < 3; ++k)
     if (m[k] != 0.0 && m[k + 1] != 0.0) {
-      sum += std::log(std::abs(m[k] / m[k + 1]));
+      sum += std::ilogb(m[k]) - std::ilogb(m[k + 1]);
       ++n;
     }
-  return n == 0 ? 1.0 : std::exp(sum / static_cast<double>(n));
+  return n == 0 ? 1.0 : std::ldexp(1.0, static_cast<int>(std::floor((2.0 * sum + n) / (2 * n))));
 }
 
 Route route_of(const Lane& m, unsigned char ok, bool& zero_disc) {
@@ -877,6 +879,220 @@ TEST(FitLanes, ComplexQuotientMatchesOperatorDivide) {
       ADD_FAILURE() << std::hexfloat << x << " / " << y << ": " << got << " vs " << want;
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+// -- time scaling by a power of two ----------------------------------------
+
+using Lane8 = std::array<double, 8>;
+
+/// The first 8 moments (order 4) of a 1-thread strict sweep of `model`.
+void add_sweep_lanes8(std::vector<Lane8>& lanes, std::vector<unsigned char>& ok,
+                      const core::CompiledModel& model, std::vector<double> pts,
+                      std::size_t n) {
+  sweep::SweepOptions opts;
+  opts.threads = 1;
+  const sweep::SweepResult r = sweep::run_sweep(model, std::move(pts), n, opts);
+  for (std::size_t p = 0; p < n; ++p) {
+    Lane8 m;
+    for (std::size_t k = 0; k < 8; ++k) m[k] = r.moment(k, p);
+    lanes.push_back(m);
+    ok.push_back(r.ok[p]);
+  }
+}
+
+/// One lane's fit: its verdict and, on success, the model's bits.
+struct LaneFit {
+  health::FailClass fail = health::FailClass::kNone;
+  std::vector<std::complex<double>> poles, residues;
+  double dc_gain = 0.0;
+};
+
+/// Every lane fitted at `order` after time scaling by 2^j (moment k times
+/// 2^(-jk)), through fit_lanes (`block`) or a fit_lane per lane.
+std::vector<LaneFit> fit_scaled(const std::vector<Lane8>& lanes,
+                                const std::vector<unsigned char>& ok, std::size_t order,
+                                int j, bool block) {
+  const std::size_t n = lanes.size(), nm = 2 * order;
+  const RomOptions ropts{.order = order};
+  std::vector<double> soa(nm * n);
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t k = 0; k < nm; ++k)
+      soa[k * n + p] = std::ldexp(lanes[p][k], -j * static_cast<int>(k));
+  std::vector<LaneFit> fits(n);
+  FitScratch s(order);
+  if (block) {
+    RomSamples rs = nan_samples(n, order);
+    std::vector<health::FailClass> fail(n);
+    fit_lanes(soa, n, n, ok, ropts, s, rs, 0, fail);
+    for (std::size_t p = 0; p < n; ++p) {
+      fits[p].fail = fail[p];
+      if (fail[p] != health::FailClass::kNone) continue;
+      fits[p].poles.assign(&rs.poles[p * order], &rs.poles[p * order] + rs.order[p]);
+      fits[p].residues.assign(&rs.residues[p * order], &rs.residues[p * order] + rs.order[p]);
+      fits[p].dc_gain = rs.dc_gain[p];
+    }
+    return fits;
+  }
+  std::vector<double> lane(nm);
+  for (std::size_t p = 0; p < n; ++p) {
+    if (!ok[p]) continue;
+    for (std::size_t k = 0; k < nm; ++k) lane[k] = soa[k * n + p];
+    fits[p].fail = fit_lane(lane, ropts, s);
+    if (fits[p].fail != health::FailClass::kNone) continue;
+    fits[p].poles.assign(s.poles.begin(), s.poles.end());
+    fits[p].residues.assign(s.residues.begin(), s.residues.end());
+    fits[p].dc_gain = s.dc_gain;
+  }
+  return fits;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// `got` is `ref` time-scaled by 2^j exactly: the same verdict, poles and
+/// residues times 2^j, the same DC gain.
+bool scaled_exactly(const LaneFit& ref, const LaneFit& got, int j) {
+  const auto times = [j](std::complex<double> z) {
+    return std::complex<double>{std::ldexp(z.real(), j), std::ldexp(z.imag(), j)};
+  };
+  if (got.fail != ref.fail || got.poles.size() != ref.poles.size()) return false;
+  for (std::size_t i = 0; i < ref.poles.size(); ++i)
+    if (!same_bits(got.poles[i], times(ref.poles[i])) ||
+        !same_bits(got.residues[i], times(ref.residues[i])))
+      return false;
+  return same_bits(got.dc_gain, ref.dc_gain);
+}
+
+// Time scaling by 2^j, H(s) -> H(s 2^-j), multiplies moment k by 2^(-jk).
+// moment_scale then moves by exactly 2^j and scales nothing inexactly, so
+// the order-1 and order-2 fits are exactly equivariant, through fit_lanes
+// (the order-2 block path) and fit_lane alike: the same verdict, poles and
+// residues times 2^j, the same DC gain, for j in [-30, 30] on the 741 and
+// on the coupled-line crosstalk output (m0 == 0: one pair fewer counts,
+// and the mean exponent difference ties).  Orders 3 and 4, whose
+// companion eigensolve need not be equivariant, are only reported.
+TEST(FitLanes, PowerOfTwoTimeScalingIsExact) {
+  ASSERT_FALSE(health::failpoints::enabled());
+  std::vector<Lane8> lanes;
+  std::vector<unsigned char> ok;
+  const std::size_t per_circuit = 512;
+  {
+    const auto amp = circuits::make_opamp741();
+    const auto model = core::CompiledModel::build(
+        amp.netlist,
+        {circuits::Opamp741Circuit::kSymbolGout, circuits::Opamp741Circuit::kSymbolCcomp},
+        circuits::Opamp741Circuit::kInput, amp.out, {.order = 4});
+    const circuits::Opamp741Values nominal;
+    const std::vector<sweep::Distribution> dists{
+        sweep::Distribution::lognormal(nominal.gout_q14, 1.0),
+        sweep::Distribution::lognormal(nominal.c_comp, 1.0)};
+    add_sweep_lanes8(lanes, ok, model, sweep::sample_points(dists, per_circuit, 741),
+                     per_circuit);
+  }
+  {
+    circuits::CoupledLineValues v;
+    v.segments = 200;
+    const auto lines = circuits::make_coupled_lines(v);
+    const auto model = core::CompiledModel::build(
+        lines.netlist, {"rdrv1", "rdrv2", "cload1", "cload2"},
+        circuits::CoupledLinesCircuit::kInput, lines.line2_out, {.order = 4});
+    const std::vector<sweep::Distribution> dists{
+        sweep::Distribution::lognormal(v.r_driver, 0.5),
+        sweep::Distribution::lognormal(v.r_driver, 0.5),
+        sweep::Distribution::lognormal(v.c_load, 0.5),
+        sweep::Distribution::lognormal(v.c_load, 0.5)};
+    add_sweep_lanes8(lanes, ok, model, sweep::sample_points(dists, per_circuit, 200),
+                     per_circuit);
+  }
+  const std::size_t n = lanes.size();
+
+  // The crosstalk lanes have m0 == 0, and at order 2 some of them tie:
+  // an odd exponent difference over their two counted pairs.
+  std::size_t ties = 0;
+  for (std::size_t p = per_circuit; p < n; ++p) {
+    ASSERT_EQ(lanes[p][0], 0.0);
+    ties += ok[p] && (std::ilogb(lanes[p][1]) - std::ilogb(lanes[p][3])) % 2 != 0;
+  }
+  EXPECT_GT(ties, 0u);
+
+  for (std::size_t order = 1; order <= 4; ++order) {
+    for (const bool block : {true, false}) {
+      SCOPED_TRACE("order " + std::to_string(order) + (block ? " fit_lanes" : " fit_lane"));
+      const std::vector<LaneFit> ref = fit_scaled(lanes, ok, order, 0, block);
+      std::size_t fitted = 0;
+      for (const LaneFit& f : ref) fitted += f.fail == health::FailClass::kNone;
+      EXPECT_GE(fitted, n / 2);  // order 1 fits no crosstalk lane (m0 == 0)
+      std::size_t held = 0, shown = 0;
+      for (int j = -30; j <= 30; ++j) {
+        const std::vector<LaneFit> got = fit_scaled(lanes, ok, order, j, block);
+        for (std::size_t p = 0; p < n; ++p) {
+          if (scaled_exactly(ref[p], got[p], j)) {
+            ++held;
+          } else if (order <= 2 && shown++ < 5) {
+            ADD_FAILURE() << "lane " << p << " at j = " << j << " is not scaled exactly";
+          }
+        }
+      }
+      const std::size_t total = 61 * n;
+      if (order <= 2) {
+        EXPECT_EQ(held, total);
+      }
+      std::printf("order %zu %-9s: %zu of %zu scaled lanes exact\n", order,
+                  block ? "fit_lanes" : "fit_lane", held, total);
+    }
+  }
+}
+
+// moment_scale: a power of two that moves by exactly 2^j under time
+// scaling (a subnormal moment included), and on non-finite moments the
+// class (NaN, +inf, 0 or finite) of the geometric mean
+// exp(mean log|m_k/m_{k+1}|) it replaced.
+TEST(Pade, MomentScaleIsAnExactPowerOfTwo) {
+  const std::vector<std::vector<double>> lanes{
+      {1.0, -3e-6, 2e-11, -7e-17},
+      {0.0, 5e-9, -4e-17, 1e-25},
+      {1.0, 1.0, 1.0, 1.0},
+      {0x1p-1070 * 3.0, 0x1p-1000, 1e-290, 2e-280},
+      {2.5, 0.0, 3.0, 1e-9},
+  };
+  for (const auto& m : lanes) {
+    const double w0 = moment_scale(m);
+    int e = 0;
+    EXPECT_EQ(std::frexp(w0, &e), 0.5);
+    for (int j = -30; j <= 30; ++j) {
+      std::vector<double> scaled(m.size());
+      for (std::size_t k = 0; k < m.size(); ++k)
+        scaled[k] = std::ldexp(m[k], -j * static_cast<int>(k));
+      EXPECT_EQ(moment_scale(scaled), std::ldexp(w0, j)) << m[0] << " j = " << j;
+    }
+  }
+  EXPECT_EQ(moment_scale(std::vector<double>{0.0, 1.0, 0.0, 5.0}), 1.0);  // no pair counts
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0, -0.0, 1.5, -3.0, 1e-5, inf, -inf, std::nan("")};
+  const auto kind = [](double w) {
+    return std::isnan(w) ? 0 : std::isinf(w) ? 1 : w == 0 ? 2 : 3;
+  };
+  std::size_t non_finite = 0;
+  for (const double a : values)
+    for (const double b : values)
+      for (const double c : values)
+        for (const double d : values) {
+          const std::vector<double> m{a, b, c, d};
+          double sum = 0.0;
+          std::size_t n = 0;
+          for (std::size_t k = 0; k < 3; ++k)
+            if (m[k] != 0.0 && m[k + 1] != 0.0) {
+              sum += std::log(std::abs(m[k] / m[k + 1]));
+              ++n;
+            }
+          const double geometric = n == 0 ? 1.0 : std::exp(sum / static_cast<double>(n));
+          non_finite += !std::isfinite(geometric) || geometric == 0.0;
+          EXPECT_EQ(kind(moment_scale(m)), kind(geometric))
+              << a << " " << b << " " << c << " " << d;
+        }
+  EXPECT_GT(non_finite, 0u);
 }
 
 // fit_lanes rejects, like pade_solve_batch, the shapes it would index out
