@@ -307,12 +307,13 @@ BENCHMARK(BM_BuildIncrementalEdit)->Unit(benchmark::kMillisecond);
 // O(model size).
 //
 // The fixture deliberately carries the sections a moments-only first
-// batch never touches — the gradient stream, the strict stream, and the
-// serialized symbolic closed forms — because that asymmetry IS the
+// batch never touches — the gradient stream and the serialized symbolic
+// closed forms — because that asymmetry IS the
 // measured claim: the stream loader reads and checksums all of them,
 // while the mmap open bounds-checks their section table entries and never
 // faults their pages.  Ten symbols over a 200-segment coupled pair puts
-// the blob near a megabyte, far past the fixed open/validate overheads.
+// the blob near half a megabyte, far past the fixed open/validate
+// overheads.
 
 struct OpenFixture {
   std::string dir;

@@ -1,19 +1,16 @@
 // Sweep-engine scaling: points/sec of the parallel batched sweep vs the
 // scalar per-point loop on a Monte-Carlo-sized point set (the paper's
-// repeated-evaluation workload at statistical-analysis scale), in both
-// interpreter modes — kStrict (unfused, bit-reproducible) and kFast (the
-// peephole-fused stream).
+// repeated-evaluation workload at statistical-analysis scale).
 //
 // Methodology (documented in DESIGN.md "Batch and parallel evaluation"):
 // the baseline is the best the PRE-ENGINE code could do — a single-thread
 // loop over CompiledModel::moments_at with a reused Workspace, i.e.
 // allocation-free but scalar and serial.  The engine rows then isolate
-// three effects: batch width (SoA interpreter, 1 thread), thread count
-// (static-chunked pool at the best width), and fusion (kFast vs kStrict at
-// identical geometry — the fused-vs-unfused series).
+// two effects: batch width (SoA interpreter, 1 thread) and thread count
+// (static-chunked pool at the best width).
 //
 // Perf-CI contract: every registered google-benchmark case exports a
-// `norm_ops_per_s` counter = points/sec x strict-stream instruction count.
+// `norm_ops_per_s` counter = points/sec x instruction count.
 // That is the work rate in *model operations*, normalized so the number is
 // comparable across PRs even when the compiled program's length changes;
 // bench/check_bench_gate.py gates it against BENCH_baseline.json.
@@ -87,12 +84,10 @@ double scalar_loop_seconds(const core::CompiledModel& model,
 }
 
 double sweep_seconds(const core::CompiledModel& model, const std::vector<double>& pts,
-                     std::size_t n, std::size_t threads, std::size_t width,
-                     core::EvalMode mode) {
+                     std::size_t n, std::size_t threads, std::size_t width) {
   sweep::SweepOptions opts;
   opts.threads = threads;
   opts.batch_width = width;
-  opts.mode = mode;
   return benchutil::time_median(3, [&] {
     const auto res = sweep::run_sweep(model, pts, n, opts);
     benchmark::DoNotOptimize(res.moment_stats[0].mean);
@@ -106,43 +101,35 @@ void print_scaling_table() {
 
   std::printf("== Sweep scaling: %zu-point Monte Carlo over the 741 model ==\n", kPoints);
   std::printf(
-      "   (%zu strict / %zu fused instructions, %zu registers per point; "
-      "hardware threads: %u)\n\n",
-      model.instruction_count(), model.fused_instruction_count(), model.register_count(),
+      "   (%zu instructions, %zu registers per point; hardware threads: %u)\n\n",
+      model.instruction_count(), model.register_count(),
       std::thread::hardware_concurrency());
 
   const double t_scalar = scalar_loop_seconds(model, pts, kPoints);
   benchutil::print_time("scalar per-point loop (baseline)", t_scalar);
   std::printf("%-44s %10.0f pts/s\n\n", "baseline throughput", n / t_scalar);
 
-  for (const auto mode : {core::EvalMode::kStrict, core::EvalMode::kFast}) {
-    const char* tag = mode == core::EvalMode::kStrict ? "strict (unfused)" : "fast (fused)";
-    std::printf("batch width sweep, 1 thread, %s:\n", tag);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{8}, std::size_t{64},
-                                    std::size_t{256}}) {
-      const double t = sweep_seconds(model, pts, kPoints, 1, width, mode);
-      std::printf("  width %4zu  %10.0f pts/s  %6.2fx vs scalar\n", width, n / t,
-                  t_scalar / t);
-    }
-    std::printf("\n");
+  std::printf("batch width sweep, 1 thread:\n");
+  for (const std::size_t width : {std::size_t{1}, std::size_t{8}, std::size_t{64},
+                                  std::size_t{256}}) {
+    const double t = sweep_seconds(model, pts, kPoints, 1, width);
+    std::printf("  width %4zu  %10.0f pts/s  %6.2fx vs scalar\n", width, n / t,
+                t_scalar / t);
   }
+  std::printf("\n");
 
-  std::printf("fused-vs-unfused at batch width 64 (the perf-CI headline):\n");
+  std::printf("thread scaling at batch width 64:\n");
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                     std::size_t{8}}) {
-    const double ts = sweep_seconds(model, pts, kPoints, threads, 64,
-                                    core::EvalMode::kStrict);
-    const double tf = sweep_seconds(model, pts, kPoints, threads, 64,
-                                    core::EvalMode::kFast);
-    std::printf(
-        "  threads %2zu  strict %10.0f pts/s   fast %10.0f pts/s   fast/strict %5.2fx\n",
-        threads, n / ts, n / tf, ts / tf);
+    const double t = sweep_seconds(model, pts, kPoints, threads, 64);
+    std::printf("  threads %2zu  %10.0f pts/s  %6.2fx vs scalar\n", threads, n / t,
+                t_scalar / t);
   }
   std::printf("\n");
 }
 
 /// Instruction-count-normalized work-rate counter shared by every case:
-/// points/sec x strict instruction count = compiled model operations/sec.
+/// points/sec x instruction count = compiled model operations/sec.
 /// The perf gate compares THIS, not wall time, so a change to the program
 /// length (more moments, deeper Horner) rescales the counter rather than
 /// masquerading as an interpreter regression.
@@ -181,7 +168,6 @@ void BM_SweepEngine(benchmark::State& state) {
   sweep::SweepOptions opts;
   opts.threads = static_cast<std::size_t>(state.range(0));
   opts.batch_width = static_cast<std::size_t>(state.range(1));
-  opts.mode = state.range(2) ? core::EvalMode::kFast : core::EvalMode::kStrict;
   sweep::ThreadPool pool(opts.threads);
   opts.pool = &pool;
   std::uint64_t degraded = 0;
@@ -200,17 +186,12 @@ void BM_SweepEngine(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(degraded));
 }
 BENCHMARK(BM_SweepEngine)
-    ->ArgNames({"threads", "width", "fast"})
-    ->Args({1, 64, 0})
-    ->Args({1, 64, 1})
-    ->Args({2, 64, 0})
-    ->Args({2, 64, 1})
-    ->Args({4, 64, 0})
-    ->Args({4, 64, 1})
-    ->Args({4, 8, 0})
-    ->Args({4, 8, 1})
-    ->Args({4, 256, 0})
-    ->Args({4, 256, 1})
+    ->ArgNames({"threads", "width"})
+    ->Args({1, 64})
+    ->Args({2, 64})
+    ->Args({4, 64})
+    ->Args({4, 8})
+    ->Args({4, 256})
     ->Unit(benchmark::kMillisecond);
 
 /// Gradient-sweep overhead rows (DESIGN.md §14): the same Monte-Carlo
@@ -226,7 +207,6 @@ void BM_SweepGradients(benchmark::State& state) {
   sweep::SweepOptions opts;
   opts.threads = static_cast<std::size_t>(state.range(0));
   opts.batch_width = static_cast<std::size_t>(state.range(1));
-  opts.mode = state.range(2) ? core::EvalMode::kFast : core::EvalMode::kStrict;
   opts.gradients = true;
   sweep::ThreadPool pool(opts.threads);
   opts.pool = &pool;
@@ -238,7 +218,7 @@ void BM_SweepGradients(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
   // pts_per_s feeds the dominance gate against the forward row.  The
-  // normalized work rate uses the GRADIENT stream's strict instruction
+  // normalized work rate uses the GRADIENT stream's instruction
   // count — the row measures the gradient interpreter's op throughput, so
   // a longer adjoint stream must rescale the counter, not look like a
   // regression.
@@ -250,9 +230,8 @@ void BM_SweepGradients(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SweepGradients)
-    ->ArgNames({"threads", "width", "fast"})
-    ->Args({4, 64, 0})
-    ->Args({4, 64, 1})
+    ->ArgNames({"threads", "width"})
+    ->Args({4, 64})
     ->Unit(benchmark::kMillisecond);
 
 /// The order-2 ROM fit by itself (DESIGN.md §7): engine::fit_lanes over a

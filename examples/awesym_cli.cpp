@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
           cli::text("--cache-dir", "DIR", build_opts.cache_dir,
                     "build through the persistent model cache under DIR"),
           cli::flag("--mmap", build_opts.map_model,
-                    "with --cache-dir: mmap a v4 cache hit in place"),
+                    "with --cache-dir: mmap a v5 cache hit in place"),
           cli::text("--shm", "NAME", shm_name,
                     "evaluate through a shared-memory model store (/NAME.g1)"),
           cli::text("--dump-moments", "FILE", dump_moments,
@@ -273,8 +273,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(h.points_ok),
                   static_cast<unsigned long long>(h.points_degraded),
                   static_cast<unsigned long long>(h.points_quarantined));
-      std::printf("  ladder: %llu strict re-evals, %llu order fallbacks, %llu shifted refits\n",
-                  static_cast<unsigned long long>(h.strict_reevals),
+      std::printf("  ladder: %llu order fallbacks, %llu shifted refits\n",
                   static_cast<unsigned long long>(h.order_fallbacks),
                   static_cast<unsigned long long>(h.shifted_refits));
       if (sr.dc_gain_stats && sr.dc_gain_stats->count > 0)
@@ -286,7 +285,7 @@ int main(int argc, char** argv) {
         // flag and every raw moment at full precision.  %.17g round-trips
         // IEEE doubles exactly, so bit-identical moments produce
         // byte-identical dumps — across thread counts and heap/mmap/shm
-        // backings (strict mode).
+        // backings.
         std::FILE* out =
             dump_moments == "-" ? stdout : std::fopen(dump_moments.c_str(), "w");
         if (!out) throw std::runtime_error("cannot write " + dump_moments);

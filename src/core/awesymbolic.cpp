@@ -105,7 +105,7 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
     cache_key = model_cache_key(netlist, symbol_elements, input_source, outs, opts);
     const std::string path = ModelCache::entry_path(build_opts.cache_dir, cache_key);
     // map_model mmap-opens a hit in place (O(pages touched)) instead of
-    // stream-reading it; a corrupt or pre-v4 entry is quarantined and
+    // stream-reading it; a corrupt or pre-v5 entry is quarantined and
     // rebuilt exactly as on the stream path.
     auto cached = build_opts.map_model ? ModelCache::map_file(path, &cache_quarantined)
                                        : ModelCache::load_file(path, &cache_quarantined);
@@ -162,7 +162,7 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
   return model;
 }
 
-// ---- model format v4: zero-copy open (DESIGN.md §15) ---------------------
+// ---- model format v5: zero-copy open (DESIGN.md §15) ---------------------
 
 CompiledModel CompiledModel::from_blob(std::shared_ptr<const ModelBlob> blob,
                                        bool verify_checksum) {
@@ -170,7 +170,7 @@ CompiledModel CompiledModel::from_blob(std::shared_ptr<const ModelBlob> blob,
   if (verify_checksum && !view.verify_checksum())
     throw health::FailError(health::FailClass::kCacheCorrupt,
                             "CompiledModel::load: payload checksum mismatch");
-  const v4::Meta& meta = view.meta();
+  const v5::Meta& meta = view.meta();
   if (meta.order == 0 || meta.order > (1u << 16))
     throw std::runtime_error("CompiledModel::load: bad model order");
 
@@ -186,7 +186,7 @@ CompiledModel CompiledModel::from_blob(std::shared_ptr<const ModelBlob> blob,
   sym.port_count = static_cast<std::size_t>(meta.port_count);
   sym.global_dim = static_cast<std::size_t>(meta.global_dim);
   sym.symbols.reserve(view.symbols().size());
-  for (const v4::SymbolEntry& s : view.symbols()) {
+  for (const v5::SymbolEntry& s : view.symbols()) {
     part::SymbolSpec spec;
     spec.element_index = static_cast<std::size_t>(s.element_index);
     spec.name = std::string(view.symbol_name(s));
@@ -318,7 +318,7 @@ BatchWorkspace CompiledModel::make_batch_workspace(std::size_t width) const {
 void CompiledModel::moments_batch(std::span<const double> element_values, std::size_t stride,
                                   std::size_t count, BatchWorkspace& ws,
                                   std::span<double> moments_out, std::size_t out_stride,
-                                  std::span<unsigned char> ok, EvalMode mode) const {
+                                  std::span<unsigned char> ok) const {
   if (count == 0) return;
   const std::size_t nsym = sym_.symbols.size();
   const std::size_t nm = moment_count();
@@ -336,7 +336,7 @@ void CompiledModel::moments_batch(std::span<const double> element_values, std::s
                                        program_.output_count() * count),
                      std::span<double>(ws.registers.data(),
                                        program_.register_count() * count),
-                     count, mode);
+                     count);
   const double* const det = ws.program_outputs.data() + nm * count;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   for (std::size_t p = 0; p < count; ++p) {
@@ -432,8 +432,8 @@ BatchWorkspace CompiledModel::make_gradient_batch_workspace(std::size_t width) c
 void CompiledModel::moments_and_gradients_batch(
     std::span<const double> element_values, std::size_t stride, std::size_t count,
     BatchWorkspace& ws, std::span<double> moments_out, std::size_t out_stride,
-    std::span<double> grads_out, std::size_t grad_stride, std::span<unsigned char> ok,
-    EvalMode mode) const {
+    std::span<double> grads_out, std::size_t grad_stride,
+    std::span<unsigned char> ok) const {
   if (!grad_program_)
     throw std::logic_error(
         "CompiledModel: build with ModelOptions::with_gradients for gradients");
@@ -457,7 +457,7 @@ void CompiledModel::moments_and_gradients_batch(
       std::span<const double>(ws.symbol_values.data(), nsym * count),
       std::span<double>(ws.program_outputs.data(), grad_program_->output_count() * count),
       std::span<double>(ws.registers.data(), grad_program_->register_count() * count),
-      count, mode);
+      count);
 
   const double* const det = ws.program_outputs.data() + nm * count;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -639,7 +639,7 @@ void MultiOutputModel::moments_batch(std::span<const double> element_values,
                                      std::size_t stride, std::size_t count,
                                      BatchWorkspace& ws, std::span<double> moments_out,
                                      std::size_t out_stride,
-                                     std::span<unsigned char> ok, EvalMode mode) const {
+                                     std::span<unsigned char> ok) const {
   if (count == 0) return;
   const std::size_t nsym = sym_.symbols.size();
   const std::size_t nm = moment_count();
@@ -658,7 +658,7 @@ void MultiOutputModel::moments_batch(std::span<const double> element_values,
                      std::span<double>(ws.program_outputs.data(),
                                        program_.output_count() * count),
                      std::span<double>(ws.registers.data(), program_.register_count() * count),
-                     count, mode);
+                     count);
   const double* const det = ws.program_outputs.data() + nout * nm * count;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   for (std::size_t p = 0; p < count; ++p) {

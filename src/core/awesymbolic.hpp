@@ -31,11 +31,6 @@ class ThreadPool;
 
 namespace awe::core {
 
-/// Numeric contract of the batched interpreter (re-exported from
-/// symbolic::EvalMode): kStrict is bit-identical to the scalar path,
-/// kFast runs the peephole-fused stream within a small ULP bound.
-using symbolic::EvalMode;
-
 /// Structure-of-arrays scratch for batched evaluation: `width` points per
 /// lane-block, arrays sized field_count * width with lane stride equal to
 /// the block's point count.  Built by make_batch_workspace(); one per
@@ -92,10 +87,10 @@ struct BuildOptions {
   /// derive <cache_dir>/blocks when `incremental` is set.
   std::string partition_block_dir;
   /// When set (requires cache_dir): satisfy a warm cache hit by
-  /// mmap-opening the v4 entry in place (CompiledModel::map_file) instead
+  /// mmap-opening the v5 entry in place (CompiledModel::map_file) instead
   /// of stream-parsing it — O(pages touched) instead of O(model size).
   /// Evaluation results are bit-identical either way (asserted by the
-  /// determinism matrix's backing rows); a corrupt or pre-v4 entry is
+  /// determinism matrix's backing rows); a corrupt or pre-v5 entry is
   /// quarantined and rebuilt exactly as on the parsing path.
   bool map_model = false;
 };
@@ -156,14 +151,11 @@ class CompiledModel {
   /// moment k of point p lands in moments_out[k*out_stride + p].  ok[p]
   /// (size count) is set to 0 — and the point's moments to NaN — exactly
   /// where the scalar moments_at() would throw (zero resistance value or
-  /// vanishing det(Y0)); in EvalMode::kStrict every other lane is
-  /// bit-identical to the scalar path, in EvalMode::kFast it is within the
-  /// fused interpreter's ULP bound.  Thread-safe for concurrent callers
-  /// with distinct workspaces.
+  /// vanishing det(Y0)); every other lane is bit-identical to the scalar
+  /// path.  Thread-safe for concurrent callers with distinct workspaces.
   void moments_batch(std::span<const double> element_values, std::size_t stride,
                      std::size_t count, BatchWorkspace& ws, std::span<double> moments_out,
-                     std::size_t out_stride, std::span<unsigned char> ok,
-                     EvalMode mode = EvalMode::kStrict) const;
+                     std::size_t out_stride, std::span<unsigned char> ok) const;
 
   /// Full evaluation: compiled moments -> Padé -> reduced-order model.
   engine::ReducedOrderModel evaluate(std::span<const double> element_values) const;
@@ -192,7 +184,7 @@ class CompiledModel {
   /// point p lands at grads_out[(i*moment_count() + k)*grad_stride + p],
   /// chain-ruled to ELEMENT values (reciprocal symbols included) exactly
   /// as moments_and_gradients().  Failed lanes (ok[p] == 0) get NaN
-  /// moments and gradients.  In EvalMode::kStrict every lane is
+  /// moments and gradients.  Every lane is
   /// bit-identical to the scalar moments_and_gradients() regardless of
   /// count or thread.  Requires with_gradients (throws
   /// std::logic_error otherwise).
@@ -200,8 +192,8 @@ class CompiledModel {
                                    std::size_t stride, std::size_t count,
                                    BatchWorkspace& ws, std::span<double> moments_out,
                                    std::size_t out_stride, std::span<double> grads_out,
-                                   std::size_t grad_stride, std::span<unsigned char> ok,
-                                   EvalMode mode = EvalMode::kStrict) const;
+                                   std::size_t grad_stride,
+                                   std::span<unsigned char> ok) const;
 
   /// Reference (uncompiled) moment evaluation — term-by-term polynomial
   /// evaluation; used by tests and the compilation ablation bench.
@@ -223,9 +215,11 @@ class CompiledModel {
 
   // -- program statistics (the "reduced set of operations") -------------
   std::size_t instruction_count() const { return program_.instruction_count(); }
-  std::size_t fused_instruction_count() const { return program_.fused_instruction_count(); }
+  /// Alias of instruction_count(); its only caller is the benchmark's
+  /// symbolic.fused_instructions row (perfbench/src/workload.cpp).
+  std::size_t fused_instruction_count() const { return instruction_count(); }
   std::size_t register_count() const { return program_.register_count(); }
-  /// Strict-stream length of the reverse-mode gradient program (0 when the
+  /// Instruction count of the reverse-mode gradient program (0 when the
   /// model was built without gradients) — the work-rate normalizer for the
   /// gradient-sweep bench rows.
   std::size_t gradient_instruction_count() const {
@@ -249,15 +243,15 @@ class CompiledModel {
   void save(std::ostream& os) const;
   /// The bytes save() writes.
   std::string pack() const;
-  /// Reads the v4 blob whole into an aligned buffer and opens it like
+  /// Reads the v5 blob whole into an aligned buffer and opens it like
   /// from_blob(verify_checksum=true).  Throws std::runtime_error on
   /// truncated input, FailError(kModelFormat) on any format version but
-  /// v4, and FailError(kCacheCorrupt) when the payload checksum does not
+  /// v5, and FailError(kCacheCorrupt) when the payload checksum does not
   /// match (bit damage on otherwise well-formed bytes).  The cache layer
   /// turns any of these into quarantine + miss.
   static CompiledModel load(std::istream& is);
 
-  /// Open a v4 blob IN PLACE: structural validation + program views over
+  /// Open a v5 blob IN PLACE: structural validation + program views over
   /// the region, no stream parsing, no per-instruction allocation.  The
   /// blob is pinned by the returned model (and all its copies) via
   /// shared_ptr.  `verify_checksum` additionally recomputes the payload
@@ -309,7 +303,7 @@ class CompiledModel {
   /// time).  One run yields moments and all gradients.
   std::optional<symbolic::CompiledProgram> grad_program_;
   ModelOptions opts_;
-  /// v4 region this model executes out of (null for built/parsed models).
+  /// v5 region this model executes out of (null for built/parsed models).
   /// Keeps the mapped/shared pages alive for as long as any copy of the
   /// model exists — the hot-swap retirement contract of SharedModelStore.
   std::shared_ptr<const ModelBlob> blob_;
@@ -361,8 +355,7 @@ class MultiOutputModel {
   /// moments_out[(o*moment_count() + k)*out_stride + p].
   void moments_batch(std::span<const double> element_values, std::size_t stride,
                      std::size_t count, BatchWorkspace& ws, std::span<double> moments_out,
-                     std::size_t out_stride, std::span<unsigned char> ok,
-                     EvalMode mode = EvalMode::kStrict) const;
+                     std::size_t out_stride, std::span<unsigned char> ok) const;
 
  private:
   MultiOutputModel(part::MultiSymbolicMoments sym, symbolic::CompiledProgram program,

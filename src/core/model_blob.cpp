@@ -1,4 +1,4 @@
-// Model format v4 packing, validation and region backings (DESIGN.md §15).
+// Model format v5 packing, validation and region backings (DESIGN.md §15).
 #include "core/model_blob.hpp"
 
 #include <fcntl.h>
@@ -33,7 +33,7 @@ constexpr std::uint32_t kMaxSections = 64;
 
 std::size_t align_up(std::size_t n) { return (n + (kAlign - 1)) & ~(kAlign - 1); }
 
-/// The v4 format is little-endian by definition; a big-endian host would
+/// The format is little-endian by definition; a big-endian host would
 /// reinterpret every multi-byte field wrong, so it must fail loudly with a
 /// classified error instead of loading a plausible-but-wrong model.
 void require_little_endian_host(const char* who) {
@@ -43,17 +43,17 @@ void require_little_endian_host(const char* who) {
   if (std::endian::native != std::endian::little)
     throw health::FailError(health::FailClass::kModelFormat,
                             std::string(who) +
-                                ": model format v4 requires a little-endian host");
+                                ": model format v5 requires a little-endian host");
 }
 
 void append_zeros(std::string& out, std::size_t n) { out.append(n, '\0'); }
 
 void pad_to(std::string& out, std::size_t offset) {
-  if (out.size() > offset) throw std::logic_error("pack_model_v4: layout overflow");
+  if (out.size() > offset) throw std::logic_error("pack_model_v5: layout overflow");
   append_zeros(out, offset - out.size());
 }
 
-/// Emit one instruction as exactly 20 bytes at the static_assert-pinned
+/// Emit one instruction as exactly 16 bytes at the static_assert-pinned
 /// field offsets, padding bytes explicitly zeroed — memcpy of the struct
 /// would leak indeterminate padding and break byte-determinism.
 void append_instr(std::string& out, const Instr& in) {
@@ -62,12 +62,11 @@ void append_instr(std::string& out, const Instr& in) {
   std::memcpy(b + offsetof(Instr, dst), &in.dst, 4);
   std::memcpy(b + offsetof(Instr, a), &in.a, 4);
   std::memcpy(b + offsetof(Instr, b), &in.b, 4);
-  std::memcpy(b + offsetof(Instr, c), &in.c, 4);
   out.append(b, sizeof(Instr));
 }
 
 struct SectionPlan {
-  v4::SectionKind kind;
+  v5::SectionKind kind;
   std::uint64_t size = 0;
   std::uint64_t offset = 0;
 };
@@ -204,33 +203,33 @@ ModelView ModelView::open(std::span<const std::byte> region) {
   if (reinterpret_cast<std::uintptr_t>(region.data()) % kAlign != 0)
     throw health::FailError(health::FailClass::kModelFormat,
                             "ModelView::open: model region not 64-byte aligned");
-  if (region.size() < sizeof(v4::Header)) bad("truncated payload");
+  if (region.size() < sizeof(v5::Header)) bad("truncated payload");
 
   ModelView view;
-  const auto* header = reinterpret_cast<const v4::Header*>(region.data());
+  const auto* header = reinterpret_cast<const v5::Header*>(region.data());
   if (std::memcmp(header->magic, "AWEM", 4) != 0) bad("bad magic");
   check_format_version(header->version);
   if (header->endian_tag != 1)
     throw health::FailError(health::FailClass::kModelFormat,
                             "ModelView::open: model endianness mismatch");
-  if (header->total_size < sizeof(v4::Header) || header->total_size > region.size())
+  if (header->total_size < sizeof(v5::Header) || header->total_size > region.size())
     bad("truncated payload");
   if (header->section_count == 0 || header->section_count > kMaxSections)
     bad("bad section table");
   const std::uint64_t table_end =
-      sizeof(v4::Header) +
-      std::uint64_t{header->section_count} * sizeof(v4::SectionEntry);
+      sizeof(v5::Header) +
+      std::uint64_t{header->section_count} * sizeof(v5::SectionEntry);
   if (table_end > header->total_size) bad("bad section table");
 
   view.region_ = region.first(static_cast<std::size_t>(header->total_size));
   view.header_ = header;
   const auto* table =
-      reinterpret_cast<const v4::SectionEntry*>(region.data() + sizeof(v4::Header));
+      reinterpret_cast<const v5::SectionEntry*>(region.data() + sizeof(v5::Header));
 
   // Resolve each kind at most once, bounds-checked.
-  const v4::SectionEntry* by_kind[kMaxSections + 1] = {};
+  const v5::SectionEntry* by_kind[kMaxSections + 1] = {};
   for (std::uint32_t i = 0; i < header->section_count; ++i) {
-    const v4::SectionEntry& e = table[i];
+    const v5::SectionEntry& e = table[i];
     if (e.kind == 0 || e.kind > kMaxSections) bad("unknown section kind");
     if (by_kind[e.kind] != nullptr) bad("duplicate section");
     if (e.offset % kAlign != 0 || e.offset < table_end) bad("misaligned section");
@@ -238,122 +237,114 @@ ModelView ModelView::open(std::span<const std::byte> region) {
       bad("section out of bounds");
     by_kind[e.kind] = &e;
   }
-  auto require = [&](v4::SectionKind k) -> const v4::SectionEntry& {
-    const v4::SectionEntry* e = by_kind[static_cast<std::uint32_t>(k)];
+  auto require = [&](v5::SectionKind k) -> const v5::SectionEntry& {
+    const v5::SectionEntry* e = by_kind[static_cast<std::uint32_t>(k)];
     if (e == nullptr) bad("missing section");
     return *e;
   };
-  auto section = [&](const v4::SectionEntry& e) -> std::span<const std::byte> {
+  auto section = [&](const v5::SectionEntry& e) -> std::span<const std::byte> {
     return view.region_.subspan(static_cast<std::size_t>(e.offset),
                                 static_cast<std::size_t>(e.size));
   };
 
   // Meta.
-  const v4::SectionEntry& meta_e = require(v4::SectionKind::kMeta);
-  if (meta_e.size != sizeof(v4::Meta)) bad("bad meta section");
-  view.meta_ = reinterpret_cast<const v4::Meta*>(section(meta_e).data());
-  const v4::Meta& meta = *view.meta_;
+  const v5::SectionEntry& meta_e = require(v5::SectionKind::kMeta);
+  if (meta_e.size != sizeof(v5::Meta)) bad("bad meta section");
+  view.meta_ = reinterpret_cast<const v5::Meta*>(section(meta_e).data());
+  const v5::Meta& meta = *view.meta_;
   const bool flag_grad = (header->flags & kFlagHasGradient) != 0;
   if (flag_grad != (meta.with_gradients != 0)) bad("gradient flag mismatch");
 
   // Symbols + strings.
-  const v4::SectionEntry& sym_e = require(v4::SectionKind::kSymbols);
-  const v4::SectionEntry& str_e = require(v4::SectionKind::kStrings);
-  if (sym_e.size != meta.symbol_count * sizeof(v4::SymbolEntry))
+  const v5::SectionEntry& sym_e = require(v5::SectionKind::kSymbols);
+  const v5::SectionEntry& str_e = require(v5::SectionKind::kStrings);
+  if (sym_e.size != meta.symbol_count * sizeof(v5::SymbolEntry))
     bad("bad symbol section");
-  view.symbols_ = {reinterpret_cast<const v4::SymbolEntry*>(section(sym_e).data()),
+  view.symbols_ = {reinterpret_cast<const v5::SymbolEntry*>(section(sym_e).data()),
                    static_cast<std::size_t>(meta.symbol_count)};
   view.strings_ = std::string_view(
       reinterpret_cast<const char*>(section(str_e).data()),
       static_cast<std::size_t>(str_e.size));
-  for (const v4::SymbolEntry& s : view.symbols_) {
+  for (const v5::SymbolEntry& s : view.symbols_) {
     if (std::uint64_t{s.name_offset} + s.name_length > str_e.size)
       bad("symbol name out of bounds");
   }
 
   // Program sections -> executable views.
-  auto code_span = [&](v4::SectionKind k) -> std::span<const Instr> {
-    const v4::SectionEntry& e = require(k);
+  auto code_span = [&](v5::SectionKind k) -> std::span<const Instr> {
+    const v5::SectionEntry& e = require(k);
     if (e.size % sizeof(Instr) != 0) bad("bad instruction section");
     return {reinterpret_cast<const Instr*>(section(e).data()),
             static_cast<std::size_t>(e.size / sizeof(Instr))};
   };
-  auto f64_span = [&](v4::SectionKind k) -> std::span<const double> {
-    const v4::SectionEntry& e = require(k);
+  auto f64_span = [&](v5::SectionKind k) -> std::span<const double> {
+    const v5::SectionEntry& e = require(k);
     if (e.size % sizeof(double) != 0) bad("bad constant section");
     return {reinterpret_cast<const double*>(section(e).data()),
             static_cast<std::size_t>(e.size / sizeof(double))};
   };
-  auto u32_span = [&](v4::SectionKind k) -> std::span<const std::uint32_t> {
-    const v4::SectionEntry& e = require(k);
+  auto u32_span = [&](v5::SectionKind k) -> std::span<const std::uint32_t> {
+    const v5::SectionEntry& e = require(k);
     if (e.size % sizeof(std::uint32_t) != 0) bad("bad output section");
     return {reinterpret_cast<const std::uint32_t*>(section(e).data()),
             static_cast<std::size_t>(e.size / sizeof(std::uint32_t))};
   };
 
   view.program_ = symbolic::ProgramCode{
-      code_span(v4::SectionKind::kStrictCode),
-      code_span(v4::SectionKind::kFusedCode),
-      f64_span(v4::SectionKind::kConstants),
-      u32_span(v4::SectionKind::kOutputRegs),
-      u32_span(v4::SectionKind::kFusedOutputRegs),
+      code_span(v5::SectionKind::kCode),
+      f64_span(v5::SectionKind::kConstants),
+      u32_span(v5::SectionKind::kOutputRegs),
       static_cast<std::size_t>(meta.prog_input_count),
       static_cast<std::size_t>(meta.prog_register_count)};
   if (flag_grad) {
     view.gradient_ = symbolic::ProgramCode{
-        code_span(v4::SectionKind::kGradStrictCode),
-        code_span(v4::SectionKind::kGradFusedCode),
-        f64_span(v4::SectionKind::kGradConstants),
-        u32_span(v4::SectionKind::kGradOutputRegs),
-        u32_span(v4::SectionKind::kGradFusedOutputRegs),
+        code_span(v5::SectionKind::kGradCode),
+        f64_span(v5::SectionKind::kGradConstants),
+        u32_span(v5::SectionKind::kGradOutputRegs),
         static_cast<std::size_t>(meta.grad_input_count),
         static_cast<std::size_t>(meta.grad_register_count)};
-  } else if (by_kind[static_cast<std::uint32_t>(v4::SectionKind::kGradStrictCode)]) {
+  } else if (by_kind[static_cast<std::uint32_t>(v5::SectionKind::kGradCode)]) {
     bad("gradient flag mismatch");
   }
 
-  view.symbolics_ = section(require(v4::SectionKind::kSymbolics));
+  view.symbolics_ = section(require(v5::SectionKind::kSymbolics));
   return view;
 }
 
 bool ModelView::verify_checksum() const {
-  const std::span<const std::byte> payload = region_.subspan(sizeof(v4::Header));
+  const std::span<const std::byte> payload = region_.subspan(sizeof(v5::Header));
   return fnv1a64(payload.data(), payload.size()) == header_->checksum;
 }
 
 // ---- packing ------------------------------------------------------------
 
-std::string pack_model_v4(const PackInput& in) {
-  require_little_endian_host("pack_model_v4");
+std::string pack_model_v5(const PackInput& in) {
+  require_little_endian_host("pack_model_v5");
 
   std::vector<SectionPlan> plan;
-  plan.push_back({v4::SectionKind::kMeta, sizeof(v4::Meta)});
-  plan.push_back({v4::SectionKind::kSymbols,
-                  in.symbols.size() * sizeof(v4::SymbolEntry)});
+  plan.push_back({v5::SectionKind::kMeta, sizeof(v5::Meta)});
+  plan.push_back({v5::SectionKind::kSymbols,
+                  in.symbols.size() * sizeof(v5::SymbolEntry)});
   std::uint64_t strings_size = 0;
   for (const part::SymbolSpec& s : in.symbols) strings_size += s.name.size();
-  plan.push_back({v4::SectionKind::kStrings, strings_size});
+  plan.push_back({v5::SectionKind::kStrings, strings_size});
 
   auto plan_program = [&](const symbolic::ProgramCode& p, bool gradient) {
     const auto base = static_cast<std::uint32_t>(
-        gradient ? v4::SectionKind::kGradStrictCode : v4::SectionKind::kStrictCode);
-    plan.push_back({static_cast<v4::SectionKind>(base + 0),
-                    p.strict.size() * sizeof(Instr)});
-    plan.push_back({static_cast<v4::SectionKind>(base + 1),
-                    p.fused.size() * sizeof(Instr)});
-    plan.push_back({static_cast<v4::SectionKind>(base + 2),
+        gradient ? v5::SectionKind::kGradCode : v5::SectionKind::kCode);
+    plan.push_back({static_cast<v5::SectionKind>(base + 0),
+                    p.instrs.size() * sizeof(Instr)});
+    plan.push_back({static_cast<v5::SectionKind>(base + 1),
                     p.constants.size() * sizeof(double)});
-    plan.push_back({static_cast<v4::SectionKind>(base + 3),
+    plan.push_back({static_cast<v5::SectionKind>(base + 2),
                     p.outputs.size() * sizeof(std::uint32_t)});
-    plan.push_back({static_cast<v4::SectionKind>(base + 4),
-                    p.fused_outputs.size() * sizeof(std::uint32_t)});
   };
   plan_program(in.program, /*gradient=*/false);
   if (in.gradient) plan_program(*in.gradient, /*gradient=*/true);
-  plan.push_back({v4::SectionKind::kSymbolics, in.symbolics_blob.size()});
+  plan.push_back({v5::SectionKind::kSymbolics, in.symbolics_blob.size()});
 
   const std::uint64_t table_end =
-      sizeof(v4::Header) + plan.size() * sizeof(v4::SectionEntry);
+      sizeof(v5::Header) + plan.size() * sizeof(v5::SectionEntry);
   std::uint64_t cursor = align_up(static_cast<std::size_t>(table_end));
   for (SectionPlan& s : plan) {
     s.offset = cursor;
@@ -368,7 +359,7 @@ std::string pack_model_v4(const PackInput& in) {
 
   std::string out;
   out.reserve(static_cast<std::size_t>(total_size));
-  append_zeros(out, sizeof(v4::Header));  // header patched in below
+  append_zeros(out, sizeof(v5::Header));  // header patched in below
   for (const SectionPlan& s : plan) {
     put_u32(out, static_cast<std::uint32_t>(s.kind));
     put_u32(out, 0);
@@ -380,7 +371,7 @@ std::string pack_model_v4(const PackInput& in) {
     pad_to(out, static_cast<std::size_t>(s.offset));
     body();
     if (out.size() != s.offset + s.size)
-      throw std::logic_error("pack_model_v4: section size mismatch");
+      throw std::logic_error("pack_model_v5: section size mismatch");
   };
 
   std::size_t pi = 0;
@@ -390,8 +381,6 @@ std::string pack_model_v4(const PackInput& in) {
     put_u64(out, in.global_dim);
     put_u64(out, in.symbols.size());
     put_u64(out, in.numerator_count);
-    put_u64(out, in.program_checksum);
-    put_u64(out, in.gradient ? in.gradient_checksum : 0);
     put_u64(out, in.program.input_count);
     put_u64(out, in.program.register_count);
     put_u64(out, in.gradient ? in.gradient->input_count : 0);
@@ -417,19 +406,13 @@ std::string pack_model_v4(const PackInput& in) {
   });
   auto emit_program = [&](const symbolic::ProgramCode& p) {
     emit(plan[pi++], [&] {
-      for (const Instr& ins : p.strict) append_instr(out, ins);
-    });
-    emit(plan[pi++], [&] {
-      for (const Instr& ins : p.fused) append_instr(out, ins);
+      for (const Instr& ins : p.instrs) append_instr(out, ins);
     });
     emit(plan[pi++], [&] {
       for (const double c : p.constants) put_f64(out, c);
     });
     emit(plan[pi++], [&] {
       for (const std::uint32_t r : p.outputs) put_u32(out, r);
-    });
-    emit(plan[pi++], [&] {
-      for (const std::uint32_t r : p.fused_outputs) put_u32(out, r);
     });
   };
   emit_program(in.program);
@@ -439,17 +422,17 @@ std::string pack_model_v4(const PackInput& in) {
 
   // Header, now that the checksummed payload is final.
   std::string header;
-  header.reserve(sizeof(v4::Header));
+  header.reserve(sizeof(v5::Header));
   header.append("AWEM", 4);
   put_u32(header, kModelFormatVersion);
   put_u64(header, total_size);
-  put_u64(header, fnv1a64(out.data() + sizeof(v4::Header),
-                          out.size() - sizeof(v4::Header)));
+  put_u64(header, fnv1a64(out.data() + sizeof(v5::Header),
+                          out.size() - sizeof(v5::Header)));
   put_u32(header, static_cast<std::uint32_t>(plan.size()));
   put_u32(header, in.gradient ? kFlagHasGradient : 0);
   header.push_back('\x01');  // endian tag: little
   append_zeros(header, 31);
-  out.replace(0, sizeof(v4::Header), header);
+  out.replace(0, sizeof(v5::Header), header);
   return out;
 }
 

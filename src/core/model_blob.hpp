@@ -1,12 +1,12 @@
-// Model format v4: a single relocatable, 64-byte-aligned, little-endian
+// Model format v5: a single relocatable, 64-byte-aligned, little-endian
 // blob that the interpreter executes IN PLACE (DESIGN.md §15).
 //
 // v3 and earlier were stream formats: every load re-parsed the payload
 // field by field into freshly allocated vectors, so process start paid
-// O(model size) before the first point could be evaluated.  v4 is an
+// O(model size) before the first point could be evaluated.  v5 is an
 // offset-based section format — fixed header, section table, then
 // 64-aligned sections whose bytes ARE the in-memory representation of the
-// instruction streams, constant pool and output maps (no pointers, no
+// instruction stream, constant pool and output map (no pointers, no
 // varints, every record at its static_assert-pinned layout).  Opening a
 // model is therefore mmap + bounds validation: O(pages touched), not
 // O(model size); the same blob also serves unchanged from a heap buffer
@@ -15,8 +15,8 @@
 // Only the symbolic-polynomial section keeps a stream encoding (the
 // symbolic/serialize.hpp primitives): it is cold (needed for
 // symbolic_denominator()-style introspection, never for evaluation), so
-// CompiledModel parses it lazily on first use.  Pre-v4 files (v1-v3,
-// stream formats) are no longer readable: they fail with kModelFormat.
+// CompiledModel parses it lazily on first use.  Files in any earlier
+// version (v1-v4) are not readable: they fail with kModelFormat.
 //
 // Integrity contract: the header carries an FNV-1a checksum over the whole
 // payload, verified when a file is *published* (cache store, --map-audit,
@@ -43,13 +43,13 @@
 
 namespace awe::core {
 
-namespace v4 {
+namespace v5 {
 
 /// Fixed 64-byte file header.  All integers little-endian; the blob after
 /// it is a section table followed by 64-aligned sections.
 struct Header {
   char magic[4];            ///< "AWEM"
-  std::uint32_t version;    ///< 4
+  std::uint32_t version;    ///< 5
   std::uint64_t total_size; ///< whole blob, header included
   std::uint64_t checksum;   ///< fnv1a64 over bytes [64, total_size)
   std::uint32_t section_count;
@@ -57,23 +57,19 @@ struct Header {
   std::uint8_t endian_tag;  ///< 1 = little-endian producer
   std::uint8_t reserved[31];
 };
-static_assert(sizeof(Header) == 64, "v4 header is exactly one alignment unit");
+static_assert(sizeof(Header) == 64, "the header is exactly one alignment unit");
 
 enum class SectionKind : std::uint32_t {
-  kMeta = 1,             ///< one Meta record
-  kSymbols = 2,          ///< SymbolEntry[symbol_count]
-  kStrings = 3,          ///< concatenated symbol-name bytes
-  kStrictCode = 4,       ///< Instr[] — strict stream, executable in place
-  kFusedCode = 5,        ///< Instr[] — fused stream
-  kConstants = 6,        ///< double[]
-  kOutputRegs = 7,       ///< uint32[]
-  kFusedOutputRegs = 8,  ///< uint32[]
-  kGradStrictCode = 9,   ///< gradient program, same five sections
-  kGradFusedCode = 10,
-  kGradConstants = 11,
-  kGradOutputRegs = 12,
-  kGradFusedOutputRegs = 13,
-  kSymbolics = 14,  ///< stream-encoded polynomial payload, lazily parsed
+  kMeta = 1,        ///< one Meta record
+  kSymbols = 2,     ///< SymbolEntry[symbol_count]
+  kStrings = 3,     ///< concatenated symbol-name bytes
+  kCode = 4,        ///< Instr[] — executable in place
+  kConstants = 5,   ///< double[]
+  kOutputRegs = 6,  ///< uint32[]
+  kGradCode = 7,    ///< gradient program, same three sections
+  kGradConstants = 8,
+  kGradOutputRegs = 9,
+  kSymbolics = 10,  ///< stream-encoded polynomial payload, lazily parsed
 };
 
 struct SectionEntry {
@@ -92,8 +88,6 @@ struct Meta {
   std::uint64_t global_dim;
   std::uint64_t symbol_count;
   std::uint64_t numerator_count;      ///< == 2*order
-  std::uint64_t program_checksum;     ///< fnv1a64(program.save()); format stability only
-  std::uint64_t gradient_checksum;    ///< 0 when no gradient program
   std::uint64_t prog_input_count;
   std::uint64_t prog_register_count;
   std::uint64_t grad_input_count;     ///< 0 when no gradient program
@@ -103,7 +97,7 @@ struct Meta {
   std::uint8_t with_gradients;
   std::uint8_t reserved[5];
 };
-static_assert(sizeof(Meta) == 96);
+static_assert(sizeof(Meta) == 80);
 
 struct SymbolEntry {
   std::uint64_t element_index;
@@ -117,10 +111,9 @@ static_assert(sizeof(SymbolEntry) == 24);
 static_assert(alignof(Header) <= 64 && alignof(Meta) <= 64 &&
               alignof(SymbolEntry) <= 64);
 
-}  // namespace v4
+}  // namespace v5
 
-/// FNV-1a 64-bit over a byte range (the model checksum primitive, shared
-/// with the program_checksum meta fields).
+/// FNV-1a 64-bit over a byte range (the model checksum primitive).
 std::uint64_t fnv1a64(const void* data, std::size_t size);
 
 /// Abstract owner of a model region: heap buffer, mmap'd cache file, or a
@@ -157,12 +150,12 @@ void unlink_shm_blob(const std::string& name);
 /// format version").
 void check_format_version(std::uint32_t version);
 
-/// Non-owning, validated view over a v4 blob.  Construction via open()
+/// Non-owning, validated view over a v5 blob.  Construction via open()
 /// performs the full structural validation (everything except the
 /// checksum); accessors afterwards are plain pointer arithmetic.
 class ModelView {
  public:
-  /// Validate `region` as a v4 blob and build the view.  Checks, in order:
+  /// Validate `region` as a v5 blob and build the view.  Checks, in order:
   /// platform guard (little-endian host, 64-byte base alignment) — throws
   /// health::FailError(kModelFormat); then magic ("CompiledModel::load:
   /// bad magic", as the stream loader says) and check_format_version; then
@@ -171,12 +164,12 @@ class ModelView {
   static ModelView open(std::span<const std::byte> region);
 
   std::span<const std::byte> bytes() const { return region_; }
-  const v4::Header& header() const { return *header_; }
-  const v4::Meta& meta() const { return *meta_; }
+  const v5::Header& header() const { return *header_; }
+  const v5::Meta& meta() const { return *meta_; }
   bool has_gradient() const { return meta_->with_gradients != 0; }
 
-  std::span<const v4::SymbolEntry> symbols() const { return symbols_; }
-  std::string_view symbol_name(const v4::SymbolEntry& s) const {
+  std::span<const v5::SymbolEntry> symbols() const { return symbols_; }
+  std::string_view symbol_name(const v5::SymbolEntry& s) const {
     return std::string_view(strings_.data() + s.name_offset, s.name_length);
   }
 
@@ -195,16 +188,16 @@ class ModelView {
 
  private:
   std::span<const std::byte> region_;
-  const v4::Header* header_ = nullptr;
-  const v4::Meta* meta_ = nullptr;
-  std::span<const v4::SymbolEntry> symbols_;
+  const v5::Header* header_ = nullptr;
+  const v5::Meta* meta_ = nullptr;
+  std::span<const v5::SymbolEntry> symbols_;
   std::string_view strings_;
   symbolic::ProgramCode program_;
   symbolic::ProgramCode gradient_;
   std::span<const std::byte> symbolics_;
 };
 
-/// Everything pack_model_v4 needs; spans/views alias caller storage.
+/// Everything pack_model_v5 needs; spans/views alias caller storage.
 struct PackInput {
   std::uint64_t order = 0;
   bool enforce_stability = true;
@@ -215,15 +208,13 @@ struct PackInput {
   std::uint64_t global_dim = 0;
   symbolic::ProgramCode program;
   std::optional<symbolic::ProgramCode> gradient;
-  std::uint64_t program_checksum = 0;
-  std::uint64_t gradient_checksum = 0;
   /// Serialized polynomial payload for the kSymbolics section.
   std::string_view symbolics_blob;
 };
 
-/// Serialize to a complete v4 blob (header + table + sections, all padding
+/// Serialize to a complete v5 blob (header + table + sections, all padding
 /// zeroed).  Deterministic: identical input produces byte-identical blobs,
 /// which the cache-determinism contract relies on.
-std::string pack_model_v4(const PackInput& in);
+std::string pack_model_v5(const PackInput& in);
 
 }  // namespace awe::core

@@ -146,7 +146,7 @@ std::optional<CompiledModel> ModelCache::map_file(const std::string& path,
   namespace fp = health::failpoints;
   if (corrupt_quarantined) *corrupt_quarantined = false;
   // An absent entry is a plain miss; anything present that does not open
-  // as a valid v4 blob is quarantined below.
+  // as a valid v5 blob is quarantined below.
   if (!std::ifstream(path, std::ios::binary)) return std::nullopt;
   if (!fp::fires(fp::sites::kCacheLoadCorrupt)) {
     try {

@@ -13,8 +13,8 @@
 //   RAM   = in-process LRU of shared_ptr<const CompiledModel>
 //
 // Because CompiledModel::save is deterministic and load restores the exact
-// bytes, a cached model is bit-identical to a cold build — in kStrict AND
-// kFast — which test_model_cache and the determinism matrix's rows assert.
+// bytes, a cached model is bit-identical to a cold build, which
+// test_model_cache and the determinism matrix's rows assert.
 #pragma once
 
 #include <cstddef>
@@ -74,7 +74,7 @@ class ModelCache {
   /// (CompiledModel::map_file) instead of reading the stream — O(pages
   /// touched) instead of O(model size).  The miss/quarantine contract is
   /// identical to load_file: any damage (truncated publish, bad section
-  /// table, a pre-v4 or other foreign version) quarantines the entry to
+  /// table, a pre-v5 or other foreign version) quarantines the entry to
   /// "<path>.bad" and reports a miss.  The mapped open skips the full-payload checksum by design
   /// (DESIGN.md §15.2) — structural validation still bounds-checks every
   /// section and instruction, so a damaged entry can fail wrong only

@@ -9,11 +9,11 @@
 namespace awe::core {
 
 inline constexpr char kModelMagic[4] = {'A', 'W', 'E', 'M'};
-// v4: offset-based, 64-byte-aligned, mmap-executable blob (DESIGN.md §15,
-// core/model_blob.hpp), the only format this build reads or writes.  v1-v3
-// were stream formats; a file in any of them fails to load with
-// kModelFormat, and the cache quarantines it and rebuilds (their keys
-// embedded the old version, so a current lookup never asks for one).
-inline constexpr std::uint32_t kModelFormatVersion = 4;
+// v5: offset-based, 64-byte-aligned, mmap-executable blob (DESIGN.md §15,
+// core/model_blob.hpp), the only format this build reads or writes.  A
+// file in any earlier version (v1-v3 stream formats, the v4 blob) fails to
+// load with kModelFormat, and the cache quarantines it and rebuilds (their
+// keys embedded the old version, so a current lookup never asks for one).
+inline constexpr std::uint32_t kModelFormatVersion = 5;
 
 }  // namespace awe::core

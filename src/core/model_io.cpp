@@ -1,11 +1,11 @@
 // CompiledModel binary save/load.
 //
-// save() writes model format v4 (core/model_blob.hpp, DESIGN.md §15): a
+// save() writes model format v5 (core/model_blob.hpp, DESIGN.md §15): a
 // 64-byte-aligned offset-based blob whose instruction/constant sections
 // are the in-memory representation, so a cache entry can be mmap'd and
 // executed in place (CompiledModel::map_file) instead of parsed.  The
 // stream load() below reads the same blob from pipes and sockets; it is
-// the only other reader, and any version but 4 fails with kModelFormat.
+// the only other reader, and any version but 5 fails with kModelFormat.
 //
 // Every container is ordered and every double is written bit-exact, so
 // save -> load -> save round trips byte-identically (asserted by
@@ -29,17 +29,6 @@ namespace awe::core {
 
 namespace io = symbolic::io;
 
-namespace {
-
-std::uint64_t serialized_checksum(const symbolic::CompiledProgram& program) {
-  std::ostringstream os;
-  program.save(os);
-  const std::string bytes = os.str();
-  return fnv1a64(bytes.data(), bytes.size());
-}
-
-}  // namespace
-
 void CompiledModel::save(std::ostream& os) const {
   const std::string blob = pack();
   os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
@@ -57,13 +46,9 @@ std::string CompiledModel::pack() const {
   in.global_dim = sym_.global_dim;
   in.program = program_.code();
   if (grad_program_) in.gradient = grad_program_->code();
-  // fnv1a64(program.save()) per program, kept in the v4 meta only so the
-  // format stays byte-stable.
-  in.program_checksum = serialized_checksum(program_);
-  if (grad_program_) in.gradient_checksum = serialized_checksum(*grad_program_);
   const std::string symbolics = symbolics_payload();
   in.symbolics_blob = symbolics;
-  return pack_model_v4(in);
+  return pack_model_v5(in);
 }
 
 std::string CompiledModel::symbolics_payload() const {
@@ -81,7 +66,7 @@ std::string CompiledModel::symbolics_payload() const {
 }
 
 CompiledModel CompiledModel::load(std::istream& is) {
-  // Stream path for the v4 blob (pipes, fuzz corpora, non-mmap cache
+  // Stream path for the v5 blob (pipes, fuzz corpora, non-mmap cache
   // loads): reassemble the full blob, header bytes already consumed
   // included, and run the same validated open as map_file, checksum
   // verified since this path reads everything anyway.  The buffer grows
@@ -94,7 +79,7 @@ CompiledModel CompiledModel::load(std::istream& is) {
   const std::uint32_t version = io::read_u32(is);
   check_format_version(version);
   const std::uint64_t total_size = io::read_u64(is);
-  if (!is || total_size < sizeof(v4::Header) || total_size > (1ull << 32))
+  if (!is || total_size < sizeof(v5::Header) || total_size > (1ull << 32))
     throw std::runtime_error("CompiledModel::load: bad payload size");
   std::string blob(kModelMagic, sizeof(kModelMagic));
   blob.append(reinterpret_cast<const char*>(&version), sizeof(version));

@@ -3,7 +3,7 @@
 // A long-lived evaluation service wants to keep sweeping while a newer
 // compiled model is published underneath it.  SharedModelStore holds ONE
 // logical model as a sequence of immutable generations: publish() packs
-// (or accepts) a v4 blob, places it in a fresh region — a named POSIX
+// (or accepts) a v5 blob, places it in a fresh region — a named POSIX
 // shared-memory object ("/<name>.g<gen>") or a 64-byte-aligned heap
 // region — verifies the payload checksum ONCE, opens a view-backed
 // CompiledModel over it, and atomically swaps it in as the new current
@@ -54,12 +54,12 @@ class SharedModelStore {
   SharedModelStore(const SharedModelStore&) = delete;
   SharedModelStore& operator=(const SharedModelStore&) = delete;
 
-  /// Pack `model` to v4 bytes and publish as the next generation.
+  /// Pack `model` to v5 bytes and publish as the next generation.
   /// Returns the new generation number.  Throws (store unchanged) if the
   /// region cannot be created or the packed blob fails verification.
   std::uint64_t publish(const CompiledModel& model);
 
-  /// Publish pre-packed v4 bytes (e.g. a cache entry read verbatim).  The
+  /// Publish pre-packed v5 bytes (e.g. a cache entry read verbatim).  The
   /// payload checksum is verified against the region AFTER the copy, so a
   /// torn or damaged source fails here — never at a reader.
   std::uint64_t publish_packed(std::string_view blob);

@@ -187,34 +187,16 @@ bool lanes_finite(const std::vector<double>& soa, std::size_t rows, std::size_t 
 }
 
 /// Evaluation rung of the ladder for one point whose lanes were just
-/// filled by a moments_batch call.  In fast mode a rejected or non-finite
-/// point gets one width-1 strict re-evaluation (fast-mode fusion is the
-/// usual suspect) before being quarantined.  Writes recovered moments back
-/// into the shared SoA block.
-template <typename Model>
-FitOutcome eval_ladder_point(const Model& model, const std::vector<double>& pts,
-                             std::vector<double>& soa, std::vector<std::uint8_t>& ok,
-                             std::size_t rows, std::size_t n, std::size_t p,
-                             core::EvalMode mode, std::optional<core::BatchWorkspace>& ws1,
-                             std::uint64_t& strict_reevals) {
-  bool finite = lanes_finite(soa, rows, n, p);
-  LadderStage stage = LadderStage::kPrimary;
-  if (mode == core::EvalMode::kFast && (!ok[p] || !finite)) {
-    ++strict_reevals;
-    if (!ws1) ws1 = model.make_batch_workspace(1);
-    model.moments_batch(std::span<const double>(pts.data() + p, pts.size() - p), n, 1, *ws1,
-                        std::span<double>(soa.data() + p, soa.size() - p), n,
-                        std::span<unsigned char>(ok.data() + p, 1), core::EvalMode::kStrict);
-    finite = lanes_finite(soa, rows, n, p);
-    if (ok[p] && finite) stage = LadderStage::kStrictReeval;
-  }
-  if (!ok[p] || !finite) {
-    const health::FailClass fail =
-        !ok[p] ? health::FailClass::kSingularY0 : health::FailClass::kNonFiniteEval;
-    ok[p] = 0;
-    return {LadderStage::kQuarantined, fail};
-  }
-  return {stage, health::FailClass::kNone};
+/// filled by a moments_batch call: a rejected or non-finite point is
+/// quarantined.
+FitOutcome eval_ladder_point(const std::vector<double>& soa, std::vector<std::uint8_t>& ok,
+                             std::size_t rows, std::size_t n, std::size_t p) {
+  if (ok[p] && lanes_finite(soa, rows, n, p))
+    return {LadderStage::kPrimary, health::FailClass::kNone};
+  const health::FailClass fail =
+      !ok[p] ? health::FailClass::kSingularY0 : health::FailClass::kNonFiniteEval;
+  ok[p] = 0;
+  return {LadderStage::kQuarantined, fail};
 }
 
 /// Two-pass min/max/mean/stddev over the finite values of ok points.
@@ -361,7 +343,6 @@ SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> poin
       health::HealthReport& hr = worker_health[worker];
       core::BatchWorkspace ws = want_grads ? model.make_gradient_batch_workspace(width)
                                            : model.make_batch_workspace(width);
-      std::optional<core::BatchWorkspace> ws1;
       std::vector<double> lane(nm);
       std::optional<ChunkFit> fit;
       if (need_rom) fit.emplace(ropts.order, width);
@@ -389,19 +370,18 @@ SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> poin
               std::span<const double>(res.points.data() + b, res.points.size() - b), n, w, ws,
               std::span<double>(res.moments.data() + b, res.moments.size() - b), n,
               std::span<double>(res.gradients.data() + b, res.gradients.size() - b), n,
-              std::span<unsigned char>(res.ok.data() + b, w), opts.mode);
+              std::span<unsigned char>(res.ok.data() + b, w));
         } else {
           model.moments_batch(
               std::span<const double>(res.points.data() + b, res.points.size() - b), n, w, ws,
               std::span<double>(res.moments.data() + b, res.moments.size() - b), n,
-              std::span<unsigned char>(res.ok.data() + b, w), opts.mode);
+              std::span<unsigned char>(res.ok.data() + b, w));
         }
-        // The evaluation rung runs for the whole block before the fit: a
-        // fast-mode strict re-eval rewrites its lane, and afterwards ok[p]
-        // is set exactly on the points whose moments the fit may use.
+        // The evaluation rung runs for the whole block before the fit:
+        // afterwards ok[p] is set exactly on the points whose moments the
+        // fit may use.
         for (std::size_t p = b; p < b + w; ++p) {
-          const FitOutcome ev = eval_ladder_point(model, res.points, res.moments, res.ok, nm, n,
-                                                  p, opts.mode, ws1, hr.strict_reevals);
+          const FitOutcome ev = eval_ladder_point(res.moments, res.ok, nm, n, p);
           res.ladder_stage[p] = static_cast<std::uint8_t>(ev.stage);
           res.fail_class[p] = static_cast<std::uint8_t>(ev.fail);
         }
@@ -448,7 +428,6 @@ SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> poin
     contain_task_failure(res.fail_class, res.ladder_stage, res.ok);
   }
   for (const health::HealthReport& hr : worker_health) {
-    res.health.strict_reevals += hr.strict_reevals;
     res.health.order_fallbacks += hr.order_fallbacks;
     res.health.shifted_refits += hr.shifted_refits;
   }
@@ -508,21 +487,14 @@ std::vector<SweepResult> run_sweep(const core::MultiOutputModel& model,
     const std::size_t width = std::max<std::size_t>(1, opts.batch_width);
     const engine::RomOptions ropts = rom_options(model.options());
 
-    // Ladder counters per (chunk, output); strict re-evals recompute every
-    // output of the point at once, so that count is shared per chunk and
-    // credited to each output's report after the join.
-    struct WorkerHealth {
-      std::uint64_t strict_reevals = 0;
-      std::vector<health::HealthReport> per_output;
-    };
-    std::vector<WorkerHealth> worker_health(pool->size());
-    for (WorkerHealth& wh : worker_health) wh.per_output.resize(nout);
+    // Ladder counters per (chunk, output), summed after the join.
+    std::vector<std::vector<health::HealthReport>> worker_health(
+        pool->size(), std::vector<health::HealthReport>(nout));
 
     try {
       pool->parallel_chunks(n, [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        WorkerHealth& wh = worker_health[worker];
+        std::vector<health::HealthReport>& wh = worker_health[worker];
         core::BatchWorkspace ws = model.make_batch_workspace(width);
-        std::optional<core::BatchWorkspace> ws1;
         std::vector<double> lane(nm);
         std::optional<ChunkFit> fit;
         if (need_rom) fit.emplace(ropts.order, width);
@@ -536,10 +508,9 @@ std::vector<SweepResult> run_sweep(const core::MultiOutputModel& model,
           const std::size_t w = std::min(width, end - b);
           model.moments_batch(std::span<const double>(points.data() + b, points.size() - b),
                               n, w, ws, std::span<double>(all.data() + b, all.size() - b), n,
-                              std::span<unsigned char>(ok.data() + b, w), opts.mode);
+                              std::span<unsigned char>(ok.data() + b, w));
           for (std::size_t p = b; p < b + w; ++p) {
-            const FitOutcome ev = eval_ladder_point(model, points, all, ok, nout * nm, n, p,
-                                                    opts.mode, ws1, wh.strict_reevals);
+            const FitOutcome ev = eval_ladder_point(all, ok, nout * nm, n, p);
             for (std::size_t o = 0; o < nout; ++o) {
               results[o].ladder_stage[p] = static_cast<std::uint8_t>(ev.stage);
               results[o].fail_class[p] = static_cast<std::uint8_t>(ev.fail);
@@ -547,18 +518,17 @@ std::vector<SweepResult> run_sweep(const core::MultiOutputModel& model,
           }
           for (std::size_t o = 0; o < nout && need_rom; ++o)
             fit_block(ropts, all.data() + o * nm * n, ok, b, w, opts.pass_predicate, results[o],
-                      *fit, lane, wh.per_output[o]);
+                      *fit, lane, wh[o]);
         }
       });
     } catch (const health::FailError&) {
       for (std::size_t o = 0; o < nout; ++o)
         contain_task_failure(results[o].fail_class, results[o].ladder_stage, ok);
     }
-    for (const WorkerHealth& wh : worker_health) {
+    for (const std::vector<health::HealthReport>& wh : worker_health) {
       for (std::size_t o = 0; o < nout; ++o) {
-        results[o].health.strict_reevals += wh.strict_reevals;
-        results[o].health.order_fallbacks += wh.per_output[o].order_fallbacks;
-        results[o].health.shifted_refits += wh.per_output[o].shifted_refits;
+        results[o].health.order_fallbacks += wh[o].order_fallbacks;
+        results[o].health.shifted_refits += wh[o].shifted_refits;
       }
     }
   }

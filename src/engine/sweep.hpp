@@ -7,14 +7,11 @@
 // interpreter (CompiledProgram::run_batch) by a static-chunked thread
 // pool, one allocation-free BatchWorkspace per worker.
 //
-// Determinism guarantee (EvalMode::kStrict, the default): a sweep's
-// numeric results are bit-identical regardless of thread count and batch
-// width.  Per-lane arithmetic in the batched interpreter matches the
-// scalar order exactly, every point owns disjoint output slots, Monte
-// Carlo points are drawn serially before the parallel phase, and all
-// statistics are reduced serially after it.  EvalMode::kFast runs the
-// peephole-fused interpreter instead: faster, within a small ULP bound of
-// strict, but not bit-reproducible across batch geometry.
+// Determinism guarantee: a sweep's numeric results are bit-identical
+// regardless of thread count and batch width.  Per-lane arithmetic in the
+// batched interpreter matches the scalar order exactly, every point owns
+// disjoint output slots, Monte Carlo points are drawn serially before the
+// parallel phase, and all statistics are reduced serially after it.
 #pragma once
 
 #include <complex>
@@ -42,7 +39,9 @@ namespace awe::sweep {
 /// the sweep engine's bit-identical-across-thread-counts guarantee.
 enum class LadderStage : std::uint8_t {
   kPrimary = 0,       ///< first-try eval (and ROM fit) succeeded
-  kStrictReeval = 1,  ///< fast-mode point re-evaluated in strict mode
+  /// Never produced.  The code stays reserved because the numeric codes
+  /// index rom_fit_golden's stages= column and perfbench's stage counts.
+  kStrictReeval = 1,
   kOrderFallback = 2, ///< Padé order fallback recovered the ROM fit
   kShiftedRefit = 3,  ///< shifted-moment refit recovered the ROM fit
   kQuarantined = 4,   ///< no stage recovered; fail_class records why
@@ -53,11 +52,6 @@ const char* to_string(LadderStage s);
 struct SweepOptions {
   std::size_t threads = 0;       ///< total workers; 0 = hardware concurrency
   std::size_t batch_width = 64;  ///< SoA lane-block width (points per run_batch)
-  /// Interpreter contract: kStrict (default) preserves the bit-identical
-  /// determinism guarantee above; kFast runs the peephole-fused stream —
-  /// measurably faster, results within a small ULP bound of strict but
-  /// dependent on batch geometry (thread count / width) at that level.
-  core::EvalMode mode = core::EvalMode::kStrict;
   /// Extract a per-point reduced-order model and record its poles,
   /// residues and DC gain in SweepResult::rom.
   bool with_rom = false;
@@ -70,7 +64,7 @@ struct SweepOptions {
   /// built with ModelOptions::with_gradients; throws std::invalid_argument
   /// otherwise).  Fills SweepResult::gradients.  The gradient stream
   /// embeds the primal outputs, so this replaces — not duplicates — the
-  /// forward program run; in kStrict the moments AND gradients are
+  /// forward program run; the moments AND gradients are
   /// bit-identical across thread counts and batch widths, exactly like the
   /// forward path (DESIGN.md §14).
   bool gradients = false;

@@ -14,7 +14,6 @@ void HealthReport::merge(const HealthReport& other) {
   points_ok += other.points_ok;
   points_degraded += other.points_degraded;
   points_quarantined += other.points_quarantined;
-  strict_reevals += other.strict_reevals;
   order_fallbacks += other.order_fallbacks;
   shifted_refits += other.shifted_refits;
   cache_corrupt_quarantined += other.cache_corrupt_quarantined;
@@ -50,7 +49,7 @@ std::string HealthReport::to_json(int indent) const {
   };
   group("points", {{"total", points_total}, {"ok", points_ok},
                    {"degraded", points_degraded}, {"quarantined", points_quarantined}});
-  group("ladder", {{"strict_reevals", strict_reevals}, {"order_fallbacks", order_fallbacks},
+  group("ladder", {{"order_fallbacks", order_fallbacks},
                    {"shifted_refits", shifted_refits}});
   group("cache", {{"corrupt_quarantined", cache_corrupt_quarantined},
                   {"rebuilds", cache_rebuilds}});

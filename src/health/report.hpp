@@ -29,7 +29,6 @@ struct HealthReport {
   std::uint64_t points_quarantined = 0;  ///< terminal failure, FailClass recorded
 
   // Degradation-ladder stage counters (attempts that RAN, recovered or not).
-  std::uint64_t strict_reevals = 0;   ///< fast-mode point re-run in strict
   std::uint64_t order_fallbacks = 0;  ///< Padé order fallback attempted
   std::uint64_t shifted_refits = 0;   ///< shifted-moment refit attempted
 

@@ -21,7 +21,7 @@ struct VInstr {
   OpCode op{};
   NodeId id = 0;
   std::uint32_t imm = 0;  // const index (kConst) or input index (kInput)
-  NodeId a = 0, b = 0, c = 0;
+  NodeId a = 0, b = 0;
 };
 
 /// How many register operands an instruction-level op reads.
@@ -37,17 +37,12 @@ int operand_count(OpCode op) {
     case OpCode::kMul:
     case OpCode::kDiv:
       return 2;
-    case OpCode::kFma:
-    case OpCode::kFms:
-      return 3;
   }
   return 0;
 }
 
 /// Liveness-based register assignment over an SSA sequence: registers are
-/// recycled at each value's last read, and the register file is renumbered
-/// from scratch for THIS sequence — so the fused stream's working set
-/// shrinks along with its instruction count.
+/// recycled at each value's last read.
 struct AllocResult {
   std::vector<Instr> instrs;
   std::vector<std::uint32_t> output_regs;
@@ -63,7 +58,6 @@ AllocResult allocate_registers(const std::vector<VInstr>& seq,
     const int n = operand_count(v.op);
     if (n >= 1) last_use[v.a] = i;
     if (n >= 2) last_use[v.b] = i;
-    if (n >= 3) last_use[v.c] = i;
   }
   for (const NodeId r : roots) last_use[r] = kLiveToEnd;
 
@@ -93,10 +87,8 @@ AllocResult allocate_registers(const std::vector<VInstr>& seq,
     } else {
       ins.a = reg_of[v.a];
       if (n >= 2) ins.b = reg_of[v.b];
-      if (n >= 3) ins.c = reg_of[v.c];
       assert(ins.a != kUnassigned);
       assert(n < 2 || ins.b != kUnassigned);
-      assert(n < 3 || ins.c != kUnassigned);
     }
     // Release registers whose owning value was last read here; the freed
     // register may immediately become this instruction's dst (the batch
@@ -160,9 +152,9 @@ CompiledProgram::CompiledProgram(const ExprGraph& graph, std::span<const NodeId>
     return static_cast<std::uint32_t>(own_constants_.size() - 1);
   };
 
-  // ---- strict stream: one VInstr per reachable node, scalar op order ----
-  std::vector<VInstr> strict_seq;
-  strict_seq.reserve(nnodes);
+  // One VInstr per reachable node, in scalar operation order.
+  std::vector<VInstr> seq;
+  seq.reserve(nnodes);
   for (NodeId id = 0; id < nnodes; ++id) {
     if (!reachable[id]) continue;
     const ExprNode& n = graph.node(id);
@@ -180,144 +172,28 @@ CompiledProgram::CompiledProgram(const ExprGraph& graph, std::span<const NodeId>
         v.a = n.a;
         v.b = n.b;
     }
-    strict_seq.push_back(v);
+    seq.push_back(v);
   }
-  AllocResult strict = allocate_registers(strict_seq, roots, nnodes);
-  own_instrs_ = std::move(strict.instrs);
-  own_output_regs_ = std::move(strict.output_regs);
-
-  // ---- peephole fusion for the fast stream ------------------------------
-  // Operand-occurrence counts over the reachable subgraph (roots count as
-  // uses): a value feeding exactly one consumer can be folded into it.
-  std::vector<std::uint32_t> uses(nnodes, 0);
-  for (NodeId id = 0; id < nnodes; ++id) {
-    if (!reachable[id]) continue;
-    const ExprNode& n = graph.node(id);
-    const int nops = operand_count(n.op);
-    if (nops >= 1) ++uses[n.a];
-    if (nops >= 2) ++uses[n.b];
-  }
-  std::vector<unsigned char> is_root(nnodes, 0);
-  for (const NodeId r : roots) {
-    ++uses[r];
-    is_root[r] = 1;
-  }
-
-  std::vector<unsigned char> fused_away(nnodes, 0);
-  auto fusable = [&](NodeId x, OpCode want) {
-    return !is_root[x] && uses[x] == 1 && !fused_away[x] && graph.node(x).op == want;
-  };
-
-  // Per-add/sub rewrite decisions.  Folding a single-use kNeg operand flips
-  // add<->sub (bit-identical over IEEE doubles); a single-use kMul operand
-  // of the (possibly flipped) add/sub then contracts to kFma / kFms.
-  struct Rewrite {
-    OpCode op{};
-    NodeId a = 0, b = 0, c = 0;
-  };
-  std::vector<Rewrite> rewrite(nnodes);
-  std::vector<unsigned char> has_rewrite(nnodes, 0);
-  for (NodeId id = 0; id < nnodes; ++id) {
-    if (!reachable[id]) continue;
-    const ExprNode& n = graph.node(id);
-    if (n.op != OpCode::kAdd && n.op != OpCode::kSub) continue;
-    OpCode op = n.op;
-    NodeId a = n.a, b = n.b;
-    for (;;) {  // neg folding can cascade at most twice (both operands)
-      if (op == OpCode::kAdd && fusable(b, OpCode::kNeg)) {
-        op = OpCode::kSub;
-        fused_away[b] = 1;
-        b = graph.node(b).a;
-      } else if (op == OpCode::kAdd && fusable(a, OpCode::kNeg)) {
-        op = OpCode::kSub;
-        fused_away[a] = 1;
-        const NodeId na = graph.node(a).a;
-        a = b;
-        b = na;
-      } else if (op == OpCode::kSub && fusable(b, OpCode::kNeg)) {
-        op = OpCode::kAdd;
-        fused_away[b] = 1;
-        b = graph.node(b).a;
-      } else {
-        break;
-      }
-    }
-    Rewrite rw;
-    if (op == OpCode::kAdd && fusable(a, OpCode::kMul)) {
-      fused_away[a] = 1;
-      rw = {OpCode::kFma, graph.node(a).a, graph.node(a).b, b};
-    } else if (op == OpCode::kAdd && fusable(b, OpCode::kMul)) {
-      fused_away[b] = 1;
-      rw = {OpCode::kFma, graph.node(b).a, graph.node(b).b, a};
-    } else if (op == OpCode::kSub && fusable(a, OpCode::kMul)) {
-      fused_away[a] = 1;
-      rw = {OpCode::kFms, graph.node(a).a, graph.node(a).b, b};
-    } else if (op != n.op || a != n.a || b != n.b) {
-      rw = {op, a, b, 0};
-    } else {
-      continue;
-    }
-    rewrite[id] = rw;
-    has_rewrite[id] = 1;
-  }
-
-  std::vector<VInstr> fused_seq;
-  fused_seq.reserve(strict_seq.size());
-  for (NodeId id = 0; id < nnodes; ++id) {
-    if (!reachable[id] || fused_away[id]) continue;
-    const ExprNode& n = graph.node(id);
-    VInstr v;
-    v.id = id;
-    if (has_rewrite[id]) {
-      const Rewrite& rw = rewrite[id];
-      v.op = rw.op;
-      v.a = rw.a;
-      v.b = rw.b;
-      v.c = rw.c;
-    } else {
-      v.op = n.op;
-      switch (n.op) {
-        case OpCode::kConst:
-          v.imm = const_index(n.value);
-          break;
-        case OpCode::kInput:
-          v.imm = n.a;
-          break;
-        default:
-          v.a = n.a;
-          v.b = n.b;
-      }
-    }
-    fused_seq.push_back(v);
-  }
-  AllocResult fused = allocate_registers(fused_seq, roots, nnodes);
-  own_fused_instrs_ = std::move(fused.instrs);
-  own_fused_output_regs_ = std::move(fused.output_regs);
-
-  // One scratch allocation serves either stream.
-  register_count_ = std::max(strict.register_count, fused.register_count);
+  AllocResult alloc = allocate_registers(seq, roots, nnodes);
+  own_instrs_ = std::move(alloc.instrs);
+  own_output_regs_ = std::move(alloc.output_regs);
+  register_count_ = alloc.register_count;
   rebind();
 }
 
 void CompiledProgram::rebind() {
   instrs_ = own_instrs_;
-  fused_instrs_ = own_fused_instrs_;
   constants_ = own_constants_;
   output_regs_ = own_output_regs_;
-  fused_output_regs_ = own_fused_output_regs_;
 }
 
 CompiledProgram::CompiledProgram(const CompiledProgram& other)
     : own_instrs_(other.own_instrs_),
-      own_fused_instrs_(other.own_fused_instrs_),
       own_constants_(other.own_constants_),
       own_output_regs_(other.own_output_regs_),
-      own_fused_output_regs_(other.own_fused_output_regs_),
       instrs_(other.instrs_),
-      fused_instrs_(other.fused_instrs_),
       constants_(other.constants_),
       output_regs_(other.output_regs_),
-      fused_output_regs_(other.fused_output_regs_),
       register_count_(other.register_count_),
       input_count_(other.input_count_),
       external_(other.external_) {
@@ -326,15 +202,11 @@ CompiledProgram::CompiledProgram(const CompiledProgram& other)
 
 CompiledProgram::CompiledProgram(CompiledProgram&& other) noexcept
     : own_instrs_(std::move(other.own_instrs_)),
-      own_fused_instrs_(std::move(other.own_fused_instrs_)),
       own_constants_(std::move(other.own_constants_)),
       own_output_regs_(std::move(other.own_output_regs_)),
-      own_fused_output_regs_(std::move(other.own_fused_output_regs_)),
       instrs_(other.instrs_),
-      fused_instrs_(other.fused_instrs_),
       constants_(other.constants_),
       output_regs_(other.output_regs_),
-      fused_output_regs_(other.fused_output_regs_),
       register_count_(other.register_count_),
       input_count_(other.input_count_),
       external_(other.external_) {
@@ -353,15 +225,11 @@ CompiledProgram& CompiledProgram::operator=(const CompiledProgram& other) {
 CompiledProgram& CompiledProgram::operator=(CompiledProgram&& other) noexcept {
   if (this == &other) return *this;
   own_instrs_ = std::move(other.own_instrs_);
-  own_fused_instrs_ = std::move(other.own_fused_instrs_);
   own_constants_ = std::move(other.own_constants_);
   own_output_regs_ = std::move(other.own_output_regs_);
-  own_fused_output_regs_ = std::move(other.own_fused_output_regs_);
   instrs_ = other.instrs_;
-  fused_instrs_ = other.fused_instrs_;
   constants_ = other.constants_;
   output_regs_ = other.output_regs_;
-  fused_output_regs_ = other.fused_output_regs_;
   register_count_ = other.register_count_;
   input_count_ = other.input_count_;
   external_ = other.external_;
@@ -371,16 +239,47 @@ CompiledProgram& CompiledProgram::operator=(CompiledProgram&& other) noexcept {
 
 CompiledProgram CompiledProgram::from_code(const ProgramCode& code) {
   CompiledProgram p;
-  p.instrs_ = code.strict;
-  p.fused_instrs_ = code.fused;
+  p.instrs_ = code.instrs;
   p.constants_ = code.constants;
   p.output_regs_ = code.outputs;
-  p.fused_output_regs_ = code.fused_outputs;
   p.input_count_ = code.input_count;
   p.register_count_ = code.register_count;
   p.external_ = true;
   p.validate();
   return p;
+}
+
+void CompiledProgram::validate() const {
+  // Structural validation: every operand must stay inside the loaded
+  // register/constant/input bounds so a corrupt mapped region cannot
+  // make run() read out of range.
+  auto check_reg = [&](std::uint32_t r) {
+    if (r >= register_count_)
+      throw std::runtime_error("CompiledProgram::load: register out of range");
+  };
+  for (const Instr& in : instrs_) {
+    if (static_cast<std::uint8_t>(in.op) > static_cast<std::uint8_t>(OpCode::kNeg))
+      throw std::runtime_error("CompiledProgram::load: unknown opcode");
+    check_reg(in.dst);
+    switch (in.op) {
+      case OpCode::kConst:
+        if (in.a >= constants_.size())
+          throw std::runtime_error("CompiledProgram::load: constant out of range");
+        break;
+      case OpCode::kInput:
+        if (in.a >= input_count_)
+          throw std::runtime_error("CompiledProgram::load: input out of range");
+        break;
+      case OpCode::kNeg:
+        check_reg(in.a);
+        break;
+      default:
+        check_reg(in.a);
+        check_reg(in.b);
+        break;
+    }
+  }
+  for (std::uint32_t r : output_regs_) check_reg(r);
 }
 
 void CompiledProgram::run(std::span<const double> inputs, std::span<double> outputs) const {
@@ -422,20 +321,13 @@ void CompiledProgram::run_with_scratch(std::span<const double> inputs,
       case OpCode::kNeg:
         r[ins.dst] = -r[ins.a];
         break;
-      case OpCode::kFma:  // never emitted into the strict stream
-        r[ins.dst] = std::fma(r[ins.a], r[ins.b], r[ins.c]);
-        break;
-      case OpCode::kFms:
-        r[ins.dst] = std::fma(r[ins.a], r[ins.b], -r[ins.c]);
-        break;
     }
   }
   for (std::size_t k = 0; k < output_regs_.size(); ++k) outputs[k] = r[output_regs_[k]];
 }
 
 void CompiledProgram::run_batch(std::span<const double> inputs, std::span<double> outputs,
-                                std::span<double> scratch, std::size_t count,
-                                EvalMode mode) const {
+                                std::span<double> scratch, std::size_t count) const {
   if (count == 0) return;
   if (inputs.size() < input_count_ * count)
     throw std::invalid_argument("CompiledProgram::run_batch: too few inputs");
@@ -443,10 +335,7 @@ void CompiledProgram::run_batch(std::span<const double> inputs, std::span<double
     throw std::invalid_argument("CompiledProgram::run_batch: output size mismatch");
   if (scratch.size() < register_count_ * count)
     throw std::invalid_argument("CompiledProgram::run_batch: scratch too small");
-  if (mode == EvalMode::kFast)
-    run_batch_fast(inputs, outputs, scratch, count);
-  else
-    run_batch_strict(inputs, outputs, scratch, count);
+  run_batch_strict(inputs, outputs, scratch, count);
 }
 
 void CompiledProgram::run_batch_strict(std::span<const double> inputs,
@@ -497,20 +386,6 @@ void CompiledProgram::run_batch_strict(std::span<const double> inputs,
         for (std::size_t l = 0; l < w; ++l) d[l] = -a[l];
         break;
       }
-      case OpCode::kFma: {  // never emitted into the strict stream
-        const double* const a = r + ins.a * w;
-        const double* const b = r + ins.b * w;
-        const double* const c = r + ins.c * w;
-        for (std::size_t l = 0; l < w; ++l) d[l] = std::fma(a[l], b[l], c[l]);
-        break;
-      }
-      case OpCode::kFms: {
-        const double* const a = r + ins.a * w;
-        const double* const b = r + ins.b * w;
-        const double* const c = r + ins.c * w;
-        for (std::size_t l = 0; l < w; ++l) d[l] = std::fma(a[l], b[l], -c[l]);
-        break;
-      }
     }
   }
   for (std::size_t k = 0; k < output_regs_.size(); ++k) {
@@ -519,114 +394,6 @@ void CompiledProgram::run_batch_strict(std::span<const double> inputs,
     for (std::size_t l = 0; l < w; ++l) d[l] = s[l];
   }
 }
-
-// Width-8 manually unrolled lane kernels for the fused stream.  The
-// fixed-trip inner loops vectorize cleanly without intrinsics; AWE_SIMD
-// adds an `omp simd` hint where -fopenmp-simd (or OpenMP proper) is on.
-// FMA expressions are written as a*b + c so the compiler may contract them
-// to hardware FMA under its fp-contract rules — that contraction is exactly
-// the rounding freedom EvalMode::kFast grants.
-#if defined(_OPENMP) || defined(AWE_HAVE_OPENMP_SIMD)
-#define AWE_SIMD _Pragma("omp simd")
-#else
-#define AWE_SIMD
-#endif
-
-namespace {
-
-constexpr std::size_t kUnroll = 8;
-
-#define AWE_LANE_KERNEL(expr)                                              \
-  do {                                                                     \
-    std::size_t l = 0;                                                     \
-    for (; l + kUnroll <= w; l += kUnroll) {                               \
-      AWE_SIMD                                                             \
-      for (std::size_t u = 0; u < kUnroll; ++u) {                          \
-        const std::size_t j = l + u;                                       \
-        d[j] = (expr);                                                     \
-      }                                                                    \
-    }                                                                      \
-    for (; l < w; ++l) {                                                   \
-      const std::size_t j = l;                                             \
-      d[j] = (expr);                                                       \
-    }                                                                      \
-  } while (0)
-
-}  // namespace
-
-void CompiledProgram::run_batch_fast(std::span<const double> inputs,
-                                     std::span<double> outputs, std::span<double> scratch,
-                                     std::size_t count) const {
-  double* const r = scratch.data();
-  const double* const in = inputs.data();
-  const std::size_t w = count;
-  for (const Instr& ins : fused_instrs_) {
-    double* const d = r + ins.dst * w;
-    switch (ins.op) {
-      case OpCode::kConst: {
-        const double cv = constants_[ins.a];
-        AWE_LANE_KERNEL(cv);
-        break;
-      }
-      case OpCode::kInput: {
-        const double* const a = in + ins.a * w;
-        AWE_LANE_KERNEL(a[j]);
-        break;
-      }
-      case OpCode::kAdd: {
-        const double* const a = r + ins.a * w;
-        const double* const b = r + ins.b * w;
-        AWE_LANE_KERNEL(a[j] + b[j]);
-        break;
-      }
-      case OpCode::kSub: {
-        const double* const a = r + ins.a * w;
-        const double* const b = r + ins.b * w;
-        AWE_LANE_KERNEL(a[j] - b[j]);
-        break;
-      }
-      case OpCode::kMul: {
-        const double* const a = r + ins.a * w;
-        const double* const b = r + ins.b * w;
-        AWE_LANE_KERNEL(a[j] * b[j]);
-        break;
-      }
-      case OpCode::kDiv: {
-        const double* const a = r + ins.a * w;
-        const double* const b = r + ins.b * w;
-        AWE_LANE_KERNEL(a[j] / b[j]);
-        break;
-      }
-      case OpCode::kNeg: {
-        const double* const a = r + ins.a * w;
-        AWE_LANE_KERNEL(-a[j]);
-        break;
-      }
-      case OpCode::kFma: {
-        const double* const a = r + ins.a * w;
-        const double* const b = r + ins.b * w;
-        const double* const c = r + ins.c * w;
-        AWE_LANE_KERNEL(a[j] * b[j] + c[j]);
-        break;
-      }
-      case OpCode::kFms: {
-        const double* const a = r + ins.a * w;
-        const double* const b = r + ins.b * w;
-        const double* const c = r + ins.c * w;
-        AWE_LANE_KERNEL(a[j] * b[j] - c[j]);
-        break;
-      }
-    }
-  }
-  for (std::size_t k = 0; k < fused_output_regs_.size(); ++k) {
-    const double* const s = r + fused_output_regs_[k] * w;
-    double* const d = outputs.data() + k * w;
-    for (std::size_t l = 0; l < w; ++l) d[l] = s[l];
-  }
-}
-
-#undef AWE_LANE_KERNEL
-#undef AWE_SIMD
 
 namespace {
 
@@ -642,26 +409,17 @@ std::string c_literal(double v) {
 
 }  // namespace
 
-std::string CompiledProgram::to_c_source(std::string_view function_name,
-                                         EvalMode mode) const {
-  const std::span<const Instr> stream =
-      mode == EvalMode::kFast ? fused_instrs_ : instrs_;
-  const std::span<const std::uint32_t> out_regs =
-      mode == EvalMode::kFast ? fused_output_regs_ : output_regs_;
-
+std::string CompiledProgram::to_c_source(std::string_view function_name) const {
   std::string src;
-  if (mode == EvalMode::kFast)
-    src += "/* fused stream: requires <math.h> for fma() */\n";
   src += "void " + std::string(function_name) + "(const double* in, double* out) {\n";
   if (input_count_ == 0) src += "  (void)in;\n";  // a constant program reads no inputs
   src += "  double r[" + std::to_string(register_count_ == 0 ? 1 : register_count_) +
          "];\n";
   auto num = [](double v) { return c_literal(v); };
-  for (const Instr& ins : stream) {
+  for (const Instr& ins : instrs_) {
     const std::string d = "  r[" + std::to_string(ins.dst) + "] = ";
     const std::string a = "r[" + std::to_string(ins.a) + "]";
     const std::string b = "r[" + std::to_string(ins.b) + "]";
-    const std::string c = "r[" + std::to_string(ins.c) + "]";
     switch (ins.op) {
       case OpCode::kConst:
         src += d + num(constants_[ins.a]) + ";\n";
@@ -684,16 +442,10 @@ std::string CompiledProgram::to_c_source(std::string_view function_name,
       case OpCode::kNeg:
         src += d + "-" + a + ";\n";
         break;
-      case OpCode::kFma:
-        src += d + "fma(" + a + ", " + b + ", " + c + ");\n";
-        break;
-      case OpCode::kFms:
-        src += d + "fma(" + a + ", " + b + ", -" + c + ");\n";
-        break;
     }
   }
-  for (std::size_t k = 0; k < out_regs.size(); ++k)
-    src += "  out[" + std::to_string(k) + "] = r[" + std::to_string(out_regs[k]) +
+  for (std::size_t k = 0; k < output_regs_.size(); ++k)
+    src += "  out[" + std::to_string(k) + "] = r[" + std::to_string(output_regs_[k]) +
            "];\n";
   src += "}\n";
   return src;
@@ -771,9 +523,6 @@ std::vector<NodeId> reverse_gradients(ExprGraph& graph, std::span<const NodeId> 
         case OpCode::kNeg:
           accumulate(n.a, graph.neg(g));
           break;
-        case OpCode::kFma:
-        case OpCode::kFms:
-          throw std::invalid_argument("reverse_gradients: fused node in graph");
       }
     }
 

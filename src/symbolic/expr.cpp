@@ -120,9 +120,6 @@ double ExprGraph::evaluate_node(NodeId id, std::span<const double> inputs) const
       return evaluate_node(n.a, inputs) / evaluate_node(n.b, inputs);
     case OpCode::kNeg:
       return -evaluate_node(n.a, inputs);
-    case OpCode::kFma:
-    case OpCode::kFms:
-      break;  // instruction-level only; never valid as a graph node
   }
   throw std::logic_error("ExprGraph::evaluate_node: bad opcode");
 }

@@ -27,10 +27,6 @@ enum class OpCode : std::uint8_t {
   kMul,
   kDiv,
   kNeg,
-  // Instruction-level fused ops, produced only by the compile-time peephole
-  // pass (CompiledProgram's kFast path); an ExprGraph never contains them.
-  kFma,  ///< dst = a*b + c
-  kFms,  ///< dst = a*b - c
 };
 
 struct ExprNode {

@@ -40,9 +40,7 @@ T read_le(std::istream& is) {
 
 }  // namespace
 
-void write_u8(std::ostream& os, std::uint8_t v) { write_le<std::uint8_t>(os, v); }
 void write_u16(std::ostream& os, std::uint16_t v) { write_le<std::uint16_t>(os, v); }
-void write_u32(std::ostream& os, std::uint32_t v) { write_le<std::uint32_t>(os, v); }
 void write_u64(std::ostream& os, std::uint64_t v) { write_le<std::uint64_t>(os, v); }
 
 void write_f64(std::ostream& os, double v) {

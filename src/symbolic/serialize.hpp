@@ -1,5 +1,4 @@
-// Binary serialization primitives shared by the compiled-program writer
-// (symbolic/compile_io.cpp) and the model format v4 kSymbolics section
+// Binary serialization primitives of the model format's kSymbolics section
 // (written by core/model_io.cpp, parsed lazily by core/awesymbolic.cpp).
 //
 // The format is deliberately boring: little-endian fixed-width integers
@@ -26,7 +25,7 @@ namespace awe::symbolic::io {
 
 /// Read-only istream over an external byte range — parse in place, no
 /// copy into an istringstream.  The caller keeps the range alive for the
-/// stream's lifetime.  Parses the lazy v4 kSymbolics section in place.
+/// stream's lifetime.  Parses the lazy kSymbolics section in place.
 class imembuf : public std::streambuf {
  public:
   imembuf(const char* data, std::size_t size) {
@@ -45,9 +44,7 @@ class imemstream : private imembuf, public std::istream {
 /// corrupt file fails fast instead of attempting a multi-GB allocation.
 inline constexpr std::uint64_t kMaxCount = 1ull << 28;
 
-void write_u8(std::ostream& os, std::uint8_t v);
 void write_u16(std::ostream& os, std::uint16_t v);
-void write_u32(std::ostream& os, std::uint32_t v);
 void write_u64(std::ostream& os, std::uint64_t v);
 void write_f64(std::ostream& os, double v);
 

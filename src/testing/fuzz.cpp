@@ -99,7 +99,7 @@ FuzzSummary run_fuzz(const FuzzOptions& opts) {
         f.deck = g.text;
         if (opts.shrink) {
           // Preserve the mismatch signature, not just "some mismatch":
-          // deleting elements can otherwise morph e.g. a fused-kernel
+          // deleting elements can otherwise morph e.g. a sweep-path
           // divergence into an unrelated path-rejection finding.
           const auto shrunk = shrink_deck(g.parsed, [&](const circuit::ParsedDeck& d) {
             const OracleResult rr = run_oracles(d, opts.oracle);

@@ -1,7 +1,7 @@
 // Differential fuzzing campaign driver.
 //
 // Generates `count` decks from a splitmix64 seed stream, runs the
-// five-oracle cross-check on each, shrinks every mismatch to a minimal
+// four-oracle cross-check on each, shrinks every mismatch to a minimal
 // reproducing deck, and aggregates deterministic statistics.  The JSON
 // report contains no timestamps, pointers or locale-dependent formatting:
 // the same (options, binary) always produce byte-identical output, which

@@ -177,14 +177,14 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
     return xf.moments(values, nm);
   });
 
-  // -- paths 3..5 share the compiled model -------------------------------
-  Path strict_path, fast_path, sweep_path;
+  // -- paths 3 and 4 share the compiled model ----------------------------
+  Path strict_path, sweep_path;
   std::string build_error;
   try {
     // With a cache_dir the model goes build -> store -> load -> use, and a
     // second save must reproduce the first byte stream; the loaded model
-    // then drives strict/fast/sweep, so any serializer defect shows up as
-    // an oracle mismatch (the "sixth oracle").
+    // then drives strict and sweep, so any serializer defect shows up as
+    // an oracle mismatch (the "fifth oracle").
     core::BuildOptions build_opts;
     build_opts.cache_dir = opts.cache_dir;
     auto model = core::CompiledModel::build(deck.netlist, deck.symbol_elements,
@@ -209,16 +209,6 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
 
     strict_path = run_path([&] { return model.moments_at(model_values); });
 
-    fast_path = run_path([&] {
-      auto ws = model.make_batch_workspace(1);
-      std::vector<double> out(nm, 0.0);
-      unsigned char ok = 1;
-      model.moments_batch(model_values, 1, 1, ws, out, 1, {&ok, 1},
-                          core::EvalMode::kFast);
-      if (!ok) throw std::runtime_error("fast lane rejected the point");
-      return out;
-    });
-
     sweep_path = run_path([&] {
       sweep::SweepOptions sopts;
       sopts.threads = 1;
@@ -238,26 +228,25 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
     }
   } catch (const std::exception& e) {
     build_error = e.what();
-    strict_path.error = fast_path.error = sweep_path.error = build_error;
+    strict_path.error = sweep_path.error = build_error;
     const health::FailClass fc = health::fail_class_of(e);
-    strict_path.fail = fast_path.fail = sweep_path.fail = fc;
+    strict_path.fail = sweep_path.fail = fc;
   }
 
   // -- fault injection (tests the detector, not the product) ------------
-  if (opts.fault == FaultInjection::kPerturbFastMoment0 && fast_path.ok &&
-      !fast_path.m.empty())
-    fast_path.m[0] *= 1.0 + 0x1.0p-10;
+  if (opts.fault == FaultInjection::kPerturbSweepMoment0 && sweep_path.ok &&
+      !sweep_path.m.empty())
+    sweep_path.m[0] *= 1.0 + 0x1.0p-10;
 
   res.exact = exact_path.m;
   res.awe = awe_path.m;
   res.strict_c = strict_path.m;
-  res.fast = fast_path.m;
   res.sweep = sweep_path.m;
   res.exact_error = exact_path.error;
   res.awe_error = awe_path.error;
   res.compiled_error = strict_path.error;
   for (const Path* p : std::initializer_list<const Path*>{
-           &exact_path, &awe_path, &strict_path, &fast_path, &sweep_path})
+           &exact_path, &awe_path, &strict_path, &sweep_path})
     if (!p->ok) res.health.record_failure(p->fail);
 
   // -- classification ----------------------------------------------------
@@ -343,16 +332,15 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
 
   compare(exact_path, awe_path, "exact", "awe", opts.cross_tol, opts.ill_limit);
   compare(awe_path, strict_path, "awe", "strict", opts.cross_tol, opts.ill_limit);
-  compare(strict_path, fast_path, "strict", "fast", opts.fast_tol, 1e3);
 
-  // Sweep strict mode guarantees bit-identical results to the scalar
+  // The sweep engine guarantees bit-identical results to the scalar
   // interpreter — compared exactly, no tolerance.
   if (strict_path.ok && sweep_path.ok && res.status == OracleStatus::kAgree) {
     for (std::size_t k = 0; k < nm; ++k) {
       if (strict_path.m[k] == sweep_path.m[k]) continue;
       res.status = OracleStatus::kMismatch;
       res.mismatch_kind = "sweep not bit-identical";
-      res.detail = "sweep strict mode is not bit-identical to scalar at moment " +
+      res.detail = "sweep is not bit-identical to the scalar path at moment " +
                    std::to_string(k) + ": " + json::exact(strict_path.m[k]) + " vs " +
                    json::exact(sweep_path.m[k]);
       return res;
@@ -362,10 +350,9 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
   require_ok(exact_path, "exact");
   require_ok(awe_path, "awe");
   require_ok(strict_path, "strict");
-  require_ok(fast_path, "fast");
   require_ok(sweep_path, "sweep");
 
-  // -- path 7: reverse-mode gradients (only on cleanly agreeing cases) ---
+  // -- path 6: reverse-mode gradients (only on cleanly agreeing cases) ---
   if (opts.gradients && res.status == OracleStatus::kAgree && !ill &&
       strict_path.ok) {
     try {

@@ -20,12 +20,11 @@ namespace awe {
 namespace {
 
 using symbolic::CompiledProgram;
-using symbolic::EvalMode;
 using symbolic::ExprGraph;
 using symbolic::NodeId;
 
 /// r0 = x*y - 2.5, r1 = r0 / (x - (-y)): exercises input, constant, mul,
-/// add, neg, sub, div, a fusable mul+add pair, and a foldable neg.
+/// add, neg, sub and div.
 CompiledProgram make_sample_program() {
   ExprGraph g;
   const auto x = g.input(0);
@@ -37,7 +36,7 @@ CompiledProgram make_sample_program() {
 
 TEST(CodegenRoundtripTest, ScalarStrictGoldenSource) {
   const auto prog = make_sample_program();
-  EXPECT_EQ(prog.to_c_source("f", EvalMode::kStrict),
+  EXPECT_EQ(prog.to_c_source("f"),
             "void f(const double* in, double* out) {\n"
             "  double r[4];\n"
             "  r[0] = in[0];\n"
@@ -53,32 +52,13 @@ TEST(CodegenRoundtripTest, ScalarStrictGoldenSource) {
             "}\n");
 }
 
-TEST(CodegenRoundtripTest, ScalarFastGoldenSource) {
-  // Fused stream: the mul+add contracts to fma(), the single-use neg folds
-  // into the consuming sub (which becomes an add).
-  const auto prog = make_sample_program();
-  EXPECT_EQ(prog.to_c_source("f", EvalMode::kFast),
-            "/* fused stream: requires <math.h> for fma() */\n"
-            "void f(const double* in, double* out) {\n"
-            "  double r[4];\n"
-            "  r[0] = in[0];\n"
-            "  r[1] = in[1];\n"
-            "  r[2] = -2.5;\n"
-            "  r[2] = fma(r[0], r[1], r[2]);\n"
-            "  r[1] = r[0] + r[1];\n"
-            "  r[1] = r[2] / r[1];\n"
-            "  out[0] = r[2];\n"
-            "  out[1] = r[1];\n"
-            "}\n");
-}
-
 TEST(CodegenRoundtripTest, ZeroInputProgramEmitsVoidCast) {
   // A constant-only program must still compile warning-clean: the unused
   // `in` parameter is explicitly discarded.
   ExprGraph g;
   const auto c = g.constant(3.0);
   CompiledProgram prog(g, std::vector<NodeId>{c});
-  const auto scalar = prog.to_c_source("zi", EvalMode::kStrict);
+  const auto scalar = prog.to_c_source("zi");
   EXPECT_NE(scalar.find("  (void)in;\n"), std::string::npos) << scalar;
 }
 
@@ -90,7 +70,7 @@ TEST(CodegenRoundtripTest, ConstantsEmitFullPrecisionAndNonFiniteForms) {
   const auto c = g.add(b, g.constant(-std::numeric_limits<double>::infinity()));
   const auto d = g.add(c, g.constant(std::nan("")));
   CompiledProgram prog(g, std::vector<NodeId>{d});
-  const auto src = prog.to_c_source("k", EvalMode::kStrict);
+  const auto src = prog.to_c_source("k");
   // %.17g: 0.1 round-trips to the exact stored double.
   EXPECT_NE(src.find("0.10000000000000001"), std::string::npos) << src;
   // Non-finite constants become IEEE division expressions, keeping the

@@ -23,6 +23,7 @@
 
 #include "circuits/opamp741.hpp"
 #include "core/awesymbolic.hpp"
+#include "core/model_format.hpp"
 #include "engine/sweep.hpp"
 
 namespace {
@@ -80,10 +81,10 @@ TEST(FitAllocations, WithRomSweepAllocationsDoNotGrowWithPoints) {
 }
 
 TEST(ModelLoadAllocations, HeaderSizeClaimDoesNotDriveAllocation) {
-  // 16 bytes: magic, version 4, and a total size of 2^32 that the stream
-  // never delivers.
+  // 16 bytes: magic, the current version, and a total size of 2^32 that
+  // the stream never delivers.
   std::string bytes("AWEM", 4);
-  const std::uint32_t version = 4;
+  const std::uint32_t version = core::kModelFormatVersion;
   const std::uint64_t total_size = std::uint64_t{1} << 32;
   bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
   bytes.append(reinterpret_cast<const char*>(&total_size), sizeof(total_size));

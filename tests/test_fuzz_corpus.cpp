@@ -2,7 +2,7 @@
 //
 // tests/corpus/ holds decks the fuzzer generated (and, for any historical
 // failure, the shrinker minimized).  Every deck is replayed through the
-// five-oracle cross-check on each test run: a corpus deck reporting a
+// four-oracle cross-check on each test run: a corpus deck reporting a
 // mismatch means a regression in one of the evaluation paths.  The corpus
 // also re-asserts the writer round-trip on real committed artifacts.
 #include <gtest/gtest.h>

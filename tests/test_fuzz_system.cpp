@@ -1,7 +1,7 @@
 // End-to-end checks of the differential fuzzing subsystem itself:
 //   * a clean campaign finds zero mismatches across the oracle paths and
 //     its JSON report is byte-deterministic run to run;
-//   * with an injected fault in the fast path, the fuzzer detects the
+//   * with an injected fault in the sweep path, the fuzzer detects the
 //     mismatch and the shrinker reduces it to a tiny reproducing deck
 //     which still mismatches under the fault and agrees without it.
 #include <gtest/gtest.h>
@@ -53,10 +53,10 @@ TEST(FuzzSystem, InjectedFaultIsDetectedAndShrunk) {
   FuzzOptions opts;
   opts.seed = 42;
   opts.count = 40;
-  opts.oracle.fault = FaultInjection::kPerturbFastMoment0;
+  opts.oracle.fault = FaultInjection::kPerturbSweepMoment0;
   const FuzzSummary sum = run_fuzz(opts);
   ASSERT_GT(sum.mismatch, 0u)
-      << "a 2^-10 skew of the fast path's m_0 must not survive the oracle";
+      << "a 2^-10 skew of the sweep path's m_0 must not survive the oracle";
   ASSERT_FALSE(sum.failures.empty());
 
   const FuzzFailure& f = sum.failures.front();

@@ -9,7 +9,7 @@
 //     is singular;
 //   - the sweep engine never aborts on pathological points: each point is
 //     fitted, degraded-with-stage, or quarantined-with-FailClass, the
-//     disposition counters sum to num_points, and a strict-mode sweep is
+//     disposition counters sum to num_points, and a sweep is
 //     bit-identical across thread counts — ladder included;
 //   - HealthReport arithmetic and JSON are deterministic.
 #include <gtest/gtest.h>
@@ -71,12 +71,12 @@ TEST(HealthReportTest, MergeSumsAndJsonIsDeterministic) {
   a.points_ok = 8;
   a.points_degraded = 1;
   a.points_quarantined = 1;
-  a.strict_reevals = 2;
+  a.order_fallbacks = 2;
   a.record_failure(FailClass::kSingularY0);
   HealthReport b = a;
   b.merge(a);
   EXPECT_EQ(b.points_total, 20u);
-  EXPECT_EQ(b.strict_reevals, 4u);
+  EXPECT_EQ(b.order_fallbacks, 4u);
   EXPECT_EQ(b.failures(FailClass::kSingularY0), 2u);
   EXPECT_EQ(a.to_json(), a.to_json());
   // Every class key is present whether or not it fired.
@@ -212,8 +212,8 @@ TEST(SweepLadderTest, PathologicalSweepNeverAbortsAndIsBitIdentical) {
   // 10k-point Monte Carlo with planted singular points (r2 == 0 turns the
   // reciprocal symbol into the scalar path's throw condition).  The sweep
   // must complete, classify every point, keep the disposition counters
-  // summing to num_points, and stay bit-identical across thread counts in
-  // strict mode — quarantine logic included.
+  // summing to num_points, and stay bit-identical across thread counts —
+  // quarantine logic included.
   const auto model = twopole_model();
   const std::size_t n = 10000;
   const std::vector<sweep::Distribution> dists{
@@ -348,7 +348,7 @@ TEST(HealthReportTest, JsonGoldenAtBothIndents) {
   for (std::size_t i = 1; i < health::kFailClassCount; ++i) h.fail_counts[i] = v++;
   for (std::uint64_t* c :
        {&h.points_total, &h.points_ok, &h.points_degraded, &h.points_quarantined,
-        &h.strict_reevals, &h.order_fallbacks, &h.shifted_refits,
+        &h.order_fallbacks, &h.shifted_refits,
         &h.cache_corrupt_quarantined, &h.cache_rebuilds, &h.partition_blocks_reused,
         &h.partition_blocks_built, &h.partition_blocks_quarantined, &h.serve_requests,
         &h.serve_shed, &h.serve_deadline_expired, &h.serve_evicted,
@@ -356,11 +356,11 @@ TEST(HealthReportTest, JsonGoldenAtBothIndents) {
     *c = v++;
   EXPECT_EQ(h.to_json(0), R"({
   "points": {"total": 113, "ok": 114, "degraded": 115, "quarantined": 116},
-  "ladder": {"strict_reevals": 117, "order_fallbacks": 118, "shifted_refits": 119},
-  "cache": {"corrupt_quarantined": 120, "rebuilds": 121},
-  "partition_blocks": {"reused": 122, "built": 123, "quarantined": 124},
-  "serve": {"requests": 125, "shed": 126, "deadline_expired": 127, "evicted": 128, "reload_failures": 129},
-  "failpoint_fires": 130,
+  "ladder": {"order_fallbacks": 117, "shifted_refits": 118},
+  "cache": {"corrupt_quarantined": 119, "rebuilds": 120},
+  "partition_blocks": {"reused": 121, "built": 122, "quarantined": 123},
+  "serve": {"requests": 124, "shed": 125, "deadline_expired": 126, "evicted": 127, "reload_failures": 128},
+  "failpoint_fires": 129,
   "fail_classes": {
     "singular-y0": 101,
     "hankel-ill-conditioned": 102,
@@ -378,11 +378,11 @@ TEST(HealthReportTest, JsonGoldenAtBothIndents) {
 })");
   EXPECT_EQ(h.to_json(2), R"({
     "points": {"total": 113, "ok": 114, "degraded": 115, "quarantined": 116},
-    "ladder": {"strict_reevals": 117, "order_fallbacks": 118, "shifted_refits": 119},
-    "cache": {"corrupt_quarantined": 120, "rebuilds": 121},
-    "partition_blocks": {"reused": 122, "built": 123, "quarantined": 124},
-    "serve": {"requests": 125, "shed": 126, "deadline_expired": 127, "evicted": 128, "reload_failures": 129},
-    "failpoint_fires": 130,
+    "ladder": {"order_fallbacks": 117, "shifted_refits": 118},
+    "cache": {"corrupt_quarantined": 119, "rebuilds": 120},
+    "partition_blocks": {"reused": 121, "built": 122, "quarantined": 123},
+    "serve": {"requests": 124, "shed": 125, "deadline_expired": 126, "evicted": 127, "reload_failures": 128},
+    "failpoint_fires": 129,
     "fail_classes": {
       "singular-y0": 101,
       "hankel-ill-conditioned": 102,
@@ -443,7 +443,7 @@ TEST(OracleHealthTest, FuzzSummaryJsonGoldenWithFailures) {
   "worst_seed": 15807225528648180854,
   "health": {
     "points": {"total": 0, "ok": 0, "degraded": 0, "quarantined": 0},
-    "ladder": {"strict_reevals": 0, "order_fallbacks": 0, "shifted_refits": 0},
+    "ladder": {"order_fallbacks": 0, "shifted_refits": 0},
     "cache": {"corrupt_quarantined": 0, "rebuilds": 0},
     "partition_blocks": {"reused": 0, "built": 0, "quarantined": 0},
     "serve": {"requests": 0, "shed": 0, "deadline_expired": 0, "evicted": 0, "reload_failures": 0},
@@ -508,7 +508,7 @@ TEST(OracleHealthTest, FuzzSummaryJsonGoldenWithoutFailures) {
   "worst_seed": 18446744073709551615,
   "health": {
     "points": {"total": 0, "ok": 0, "degraded": 0, "quarantined": 0},
-    "ladder": {"strict_reevals": 0, "order_fallbacks": 0, "shifted_refits": 0},
+    "ladder": {"order_fallbacks": 0, "shifted_refits": 0},
     "cache": {"corrupt_quarantined": 0, "rebuilds": 0},
     "partition_blocks": {"reused": 0, "built": 0, "quarantined": 0},
     "serve": {"requests": 0, "shed": 0, "deadline_expired": 0, "evicted": 0, "reload_failures": 0},

@@ -1,0 +1,137 @@
+// Tests for the register interpreter's contract: the batched stream stays
+// bit-for-bit identical to run() across every batch width, and undersized
+// spans are rejected instead of read out of bounds.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <vector>
+
+#include "symbolic/compile.hpp"
+#include "symbolic/expr.hpp"
+
+namespace awe::symbolic {
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Random expression DAG.  Division is kept pole-free (denominator
+/// b*b + c with c > 0) so lanes stay finite.
+struct RandomDag {
+  ExprGraph graph;
+  std::vector<NodeId> nodes;
+  std::vector<NodeId> roots;
+};
+
+RandomDag random_dag(std::mt19937& rng, std::size_t ninputs, std::size_t nops,
+                     std::size_t nroots) {
+  RandomDag d;
+  for (std::size_t i = 0; i < ninputs; ++i)
+    d.nodes.push_back(d.graph.input(static_cast<std::uint32_t>(i)));
+  std::uniform_real_distribution<double> cdist(-1.5, 1.5);
+  for (int i = 0; i < 4; ++i) d.nodes.push_back(d.graph.constant(cdist(rng)));
+
+  std::uniform_int_distribution<std::size_t> op(0, 5);
+  for (std::size_t i = 0; i < nops; ++i) {
+    std::uniform_int_distribution<std::size_t> pick(0, d.nodes.size() - 1);
+    const auto a = d.nodes[pick(rng)];
+    const auto b = d.nodes[pick(rng)];
+    ExprGraph& g = d.graph;
+    switch (op(rng)) {
+      case 0: d.nodes.push_back(g.add(a, b)); break;
+      case 1: d.nodes.push_back(g.sub(a, b)); break;
+      case 2: d.nodes.push_back(g.mul(a, b)); break;
+      case 3: d.nodes.push_back(g.div(a, g.add(g.mul(b, b), g.constant(0.25)))); break;
+      case 4: d.nodes.push_back(g.neg(a)); break;
+      // Bias toward the Horner shape polynomial lowering emits.
+      default: d.nodes.push_back(g.add(g.mul(a, b), d.nodes[pick(rng)])); break;
+    }
+  }
+  std::uniform_int_distribution<std::size_t> pick(0, d.nodes.size() - 1);
+  for (std::size_t k = 0; k < nroots; ++k) d.roots.push_back(d.nodes[pick(rng)]);
+  return d;
+}
+
+constexpr std::size_t kWidths[] = {1, 3, 8, 64};
+
+TEST(FusionPass, StrictBatchBitIdenticalToRunAcrossWidths) {
+  std::mt19937 rng(71);
+  std::uniform_real_distribution<double> vdist(-2.0, 2.0);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t ninputs = 1 + trial % 4;
+    auto dag = random_dag(rng, ninputs, 50 + 9 * trial, 3);
+    const CompiledProgram prog(dag.graph, dag.roots);
+    const std::size_t nout = prog.output_count();
+
+    const std::size_t n = 131;  // odd tail at every width above
+    std::vector<double> points(ninputs * n);
+    for (double& v : points) v = vdist(rng);
+
+    std::vector<double> ref(nout * n);
+    std::vector<double> in(ninputs), out(nout);
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t i = 0; i < ninputs; ++i) in[i] = points[i * n + p];
+      prog.run(in, out);
+      for (std::size_t k = 0; k < nout; ++k) ref[k * n + p] = out[k];
+    }
+
+    for (const std::size_t width : kWidths) {
+      std::vector<double> soa_in(ninputs * width), soa_out(nout * width);
+      std::vector<double> scratch(prog.register_count() * width);
+      for (std::size_t b = 0; b < n; b += width) {
+        const std::size_t w = std::min(width, n - b);
+        for (std::size_t i = 0; i < ninputs; ++i)
+          for (std::size_t l = 0; l < w; ++l) soa_in[i * w + l] = points[i * n + b + l];
+        prog.run_batch(std::span<const double>(soa_in.data(), ninputs * w),
+                       std::span<double>(soa_out.data(), nout * w),
+                       std::span<double>(scratch.data(), prog.register_count() * w), w);
+        for (std::size_t k = 0; k < nout; ++k)
+          for (std::size_t l = 0; l < w; ++l)
+            ASSERT_EQ(bits(soa_out[k * w + l]), bits(ref[k * n + b + l]))
+                << "trial " << trial << " width " << width << " point " << b + l;
+      }
+    }
+  }
+}
+
+TEST(RunWithScratch, ValidatesSpanSizes) {
+  // Regression for the documented preconditions: undersized spans must be
+  // rejected up front, never read or written out of bounds.
+  ExprGraph g;
+  const auto r = g.add(g.mul(g.input(0), g.input(1)), g.input(2));
+  CompiledProgram prog(g, std::vector<NodeId>{r});
+  std::vector<double> in(3, 1.0), out(1), scratch(prog.register_count());
+  EXPECT_NO_THROW(prog.run_with_scratch(in, out, scratch));
+  EXPECT_THROW(prog.run_with_scratch(std::span<const double>(in.data(), 2), out, scratch),
+               std::invalid_argument);
+  std::vector<double> out2(2);
+  EXPECT_THROW(prog.run_with_scratch(in, out2, scratch), std::invalid_argument);
+  EXPECT_THROW(prog.run_with_scratch(in, std::span<double>(out.data(), 0), scratch),
+               std::invalid_argument);
+  EXPECT_THROW(
+      prog.run_with_scratch(in, out, std::span<double>(scratch.data(), 0)),
+      std::invalid_argument);
+}
+
+TEST(RunBatch, ValidatesSpanSizesAndZeroCountIsNoop) {
+  ExprGraph g;
+  const auto r = g.add(g.mul(g.input(0), g.input(1)), g.input(0));
+  CompiledProgram prog(g, std::vector<NodeId>{r});
+  const std::size_t w = 4;
+  std::vector<double> in(2 * w, 1.0), out(w), scratch(prog.register_count() * w);
+  EXPECT_NO_THROW(prog.run_batch(in, out, scratch, w));
+  EXPECT_THROW(prog.run_batch(std::span<const double>(in.data(), 2 * w - 1), out,
+                              scratch, w),
+               std::invalid_argument);
+  EXPECT_THROW(prog.run_batch(in, std::span<double>(out.data(), w - 1), scratch, w),
+               std::invalid_argument);
+  EXPECT_THROW(prog.run_batch(in, out, std::span<double>(scratch.data(), 1), w),
+               std::invalid_argument);
+  // count == 0 touches nothing.
+  std::vector<double> empty;
+  EXPECT_NO_THROW(prog.run_batch(empty, empty, empty, 0));
+}
+
+}  // namespace
+}  // namespace awe::symbolic

@@ -3,8 +3,9 @@
 // What must hold, and what these tests pin down:
 //   - save -> load -> save is BYTE-identical (the cache-determinism
 //     invariant the CI job also checks across processes);
-//   - a cached (loaded) model is bit-identical to a cold build, in both
-//     EvalMode::kStrict and EvalMode::kFast, over the committed corpus;
+//   - a cached (loaded) model is bit-identical to a cold build, through
+//     both the scalar and the batched interpreter, over the committed
+//     corpus;
 //   - the cache key covers exactly what the build output depends on —
 //     stable across calls, insensitive to symbolic/input values,
 //     sensitive to topology, numeric values and ModelOptions;
@@ -80,12 +81,12 @@ std::vector<double> symbol_values(const circuit::ParsedDeck& deck,
   return values;
 }
 
-std::vector<double> fast_moments(const CompiledModel& model,
-                                 std::span<const double> values) {
+std::vector<double> batch_moments(const CompiledModel& model,
+                                  std::span<const double> values) {
   auto ws = model.make_batch_workspace(1);
   std::vector<double> out(model.moment_count(), 0.0);
   unsigned char ok = 1;
-  model.moments_batch(values, 1, 1, ws, out, 1, {&ok, 1}, EvalMode::kFast);
+  model.moments_batch(values, 1, 1, ws, out, 1, {&ok, 1});
   EXPECT_EQ(ok, 1);
   return out;
 }
@@ -145,7 +146,7 @@ TEST(ModelSerializer, LoadedModelIsFullyFunctionalAndBitIdentical) {
   EXPECT_EQ(loaded.order(), cold.order());
   EXPECT_EQ(loaded.symbol_names(), cold.symbol_names());
   EXPECT_EQ(loaded.instruction_count(), cold.instruction_count());
-  EXPECT_EQ(loaded.fused_instruction_count(), cold.fused_instruction_count());
+  EXPECT_EQ(loaded.register_count(), cold.register_count());
   EXPECT_TRUE(loaded.has_gradients());
 
   const auto values = symbol_values(deck, cold);
@@ -153,7 +154,7 @@ TEST(ModelSerializer, LoadedModelIsFullyFunctionalAndBitIdentical) {
   const auto ml = loaded.moments_at(values);
   ASSERT_EQ(mc.size(), ml.size());
   for (std::size_t k = 0; k < mc.size(); ++k) EXPECT_EQ(mc[k], ml[k]) << "moment " << k;
-  EXPECT_EQ(fast_moments(cold, values), fast_moments(loaded, values));
+  EXPECT_EQ(batch_moments(cold, values), batch_moments(loaded, values));
 
   const auto gc = cold.moments_and_gradients(values);
   const auto gl = loaded.moments_and_gradients(values);
@@ -249,7 +250,7 @@ TEST(ModelCacheKey, SensitiveToEverythingElse) {
 
 // -- persistent cache --------------------------------------------------
 
-TEST(ModelCache, CorpusColdVsCachedBitIdenticalStrictAndFast) {
+TEST(ModelCache, CorpusColdVsCachedBitIdenticalScalarAndBatch) {
   const auto dir = fresh_dir("corpus");
   BuildOptions with_cache;
   with_cache.cache_dir = dir.string();
@@ -268,8 +269,8 @@ TEST(ModelCache, CorpusColdVsCachedBitIdenticalStrictAndFast) {
                                              with_cache);
     EXPECT_EQ(serialize(cold), serialize(cached));
     const auto values = symbol_values(deck, cold);
-    EXPECT_EQ(cold.moments_at(values), cached.moments_at(values));       // kStrict
-    EXPECT_EQ(fast_moments(cold, values), fast_moments(cached, values)); // kFast
+    EXPECT_EQ(cold.moments_at(values), cached.moments_at(values));
+    EXPECT_EQ(batch_moments(cold, values), batch_moments(cached, values));
     ++checked;
   }
   EXPECT_GE(checked, 5u);

@@ -1,17 +1,17 @@
-// Model format v4 + zero-copy open + shared hot-swap store (DESIGN.md §15).
+// Model format v5 + zero-copy open + shared hot-swap store (DESIGN.md §15).
 //
 // What must hold, and what these tests pin down:
 //   - pack -> load -> pack is BYTE-identical, whether the reload went
-//     through the stream loader, mmap, or shared memory (the v4 format's
-//     fixed-point property), and a fresh build saves to the committed v4
+//     through the stream loader, mmap, or shared memory (the format's
+//     fixed-point property), and a fresh build saves to the committed v5
 //     goldens byte for byte;
 //   - a view-backed model (heap / mmap(MAP_PRIVATE) / shm) is
 //     BIT-identical to the owned freshly built model — moments AND
 //     gradients, scalar AND swept across thread counts;
-//   - pre-v4 files fail closed: the committed v2/v3 fixtures fail with
+//   - pre-v5 files fail closed: the committed v2/v3/v4 fixtures fail with
 //     kModelFormat and the documented error text on the stream path, and
 //     the cache quarantines and rebuilds them; truncated and bit-flipped
-//     v4 inputs fail with their documented texts too;
+//     v5 inputs fail with their documented texts too;
 //   - the endianness/alignment guard rejects a misaligned region with
 //     FailClass::kModelFormat, not UB;
 //   - the cache's mapped open quarantines damage exactly like the stream
@@ -113,14 +113,14 @@ std::vector<double> nominal_values(const CompiledModel& model) {
 
 // -- format fixed point ---------------------------------------------------
 
-TEST(ModelV4, PackIsVersion4AndAligned) {
+TEST(ModelV4, PackIsVersion5AndAligned) {
   const std::string blob = serialize(build_model(false));
-  ASSERT_GE(blob.size(), sizeof(v4::Header));
+  ASSERT_GE(blob.size(), sizeof(v5::Header));
   EXPECT_EQ(blob.compare(0, 4, "AWEM"), 0);
   std::uint32_t version = 0;
   std::memcpy(&version, blob.data() + 4, 4);
-  EXPECT_EQ(version, 4u);
-  EXPECT_EQ(blob.size() % 64, 0u) << "v4 blobs are padded to the 64-byte alignment";
+  EXPECT_EQ(version, 5u);
+  EXPECT_EQ(blob.size() % 64, 0u) << "v5 blobs are padded to the 64-byte alignment";
 }
 
 TEST(ModelV4, RepackByteDeterminismAcrossBackings) {
@@ -231,7 +231,7 @@ TEST(ModelV4, LazySymbolicsMatchOwnedClosedForms) {
     EXPECT_EQ(d1[j].to_string(names), d0[j].to_string(names));
 }
 
-// -- goldens, pre-v4 files and exact error texts -------------------------
+// -- goldens, pre-v5 files and exact error texts -------------------------
 
 std::string fixture(const char* name) {
   const std::string bytes = read_file(fs::path(AWE_DATA_DIR) / name);
@@ -239,16 +239,16 @@ std::string fixture(const char* name) {
   return bytes;
 }
 
-// The committed v4 goldens pin the format's bytes: a fresh build of kDeck
+// The committed v5 goldens pin the format's bytes: a fresh build of kDeck
 // must save to exactly these files, and every way of opening them (stream
 // load, heap blob, mmap) must evaluate bit-identically to that build and
 // save back to the same bytes.  On a byte mismatch the fresh bytes are
 // written next to the test binary as <fixture>.actual for inspection.
-TEST(ModelV4, GoldenV4Fixtures) {
+TEST(ModelV4, GoldenV5Fixtures) {
   TempDir tmp;
   for (const bool gradients : {true, false}) {
     const std::string name =
-        gradients ? "golden_v4.awemodel" : "golden_v4_nograd.awemodel";
+        gradients ? "golden_v5.awemodel" : "golden_v5_nograd.awemodel";
     SCOPED_TRACE(name);
     const CompiledModel fresh = build_model(gradients);
     const std::string golden = fixture(name.c_str());
@@ -333,11 +333,11 @@ TEST(ModelV4, MisalignedRegionRejectedAsModelFormat) {
 
 TEST(ModelV4, CacheMapFileServesV4) {
   TempDir tmp;
-  const std::string v4_blob = serialize(build_model(false));
-  const fs::path v4_path = tmp.path / "a.awemodel";
-  write_file(v4_path, v4_blob);
+  const std::string blob = serialize(build_model(false));
+  const fs::path path = tmp.path / "a.awemodel";
+  write_file(path, blob);
   bool quarantined = true;
-  auto mapped = ModelCache::map_file(v4_path.string(), &quarantined);
+  auto mapped = ModelCache::map_file(path.string(), &quarantined);
   ASSERT_TRUE(mapped.has_value());
   EXPECT_FALSE(quarantined);
   EXPECT_TRUE(mapped->view_backed());
@@ -353,12 +353,12 @@ TEST(ModelV4, GoldenV2FailsWithExactErrorText) {
   }
 }
 
-// Pre-v4 files (the v2/v3 stream formats) fail closed on every open path:
-// the stream loader and ModelView::open throw kModelFormat with the
-// documented text, both cache readers quarantine the entry and report a
-// miss, and a mapped build over such an entry rebuilds and stores the v4
-// bytes in its place.
-TEST(ModelV4, PreV4FixturesFailClosed) {
+// Pre-v5 files (the v2/v3 stream formats and the v4 blob) fail closed on
+// every open path: the stream loader and ModelView::open throw
+// kModelFormat with the documented text, both cache readers quarantine the
+// entry and report a miss, and a mapped build over such an entry rebuilds
+// and stores the v5 bytes in its place.
+TEST(ModelV4, PreV5FixturesFailClosed) {
   auto deck = circuit::parse_deck_string(kDeck);
   const auto out = *deck.netlist.find_node(deck.output_node);
   ModelOptions mopts;
@@ -366,10 +366,11 @@ TEST(ModelV4, PreV4FixturesFailClosed) {
   const circuit::NodeId outs[] = {out};
   const std::string key =
       model_cache_key(deck.netlist, deck.symbol_elements, deck.input_source, outs, mopts);
-  const std::string v4_entry = fixture("golden_v4_nograd.awemodel");
+  const std::string v5_entry = fixture("golden_v5_nograd.awemodel");
 
   for (const char* name :
-       {"golden_v2.awemodel", "golden_v3.awemodel", "golden_v3_nograd.awemodel"}) {
+       {"golden_v2.awemodel", "golden_v3.awemodel", "golden_v3_nograd.awemodel",
+        "golden_v4.awemodel", "golden_v4_nograd.awemodel"}) {
     SCOPED_TRACE(name);
     const std::string old = fixture(name);
     const auto heap = make_heap_blob(old);
@@ -379,7 +380,7 @@ TEST(ModelV4, PreV4FixturesFailClosed) {
           (void)stream_load(old);
         else
           (void)ModelView::open(heap->bytes());
-        ADD_FAILURE() << "a pre-v4 file must not open";
+        ADD_FAILURE() << "a pre-v5 file must not open";
       } catch (const health::FailError& e) {
         EXPECT_EQ(e.fail_class(), health::FailClass::kModelFormat);
         EXPECT_STREQ(e.what(), "CompiledModel::load: unsupported format version");
@@ -407,8 +408,8 @@ TEST(ModelV4, PreV4FixturesFailClosed) {
     bopts.map_model = true;
     const CompiledModel rebuilt = CompiledModel::build(
         deck.netlist, deck.symbol_elements, deck.input_source, out, mopts, bopts);
-    EXPECT_FALSE(rebuilt.view_backed()) << "the pre-v4 entry must not serve the build";
-    EXPECT_TRUE(read_file(entry) == v4_entry) << "the rebuild stores the v4 entry";
+    EXPECT_FALSE(rebuilt.view_backed()) << "the pre-v5 entry must not serve the build";
+    EXPECT_TRUE(read_file(entry) == v5_entry) << "the rebuild stores the v5 entry";
     EXPECT_EQ(read_file(bad), old);
   }
 }
@@ -500,10 +501,17 @@ TEST(ModelV4, SweepOnPinnedGenerationWhilePublishing) {
 
   const auto pinned = store.acquire();
   std::atomic<bool> stop{false};
+  std::atomic<std::size_t> published{0};
   std::thread publisher([&] {
-    while (!stop.load()) store.publish(model);
+    while (!stop.load()) {
+      store.publish(model);
+      ++published;
+    }
   });
   const auto swept = sweep::monte_carlo(*pinned, dists, 256, 11, opts);
+  // The sweep can finish before the publisher first runs; wait for one
+  // publish so generation 2 exists however the threads were scheduled.
+  while (published.load() == 0) std::this_thread::yield();
   stop.store(true);
   publisher.join();
 

@@ -11,7 +11,7 @@
 // up as a changed bit.
 //
 // File format, one case after another:
-//   case <name> <mode> points=<n> max_order=<q> stages=<primary,...>
+//   case <name> strict points=<n> max_order=<q> stages=<primary,...>
 //   p <point> <record>        full record of point 0 and of the first 8
 //                             points of each (non-primary stage, fail class)
 //   b <first point> <digest>  FNV-1a 64 of the records of 64 points
@@ -21,10 +21,9 @@
 // make a multi-megabyte file.  The 741 cases draw 4096 lognormal
 // (sigma = 1) points, Fig. 1 1024 and the decks 256.
 //
-// Every case is checked at 1 and 4 threads: kStrict results are
-// geometry-independent by contract, and the point counts are multiples of
-// 4 x 64 so kFast lane blocks are the same at both thread counts.  On a
-// mismatch the test writes the whole file it expected to read to
+// The stages= counts are indexed by LadderStage's numeric code.  Every
+// case is checked at 1 and 4 threads: sweep results are
+// geometry-independent by contract.  On a mismatch the test writes the whole file it expected to read to
 // rom_fit_golden.actual.txt in its working directory.
 #include <gtest/gtest.h>
 
@@ -93,12 +92,10 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 }
 
 /// The golden lines of one case's sweep.
-std::vector<std::string> case_lines(const Case& c, core::EvalMode mode,
-                                    const sweep::SweepResult& r) {
+std::vector<std::string> case_lines(const Case& c, const sweep::SweepResult& r) {
   std::array<std::size_t, 5> stages{};
   for (const std::uint8_t s : r.ladder_stage) ++stages[s];
-  std::string head = "case " + c.name + (mode == core::EvalMode::kStrict ? " strict" : " fast") +
-                     " points=" + std::to_string(r.num_points) +
+  std::string head = "case " + c.name + " strict points=" + std::to_string(r.num_points) +
                      " max_order=" + std::to_string(r.rom->max_order) + " stages=";
   for (std::size_t i = 0; i < stages.size(); ++i)
     head += (i ? "," : "") + std::to_string(stages[i]);
@@ -199,17 +196,16 @@ std::vector<Case> golden_cases() {
   return cases;
 }
 
-sweep::SweepResult run_case(const Case& c, core::EvalMode mode, std::size_t threads) {
+sweep::SweepResult run_case(const Case& c, std::size_t threads) {
   std::vector<sweep::Distribution> d;
   for (const double v : c.nominal) d.push_back(sweep::Distribution::lognormal(v, 1.0));
   sweep::SweepOptions o;
   o.threads = threads;
-  o.mode = mode;
   o.with_rom = true;
   return sweep::monte_carlo(*c.model, d, c.points, kSeed, o);
 }
 
-/// Golden file split into sections keyed by their "case" line's name+mode.
+/// Golden file split into sections keyed by their "case" line's name.
 std::map<std::string, std::vector<std::string>> read_golden(const std::filesystem::path& path) {
   std::map<std::string, std::vector<std::string>> sections;
   std::ifstream is(path);
@@ -218,9 +214,8 @@ std::map<std::string, std::vector<std::string>> read_golden(const std::filesyste
     if (line.empty() || line[0] == '#') continue;
     if (line.rfind("case ", 0) == 0) {
       std::istringstream ls(line);
-      std::string word, name, mode;
-      ls >> word >> name >> mode;
-      key = name + " " + mode;
+      std::string word;
+      ls >> word >> key;
     }
     sections[key].push_back(line);
   }
@@ -233,33 +228,29 @@ TEST(RomFitGolden, SweepRomsMatchCommittedBits) {
       "# ROM fit golden: see tests/test_rom_fit_golden.cpp for the format.\n";
   std::size_t mismatched = 0;
   for (const Case& c : golden_cases()) {
-    for (const core::EvalMode mode : {core::EvalMode::kStrict, core::EvalMode::kFast}) {
-      const std::string key =
-          c.name + (mode == core::EvalMode::kStrict ? " strict" : " fast");
-      const auto it = golden.find(key);
-      for (const std::size_t threads : {1, 4}) {
-        SCOPED_TRACE(key + " threads=" + std::to_string(threads));
-        const auto lines = case_lines(c, mode, run_case(c, mode, threads));
-        if (threads == 1)
-          for (const std::string& l : lines) actual += l + "\n";
-        if (it == golden.end()) {
-          ADD_FAILURE() << "case missing from the golden file";
-          ++mismatched;
+    const auto it = golden.find(c.name);
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(c.name + " threads=" + std::to_string(threads));
+      const auto lines = case_lines(c, run_case(c, threads));
+      if (threads == 1)
+        for (const std::string& l : lines) actual += l + "\n";
+      if (it == golden.end()) {
+        ADD_FAILURE() << "case missing from the golden file";
+        ++mismatched;
+        break;
+      }
+      const auto& want = it->second;
+      if (lines == want) continue;
+      ++mismatched;
+      ASSERT_FALSE(want.empty());
+      EXPECT_EQ(lines.front(), want.front());
+      for (std::size_t i = 0; i < std::min(lines.size(), want.size()); ++i)
+        if (lines[i] != want[i]) {
+          ADD_FAILURE() << "first differing line " << i << ":\n  got  " << lines[i]
+                        << "\n  want " << want[i];
           break;
         }
-        const auto& want = it->second;
-        if (lines == want) continue;
-        ++mismatched;
-        ASSERT_FALSE(want.empty());
-        EXPECT_EQ(lines.front(), want.front());
-        for (std::size_t i = 0; i < std::min(lines.size(), want.size()); ++i)
-          if (lines[i] != want[i]) {
-            ADD_FAILURE() << "first differing line " << i << ":\n  got  " << lines[i]
-                          << "\n  want " << want[i];
-            break;
-          }
-        EXPECT_EQ(lines.size(), want.size());
-      }
+      EXPECT_EQ(lines.size(), want.size());
     }
   }
   if (mismatched > 0) {

@@ -34,7 +34,7 @@ using namespace awe;
 /// --map-audit: the integrity pass the mmap fast path deliberately skips.
 /// Every entry is mapped and verified fully (payload checksum + every
 /// structural/cross-field check in from_blob).  Damage, including a
-/// pre-v4 format version, quarantines to <entry>.bad.
+/// pre-v5 format version, quarantines to <entry>.bad.
 int map_audit_dir(const std::string& dir, bool quiet) {
   namespace fs = std::filesystem;
   std::size_t ok = 0, quarantined = 0;
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
           cli::flag("--incremental", bopts.incremental,
                     "rebuild only an edited deck's dirty cells (DESIGN.md §13)"),
           cli::flag("--mmap", bopts.map_model,
-                    "warm loads mmap the v4 cache entry in place"),
+                    "warm loads mmap the v5 cache entry in place"),
           {"--edit", "NAME=VAL", "set element NAME to VAL in every deck (repeatable)",
            [&](const std::string& spec) {
              const auto eq = spec.find('=');

@@ -1,8 +1,8 @@
 // awe_fuzz — differential fuzzing driver.
 //
-// Generates seeded random netlists, cross-checks the five evaluation
-// paths (exact symbolic, numeric AWE, compiled strict, compiled fast,
-// sweep engine), shrinks any mismatch to a minimal reproducing deck, and
+// Generates seeded random netlists, cross-checks the four evaluation
+// paths (exact symbolic, numeric AWE, compiled strict, sweep engine),
+// shrinks any mismatch to a minimal reproducing deck, and
 // writes deterministic JSON statistics.
 //
 // stdout: the JSON report (unless --json FILE or --quiet), then a summary
@@ -50,11 +50,11 @@ int main(int argc, char** argv) {
                       "MNA dimension budget, <= 16 (default 12)"),
           cli::number("--max-nodes", "N", opts.gen.max_spine_nodes,
                       "spine node cap (default 6)"),
-          {"--fault", "F", "none | perturb-fast (skew the fused kernel's m_0 by 2^-10)",
+          {"--fault", "F", "none | perturb-sweep (skew the sweep path's m_0 by 2^-10)",
            [&](const std::string& f) {
-             if (f != "none" && f != "perturb-fast") return false;
+             if (f != "none" && f != "perturb-sweep") return false;
              opts.oracle.fault = f == "none" ? testing::FaultInjection::kNone
-                                             : testing::FaultInjection::kPerturbFastMoment0;
+                                             : testing::FaultInjection::kPerturbSweepMoment0;
              return true;
            }},
           cli::flag("--no-shrink", opts.shrink,

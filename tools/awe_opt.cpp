@@ -113,12 +113,10 @@ int main(int argc, char** argv) {
                       "sweep workers, 0 = hardware (default 1)"),
           cli::number("--width", "W", sopts.batch_width,
                       "sweep lane-block width (default 64)"),
-          cli::flag("--fast", sopts.mode,
-                    "EvalMode::kFast (default strict)", core::EvalMode::kFast),
           cli::text("--cache-dir", "DIR", bopts.cache_dir,
                     "persistent model cache to build through"),
           cli::flag("--mmap", bopts.map_model,
-                    "with --cache-dir: mmap a v4 cache hit in place"),
+                    "with --cache-dir: mmap a v5 cache hit in place"),
           cli::HealthJsonSink::option(),
           cli::flag("--quiet", quiet, "suppress the narrative lines")},
       .min_args = 1,

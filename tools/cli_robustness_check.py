@@ -156,7 +156,8 @@ def main():
     missing = os.path.join(args.workdir, "missing.sp")
     usage_errors = [
         # (what, text the reason must contain, health file or None, command)
-        # Removed features: the native AOT backend and the v3 repacker.
+        # Removed features: the native AOT backend, the v3 repacker and
+        # the fused evaluation form.
         ("awe_build --native", "--native", "build_native",
          [args.awe_build, "--cache-dir", cache, "--native", args.deck]),
         ("awe_build --pack-v4", "--pack-v4", "build_pack_v4",
@@ -168,6 +169,9 @@ def main():
          [args.awesym_cli, args.deck, "--mc", "64", "--backend", "native"]),
         ("awe_fuzz --native", "--native", None,
          [args.awe_fuzz, "--count", "1", "--quiet", "--native"]),
+        ("awe_opt --fast", "--fast", "opt_fast",
+         [args.awe_opt, "--measure", "pole1", "--mc", "64", "--fast",
+          args.deck]),
         # Malformed values: the whole token must parse.
         ("awe_opt --mc abc", "--mc", "opt_mc",
          [args.awe_opt, "--measure", "pole1", "--mc", "abc", args.deck]),

@@ -130,7 +130,7 @@ def build_rows(a):
                                 "--save-model", d + ".bin", DECKS[n]])
         same_bytes(cold_edit(n), d + ".bin")
 
-    # -- backing (§15): heap, mmap'd v4 cache entry and shm store give the
+    # -- backing (§15): heap, mmap'd v5 cache entry and shm store give the
     # same moment dump.  The heap run warms the entry --mmap maps.
     def moments(n, t, out, via):
         tool([cli, DECKS[n], "--mc", 512, "--threads", t, "--dump-moments",
@@ -222,14 +222,14 @@ def build_rows(a):
               "r1=1100", "--save-model", w("cold_torn.bin"), TWOPOLE])
         same_bytes(w("cold_torn.bin"), w("inc_torn.bin"))
 
-    @row("fault model_cache.store_truncate torn v4 entry refused by --mmap")
+    @row("fault model_cache.store_truncate torn v5 entry refused by --mmap")
     def _():
         d = w("fp_mmap")
         mc = [cli, TWOPOLE, "--mc", 128]
         tool(mc + ["--dump-moments", w("fp_ref.txt")])
         armed("model_cache.store_truncate",
               mc + ["--cache-dir", d, "--dump-moments", os.devnull],
-              w("health_torn_v4.json"))
+              w("health_torn_v5.json"))
         tool(mc + ["--cache-dir", d, "--mmap", "--dump-moments",
                    w("fp_mmap.txt")])
         need(glob.glob(os.path.join(d, "*.awemodel.bad")),
@@ -249,23 +249,23 @@ def build_rows(a):
                  '"cache": {"corrupt_quarantined": 1, "rebuilds": 1}')
 
     # --map-audit checksums what the lazy mmap path skips: it quarantines
-    # a pre-v4 file (exit 2), leaves the v4 entry beside it unchanged, and
+    # a pre-v5 file (exit 2), leaves the v5 entry beside it unchanged, and
     # a second audit passes.
-    @row("fault --map-audit quarantines a pre-v4 entry")
+    @row("fault --map-audit quarantines a pre-v5 entry")
     def _():
         d = w("audit_cache")
         tool([cli, TWOPOLE, "--mc", 16, "--cache-dir", d, "--dump-moments",
               os.devnull])
         entries = glob.glob(os.path.join(d, "*.awemodel"))
-        need(len(entries) == 1, "expected one v4 entry, got %s" % entries)
-        shutil.copy(entries[0], w("audit_v4_before.awemodel"))
-        fixture = os.path.join(d, "fixture_v3.awemodel")
-        shutil.copy(os.path.join(REPO, "tests", "data", "golden_v3.awemodel"),
+        need(len(entries) == 1, "expected one v5 entry, got %s" % entries)
+        shutil.copy(entries[0], w("audit_v5_before.awemodel"))
+        fixture = os.path.join(d, "fixture_v4.awemodel")
+        shutil.copy(os.path.join(REPO, "tests", "data", "golden_v4.awemodel"),
                     fixture)
         tool([build, "--map-audit", d], rcs=(2,))
         need(os.path.isfile(fixture + ".bad"), "fixture not quarantined")
         need(not os.path.exists(fixture), "fixture left in place")
-        same_bytes(w("audit_v4_before.awemodel"), entries[0])
+        same_bytes(w("audit_v5_before.awemodel"), entries[0])
         tool([build, "--map-audit", d])
 
     # -- containment (§11): an armed site surfaces as a completed run with
