@@ -11,7 +11,6 @@
 #include "awe/awe.hpp"
 #include "bench_util.hpp"
 #include "circuits/coupled_lines.hpp"
-#include "awe/tree_moments.hpp"
 #include "circuits/ladders.hpp"
 #include "transim/transim.hpp"
 
@@ -90,21 +89,6 @@ void BM_Awe_Ladder(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Awe_Ladder)->Arg(50)->Arg(200)->Arg(800)->Unit(benchmark::kMillisecond);
-
-void BM_TreeMoments_Ladder(benchmark::State& state) {
-  // Path-tracing moments: O(n) per order, no factorization at all — the
-  // RICE-style fast path for tree interconnect.
-  circuits::LadderValues v;
-  v.segments = static_cast<std::size_t>(state.range(0));
-  auto lad = circuits::make_rc_ladder(v);
-  const auto tree =
-      engine::RcTreeAnalyzer::build(lad.netlist, circuits::LadderCircuit::kInput);
-  for (auto _ : state) {
-    const auto m = tree->transfer_moments(lad.out, 6);
-    benchmark::DoNotOptimize(m[1]);
-  }
-}
-BENCHMARK(BM_TreeMoments_Ladder)->Arg(50)->Arg(200)->Arg(800)->Unit(benchmark::kMicrosecond);
 
 void BM_SparseLuMoments_Ladder(benchmark::State& state) {
   circuits::LadderValues v;

@@ -10,12 +10,13 @@
 // run, but the incremental evaluation is orders of magnitude cheaper.
 //
 // The build-pipeline series (BM_Build*) measures the setup cost itself
-// under the two levers this codebase adds on top of the paper: the
-// parallel extraction pipeline (BuildOptions::threads) and the persistent
+// under the levers this codebase adds on top of the paper: the parallel
+// extraction pipeline (BuildOptions::threads), the persistent
 // compiled-model cache (warm loads skip partition+symbolic+compile
-// entirely).  Each reports a `builds_per_s` rate counter; the perf gate
-// anchors the series to BM_BuildCold so the gated quantity is the
-// warm/cold and parallel/cold speedup STRUCTURE, not machine speed.
+// entirely) and the incremental per-cell rebuild.  Each reports a
+// `builds_per_s` rate counter; the perf gate anchors the series to
+// BM_BuildCold so the gated quantity is the warm/cold, edit/cold and
+// threaded/serial speedup STRUCTURE, not machine speed.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -30,8 +31,6 @@
 #include "bench_util.hpp"
 #include "circuits/coupled_lines.hpp"
 #include "core/model_cache.hpp"
-#include "engine/thread_pool.hpp"
-#include "partition/macromodel.hpp"
 
 namespace {
 
@@ -39,6 +38,9 @@ using namespace awe;
 
 const std::vector<std::string> kSymbols{circuits::CoupledLinesCircuit::kSymbolRdriver,
                                         circuits::CoupledLinesCircuit::kSymbolCload};
+
+/// Pool size of the threaded cold build (table row and BM_BuildColdThreads).
+constexpr std::size_t kBuildThreads = 4;
 
 /// Fresh empty cache directory (under the system temp root) per call.
 std::string fresh_cache_dir(const char* tag) {
@@ -48,28 +50,6 @@ std::string fresh_cache_dir(const char* tag) {
   std::filesystem::create_directories(dir);
   return dir.string();
 }
-
-/// The multi-partition macromodeling workload: the paper's 1000-segment
-/// coupled pair cut into `count` independent sections, each reduced to a
-/// 2-port macromodel at its far ends.  Partition builds each factor their
-/// own MNA matrix — the serial bottleneck of a single build — so fanning
-/// WHOLE partitions over the pool is what turns threads into wall-clock
-/// speedup (intra-partition column parallelism cannot: the shared factor
-/// dominates, the solves are ~5% of the build).
-struct PartitionedBus {
-  std::vector<circuits::CoupledLinesCircuit> sections;
-  std::vector<part::PortMacromodel::PartitionSpec> parts;
-
-  explicit PartitionedBus(std::size_t count, std::size_t total_segments) {
-    sections.reserve(count);
-    circuits::CoupledLineValues v;
-    v.segments = total_segments / count;
-    for (std::size_t i = 0; i < count; ++i) sections.push_back(circuits::make_coupled_lines(v));
-    parts.reserve(count);
-    for (const auto& s : sections)
-      parts.push_back({&s.netlist, {s.line1_out, s.line2_out}});
-  }
-};
 
 void print_comparison() {
   using benchutil::time_median;
@@ -104,8 +84,16 @@ void print_comparison() {
     benchmark::DoNotOptimize(acc);
   }) / 1000.0;
 
-  // Build-pipeline levers: warm-cache loads of the same model, and the
-  // multi-partition macromodel fan-out (8 bus sections) serial vs pooled.
+  // Build-pipeline levers: the same cold build on 4 threads, and
+  // warm-cache loads of the same model.
+  core::BuildOptions threaded;
+  threaded.threads = kBuildThreads;
+  const double t_setup_par = time_median(3, [&] {
+    const auto m = core::CompiledModel::build(c.netlist, kSymbols,
+                                              circuits::CoupledLinesCircuit::kInput,
+                                              c.line2_out, {.order = 2}, threaded);
+    benchmark::DoNotOptimize(m.instruction_count());
+  });
   const std::string cache_dir = fresh_cache_dir("table");
   core::BuildOptions cached;
   cached.cache_dir = cache_dir;
@@ -139,30 +127,18 @@ void print_comparison() {
   c.netlist.set_value("r1_500", r0);
   std::filesystem::remove_all(inc.partition_block_dir);
 
-  const PartitionedBus bus(8, v.segments);
-  const double t_mm_serial = time_median(3, [&] {
-    const auto mms = part::PortMacromodel::build_many(bus.parts, {.order = 2});
-    benchmark::DoNotOptimize(mms.size());
-  });
-  sweep::ThreadPool pool(4);
-  const double t_mm_par = time_median(3, [&] {
-    const auto mms = part::PortMacromodel::build_many(bus.parts, {.order = 2}, &pool);
-    benchmark::DoNotOptimize(mms.size());
-  });
   std::filesystem::remove_all(cache_dir);
 
   benchutil::print_time("single full AWE analysis", t_awe);
   benchutil::print_time("AWEsymbolic setup (partition+symbolic+compile)", t_setup);
   benchutil::print_time("AWEsymbolic setup, warm model cache", t_warm);
   benchutil::print_time("one-element edit, incremental rebuild", t_inc_edit);
-  benchutil::print_time("8-partition macromodel reduction, serial", t_mm_serial);
-  benchutil::print_time("8-partition macromodel reduction, 4 threads", t_mm_par);
+  benchutil::print_time("AWEsymbolic setup, 4 build threads", t_setup_par);
   benchutil::print_time("AWEsymbolic incremental cost per evaluation", t_inc);
   std::printf("\nsetup ratio   : symbolic/AWE = %.2fx   (paper: 5.41s/1.12s = 4.8x)\n",
               t_setup / t_awe);
   std::printf("incremental   : AWE/symbolic = %.0fx    (paper: ~1e4x)\n", t_awe / t_inc);
-  std::printf("parallel build: serial/parallel = %.2fx   (8 partitions, 4 threads)\n",
-              t_mm_serial / t_mm_par);
+  std::printf("threaded build: serial/4 threads = %.2fx\n", t_setup / t_setup_par);
   std::printf("warm cache    : cold/warm = %.1fx   (acceptance floor: 10x)\n",
               t_setup / t_warm);
   std::printf("incr. rebuild : cold/edit = %.1fx   (acceptance floor: 10x)\n\n",
@@ -214,31 +190,50 @@ BENCHMARK(BM_SymbolicIncremental_CoupledLines)
     ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
-// -- build pipeline: cold / warm-cache / parallel -----------------------
+// -- build pipeline: cold / threaded / warm-cache / incremental ---------
 //
-// All three share one circuit size (1000 segments, the paper's coupled
+// All four share one circuit size (1000 segments, the paper's coupled
 // lines — the numeric extraction dominates the cold build there) and
 // report `builds_per_s`.  BM_BuildCold is the in-run anchor: the perf
-// gate divides the other two by it, so what is actually gated is the
-// warm-cache and parallel-build speedup over a cold serial build.
+// gate divides the others by it, so what is actually gated is the
+// threaded, warm-cache and incremental speedup over a cold serial build.
 
 constexpr std::size_t kBuildSegments = 1000;
 
-void BM_BuildCold(benchmark::State& state) {
+/// Cold builds of the coupled pair under `opts`, reported as builds_per_s.
+void run_cold_builds(benchmark::State& state, const core::BuildOptions& opts) {
   circuits::CoupledLineValues v;
   v.segments = kBuildSegments;
   auto c = circuits::make_coupled_lines(v);
   for (auto _ : state) {
     const auto model = core::CompiledModel::build(
         c.netlist, kSymbols, circuits::CoupledLinesCircuit::kInput, c.line2_out,
-        {.order = 2});
+        {.order = 2}, opts);
     benchmark::DoNotOptimize(model.instruction_count());
   }
   state.counters["builds_per_s"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
+
+void BM_BuildCold(benchmark::State& state) { run_cold_builds(state, {}); }
 BENCHMARK(BM_BuildCold)->Unit(benchmark::kMillisecond);
+
+// The same cold build with BuildOptions::threads (what `awe_build
+// --threads` sets): the cell extractions fan out over a pool spawned per
+// build (a one-cell plan fans out its port-moment columns instead).  Real
+// time, not main-thread CPU time: pool workers carry most of the work, and
+// the gated quantity is wall-clock builds/s.
+void BM_BuildColdThreads(benchmark::State& state) {
+  core::BuildOptions opts;
+  opts.threads = static_cast<std::size_t>(state.range(0));
+  run_cold_builds(state, opts);
+}
+BENCHMARK(BM_BuildColdThreads)
+    ->Arg(kBuildThreads)
+    ->ArgName("threads")
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BuildWarmCache(benchmark::State& state) {
   circuits::CoupledLineValues v;
@@ -396,33 +391,6 @@ void BM_ModelOpenV4MapFirstBatch(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ModelOpenV4MapFirstBatch)->Unit(benchmark::kMillisecond);
-
-// The multi-partition series: 8 bus sections reduced per iteration via
-// PortMacromodel::build_many.  builds_per_s counts PARTITION builds, so
-// threads:4 / threads:1 is the partition-level parallel speedup the
-// acceptance criterion gates on.
-constexpr std::size_t kBuildPartitions = 8;
-
-void BM_BuildParallel(benchmark::State& state) {
-  const PartitionedBus bus(kBuildPartitions, kBuildSegments);
-  sweep::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    const auto mms = part::PortMacromodel::build_many(bus.parts, {.order = 2}, &pool);
-    benchmark::DoNotOptimize(mms.size());
-  }
-  state.counters["builds_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * kBuildPartitions),
-      benchmark::Counter::kIsRate);
-}
-// Real time, not main-thread CPU time: pool workers carry most of the
-// work at threads>1, and the gated quantity is wall-clock builds/s.
-BENCHMARK(BM_BuildParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgName("threads")
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -94,8 +94,9 @@ class Netlist {
 
   /// Drop every element past the first `count` (their names become free
   /// again).  Interned nodes are kept — node ids stay stable.  Enables the
-  /// mutate-and-restore pattern in port_admittance_moments: append scratch
-  /// elements, analyze, truncate back, with no O(circuit) netlist copy.
+  /// mutate-and-restore pattern in port_admittance_moments_inplace: append
+  /// scratch elements, analyze, truncate back, with no O(circuit) netlist
+  /// copy.
   void truncate_elements(std::size_t count);
 
   /// Count of energy-storage elements (C and L) — the paper reports this

@@ -102,11 +102,4 @@ std::vector<std::vector<double>> port_admittance_moments_inplace(
   return yk;
 }
 
-std::vector<std::vector<double>> port_admittance_moments(
-    const circuit::Netlist& netlist, const std::vector<circuit::NodeId>& port_nodes,
-    std::size_t count, sweep::ThreadPool* pool) {
-  circuit::Netlist sub = netlist;
-  return port_admittance_moments_inplace(sub, port_nodes, count, pool);
-}
-
 }  // namespace awe::part

@@ -1,5 +1,5 @@
-// Multiport admittance moment computation (shared by the moment-level
-// partitioner and the N-port macromodel builder).
+// Multiport admittance moment computation for the moment-level
+// partitioner's cells.
 //
 // The subnetwork's ports are grounded through zero-volt sources; exciting
 // port j with a unit voltage and running the AWE moment recursion yields
@@ -29,16 +29,13 @@ namespace awe::part {
 /// I sources are open.  Throws std::runtime_error when the grounded-port
 /// DC matrix is singular (e.g. a port DC-shorted by an ideal inductor).
 /// `pool` (optional) parallelizes the per-port excitation columns.
-std::vector<std::vector<double>> port_admittance_moments(
-    const circuit::Netlist& netlist, const std::vector<circuit::NodeId>& port_nodes,
-    std::size_t count, sweep::ThreadPool* pool = nullptr);
-
-/// Mutate-and-restore variant: works directly on `netlist` (zeroes the V
-/// sources and appends one grounding source per port, restoring both on
-/// every exit path) instead of deep-copying it, so repeated per-partition
-/// extraction stops allocating O(circuit) per call.  The netlist is
-/// returned to its original element list and values even on throw; node
-/// interning is untouched (ports must already be interned).
+///
+/// Works directly on `netlist` (zeroes the V sources and appends one
+/// grounding source per port, restoring both on every exit path) instead
+/// of deep-copying it, so repeated per-partition extraction allocates no
+/// O(circuit) copy per call.  The netlist is returned to its original
+/// element list and values even on throw; node interning is untouched
+/// (ports must already be interned).
 std::vector<std::vector<double>> port_admittance_moments_inplace(
     circuit::Netlist& netlist, const std::vector<circuit::NodeId>& port_nodes,
     std::size_t count, sweep::ThreadPool* pool = nullptr);

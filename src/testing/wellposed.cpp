@@ -70,7 +70,7 @@ class Graph {
 }  // namespace
 
 // Faithful structural model of what MomentPartitioner +
-// port_admittance_moments require of a deck:
+// port_admittance_moments_inplace require of a deck:
 //
 //   1. The port set is the NON-AC-GROUND terminal *nodes* of every symbol
 //      (incl. VCCS control pins), the input source terminals, and the

@@ -1,4 +1,4 @@
-// Deeper coverage: cross-module combinations and device-model corners.
+// Deeper coverage: cross-module combinations.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,8 +10,6 @@
 #include "circuit/parser.hpp"
 #include "circuits/mesh.hpp"
 #include "core/awesymbolic.hpp"
-#include "nonlinear/dc_solver.hpp"
-#include "partition/macromodel.hpp"
 #include "transim/transim.hpp"
 
 namespace awe {
@@ -19,89 +17,6 @@ namespace {
 
 using circuit::kGround;
 using circuit::Netlist;
-
-TEST(DeepCoverage, MosTriodeRegionLinearization) {
-  // Bias the NMOS into triode (Vds < Vov) and finite-difference check the
-  // linearized gm/gds against the device equations.
-  nonlinear::NonlinearCircuit ckt;
-  auto& nl = ckt.linear;
-  const auto d = nl.node("d");
-  const auto g = nl.node("g");
-  nl.add_voltage_source("vd", d, kGround, 0.2);   // small Vds
-  nl.add_voltage_source("vg", g, kGround, 2.0);   // Vov = 1.0 > Vds
-  nonlinear::MosParams m;
-  m.k = 1e-3;
-  m.vth = 1.0;
-  ckt.add_nmos("m1", d, g, kGround, m);
-  const auto op = nonlinear::solve_dc(ckt);
-  ASSERT_TRUE(op.converged);
-
-  auto id_of = [&](double vgs, double vds) {
-    const double vov = vgs - m.vth;
-    return (vds < vov) ? m.k * (vov * vds - 0.5 * vds * vds)
-                       : 0.5 * m.k * vov * vov;
-  };
-  const double h = 1e-6;
-  const double gm_fd = (id_of(2.0 + h, 0.2) - id_of(2.0 - h, 0.2)) / (2 * h);
-  const double gds_fd = (id_of(2.0, 0.2 + h) - id_of(2.0, 0.2 - h)) / (2 * h);
-  EXPECT_NEAR(op.device_ss[0].gm, gm_fd, 1e-6 * gm_fd);
-  EXPECT_NEAR(op.device_ss[0].gds, gds_fd, 1e-5 * gds_fd);
-  EXPECT_NEAR(op.device_ss[0].i_main, id_of(2.0, 0.2), 1e-12);
-}
-
-TEST(DeepCoverage, DiodeBridgeRectifierDc) {
-  // Four-diode bridge with a DC source: two diodes conduct, two block.
-  nonlinear::NonlinearCircuit ckt;
-  auto& nl = ckt.linear;
-  const auto acp = nl.node("acp");
-  const auto acn = nl.node("acn");
-  const auto pos = nl.node("pos");
-  nl.add_voltage_source("vsrc", acp, acn, 5.0);
-  nl.add_resistor("rload", pos, kGround, 1e3);
-  nl.add_resistor("rsrc", acn, kGround, 10.0);  // reference the bridge
-  ckt.add_diode("d1", acp, pos);
-  ckt.add_diode("d2", acn, pos);
-  ckt.add_diode("d3", kGround, acp);
-  ckt.add_diode("d4", kGround, acn);
-  const auto op = nonlinear::solve_dc(ckt);
-  ASSERT_TRUE(op.converged) << op.iterations;
-  circuit::MnaAssembler asem(nl);
-  const double vpos = op.x[asem.layout().node_unknown(pos)];
-  EXPECT_GT(vpos, 3.0);   // ~5V minus a couple of diode drops and sag
-  EXPECT_LT(vpos, 5.0);
-  // d1 conducts, d2 blocks.
-  EXPECT_GT(op.device_ss[0].i_main, 1e-4);
-  EXPECT_LT(op.device_ss[1].i_main, 1e-6);
-}
-
-TEST(DeepCoverage, MacromodelOfMeshDrivingPoint) {
-  // Reduce an 8x8 mesh seen from two opposite corners; check symmetry and
-  // agreement with the exact AC driving-point admittance at low frequency.
-  circuits::MeshValues v;
-  v.width = 8;
-  v.height = 8;
-  auto mesh = circuits::make_rc_mesh(v);
-  // Strip the driver so the mesh itself is the subnetwork.
-  Netlist sub;
-  for (const auto& e : mesh.netlist.elements()) {
-    if (e.name == "vin" || e.name == "rdrv") continue;
-    if (e.kind == circuit::ElementKind::kResistor)
-      sub.add_resistor(e.name, sub.node(mesh.netlist.node_name(e.pos)),
-                       sub.node(mesh.netlist.node_name(e.neg)), e.value);
-    else if (e.kind == circuit::ElementKind::kCapacitor)
-      sub.add_capacitor(e.name, sub.node(mesh.netlist.node_name(e.pos)),
-                        sub.node(mesh.netlist.node_name(e.neg)), e.value);
-  }
-  const auto a = *sub.find_node("m0_0");
-  const auto b = *sub.find_node("far");
-  const auto mm = part::PortMacromodel::build(sub, {a, b}, {.order = 3, .moments = 10});
-  // Reciprocity.
-  const std::complex<double> s{0.0, 2 * M_PI * 1e6};
-  EXPECT_LT(std::abs(mm.admittance(0, 1, s) - mm.admittance(1, 0, s)),
-            1e-10 * std::abs(mm.admittance(0, 1, s)));
-  // DC entry equals the resistive mesh conductance (from the moments).
-  EXPECT_NEAR(mm.admittance(0, 0, {0, 0}).real(), mm.moment_blocks()[0][0], 1e-9);
-}
 
 TEST(DeepCoverage, GradientsOnMeshSymbolicModel) {
   circuits::MeshValues v;

@@ -1,11 +1,10 @@
-// RC mesh workload: fill-producing sparse solves, partitioning on
-// non-tree interconnect, and tree-engine rejection.
+// RC mesh workload: fill-producing sparse solves and partitioning on
+// non-tree interconnect.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "awe/awe.hpp"
-#include "awe/tree_moments.hpp"
 #include "circuits/mesh.hpp"
 #include "core/awesymbolic.hpp"
 #include "transim/transim.hpp"
@@ -22,12 +21,6 @@ TEST(Mesh, GeneratorShape) {
   EXPECT_EQ(mesh.netlist.elements().size(), 2u + 12u + 1u + 9u + 8u);
   EXPECT_TRUE(mesh.netlist.validate().empty());
   EXPECT_THROW(circuits::make_rc_mesh({.width = 1}), std::invalid_argument);
-}
-
-TEST(Mesh, TreeEngineRefusesMesh) {
-  auto mesh = circuits::make_rc_mesh({.width = 3, .height = 3});
-  EXPECT_FALSE(engine::RcTreeAnalyzer::build(mesh.netlist, circuits::MeshCircuit::kInput)
-                   .has_value());
 }
 
 TEST(Mesh, AweTracksTransient) {

@@ -450,7 +450,8 @@ TEST(PortMomentsInplace, RestoresNetlistOnSuccessAndThrow) {
 
   // And the extraction itself is pool-invariant (bit-identical columns).
   sweep::ThreadPool pool(4);
-  const auto yk_par = part::port_admittance_moments(deck.netlist, ports, 4, &pool);
+  auto copy = deck.netlist;
+  const auto yk_par = part::port_admittance_moments_inplace(copy, ports, 4, &pool);
   EXPECT_EQ(yk, yk_par);
 }
 

@@ -4,6 +4,7 @@
 
 #include "awe/moments.hpp"
 #include "circuits/fig1_rc.hpp"
+#include "circuits/ladders.hpp"
 
 namespace awe::engine {
 namespace {
@@ -48,6 +49,21 @@ TEST(Moments, Fig1MatchesClosedForm) {
     expected[k] = (-ex.den_s1 * expected[k - 1] - ex.den_s2 * expected[k - 2]) / ex.den_s0;
   for (std::size_t k = 0; k < 6; ++k)
     EXPECT_NEAR(m[k], expected[k], 1e-9 * std::abs(expected[k]) + 1e-30) << "k=" << k;
+}
+
+TEST(Moments, FirstMomentIsMinusElmore) {
+  // For an RC ladder, -m1 at the far end is the Elmore sum over nodes of
+  // R_path * C_node.
+  circuits::LadderValues v;
+  v.segments = 5;
+  auto lad = circuits::make_rc_ladder(v);
+  const auto m = MomentGenerator(lad.netlist)
+                     .transfer_moments(circuits::LadderCircuit::kInput, lad.out, 2);
+  // Hand computation: node j (0..5) has path resistance Rdrv + j*Rseg.
+  double elmore = 0.0;
+  for (int j = 0; j <= 5; ++j) elmore += (v.r_driver + j * v.r_seg) * v.c_seg;
+  EXPECT_NEAR(m[1], -elmore, 1e-15);
+  EXPECT_DOUBLE_EQ(m[0], 1.0);
 }
 
 TEST(Moments, InductorMomentsMatchAnalytic) {

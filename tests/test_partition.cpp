@@ -5,6 +5,7 @@
 #include "awe/moments.hpp"
 #include "circuits/fig1_rc.hpp"
 #include "partition/partitioner.hpp"
+#include "partition/port_moments.hpp"
 
 namespace awe::part {
 namespace {
@@ -211,6 +212,50 @@ TEST(Partitioner, MultilinearFirstTwoMoments) {
     for (const auto e : t.exponents) EXPECT_LE(e, 1);
   for (const auto& t : sym.numerators[0].terms())
     for (const auto e : t.exponents) EXPECT_LE(e, 1);
+}
+
+TEST(PortMoments, SingleResistorBetweenPorts) {
+  Netlist nl;
+  const auto a = nl.node("a");
+  const auto b = nl.node("b");
+  nl.add_resistor("r1", a, b, 500.0);
+  const auto yk = port_admittance_moments_inplace(nl, {a, b}, 3);
+  const double g = 1.0 / 500.0;
+  EXPECT_NEAR(yk[0][0], g, 1e-12);
+  EXPECT_NEAR(yk[0][1], -g, 1e-12);
+  EXPECT_NEAR(yk[0][2], -g, 1e-12);
+  EXPECT_NEAR(yk[0][3], g, 1e-12);
+  for (int i = 0; i < 4; ++i) EXPECT_NEAR(yk[1][i], 0.0, 1e-18);
+  EXPECT_THROW(port_admittance_moments_inplace(nl, {}, 2), std::invalid_argument);
+  EXPECT_THROW(port_admittance_moments_inplace(nl, {kGround}, 2), std::invalid_argument);
+}
+
+TEST(PortMoments, ReciprocityOfRcNetworks) {
+  // Passive reciprocal network -> every Y_k block is symmetric.
+  Netlist nl;
+  const auto a = nl.node("a");
+  const auto b = nl.node("b");
+  const auto m = nl.node("m");
+  nl.add_resistor("r1", a, m, 100.0);
+  nl.add_resistor("r2", m, b, 300.0);
+  nl.add_capacitor("c1", m, kGround, 2e-12);
+  nl.add_capacitor("c2", a, b, 1e-12);
+  const auto yk = port_admittance_moments_inplace(nl, {a, b}, 5);
+  for (std::size_t k = 0; k < 5; ++k)
+    EXPECT_NEAR(yk[k][0 * 2 + 1], yk[k][1 * 2 + 0],
+                1e-12 * (std::abs(yk[k][1]) + 1e-20))
+        << "k=" << k;
+}
+
+TEST(PortMoments, InternalSourcesAreZeroed) {
+  Netlist nl;
+  const auto a = nl.node("a");
+  nl.add_resistor("r1", a, kGround, 1e3);
+  nl.add_voltage_source("vbias", nl.node("x"), kGround, 5.0);
+  nl.add_resistor("rx", nl.node("x"), a, 1e3);
+  const auto yk = port_admittance_moments_inplace(nl, {a}, 2);
+  // With vbias zeroed (short), looking into a: 1k || 1k = 500 ohm.
+  EXPECT_NEAR(yk[0][0], 1.0 / 500.0, 1e-12);
 }
 
 TEST(SymbolicMoments, MomentAccessorAndNames) {
