@@ -13,7 +13,7 @@
 namespace awe::engine {
 namespace {
 
-constexpr double kProbePivotTol = 1e-10;  // max_feasible_order's feasibility test
+constexpr double kProbePivotTol = 1e-10;  // the order-fallback probes' feasibility test
 constexpr double kSolvePivotTol = 1e-13;  // the solve's (LuFactorization's default)
 
 double* mu_slot(PadeScratch& s, std::size_t q) { return &s.mu[(q - 1) * 2 * s.max_order]; }
@@ -46,7 +46,7 @@ bool factor_hankel(PadeScratch& s, std::size_t q, double pivot_tol) {
                                     pivot_tol) != 0;
 }
 
-/// The max_feasible_order probes for q = 1..qmax; each feasible order's
+/// The order-fallback probes for q = 1..qmax; each feasible order's
 /// scale and Hankel factors stay in its slot.  Returns the largest feasible q.
 std::size_t probe_orders(std::span<const double> m, std::size_t qmax, PadeScratch& s) {
   std::size_t best = 0;
@@ -59,8 +59,8 @@ std::size_t probe_orders(std::span<const double> m, std::size_t qmax, PadeScratc
   return best;
 }
 
-/// One scratch per thread for the scalar wrappers, grown to the largest
-/// order they have been asked for.
+/// One scratch per thread for pade_solve_batch, grown to the largest order
+/// it has been asked for.
 PadeScratch& thread_scratch(std::size_t order) {
   thread_local std::optional<PadeScratch> s;
   if (!s || s->max_order < order) s.emplace(order);
@@ -156,19 +156,6 @@ health::FailClass pade_lane(std::span<const double> moments, std::size_t order,
   return FailClass::kNone;
 }
 
-PadeResult pade_from_moments(std::span<const double> moments, std::size_t order) {
-  PadeScratch& s = thread_scratch(order);
-  if (pade_lane(moments, order, /*allow_fallback=*/false, s) != health::FailClass::kNone)
-    throw health::FailError(health::FailClass::kHankelIllConditioned,
-                            "pade: singular Hankel system or repeated pole (moment "
-                            "degeneracy; try a lower order)");
-  return {s.order, s.numerator, s.denominator, s.scale, s.poles, s.residues};
-}
-
-std::size_t max_feasible_order(std::span<const double> moments) {
-  return probe_orders(moments, moments.size() / 2, thread_scratch(moments.size() / 2));
-}
-
 std::size_t pade_solve_batch(std::span<const double> moments, std::size_t stride,
                              std::size_t count, std::size_t order, bool allow_fallback,
                              std::span<const unsigned char> ok,
@@ -199,10 +186,6 @@ std::size_t pade_solve_batch(std::span<const double> moments, std::size_t stride
     ++solved;
   }
   return solved;
-}
-
-std::complex<double> evaluate_pade(const PadeResult& pade, std::complex<double> s) {
-  return linalg::poly_eval(pade.numerator, s) / linalg::poly_eval(pade.denominator, s);
 }
 
 }  // namespace awe::engine

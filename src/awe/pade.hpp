@@ -100,43 +100,31 @@ inline double moment_scale(std::span<const double> m) {
   return std::ldexp(1.0, e);  // subnormal, 0 or inf
 }
 
-/// The Padé half of the ROM fit lane kernel.  Runs, operation for
-/// operation, what pade_from_moments(moments, order) runs — preceded, when
-/// `allow_fallback`, by the max_feasible_order probes of the first
-/// min(moments.size(), 2*order) moments and a drop to the largest feasible
-/// order — and leaves the approximant in `s`.  Each Hankel factorization
-/// that sequence performs consults the linalg.lu_singular failpoint once,
-/// even though the solve reuses the factors of its order's probe.  Returns
-/// kNone, kOrderCollapse (no feasible order) or kHankelIllConditioned
-/// (singular Hankel system, repeated pole) and never allocates.  Throws
-/// std::invalid_argument for order 0 without fallback, too few moments or
-/// an order above s.max_order.
+/// The one Padé solve: fit_lane (hence from_moments and the scalar lanes
+/// of fit_lanes) and pade_solve_batch run it.  Computes the order-q
+/// approximant of the moments and leaves it in `s`; on success s.order is
+/// the q solved.  Without `allow_fallback`, q = `order`.  With it, the
+/// orders 1..min(moments.size(), 2*order)/2 are probed first (pivot
+/// tolerance 1e-10 against the solve's 1e-13) and q is the largest
+/// feasible one.  Each Hankel factorization that sequence performs
+/// consults the linalg.lu_singular failpoint once, even though the solve
+/// reuses the factors of its order's probe.  Returns kNone, kOrderCollapse
+/// (no feasible order) or kHankelIllConditioned (singular Hankel system,
+/// repeated pole) and never allocates.  Throws std::invalid_argument for
+/// order 0 without fallback, too few moments or an order above
+/// s.max_order.
 health::FailClass pade_lane(std::span<const double> moments, std::size_t order,
                             bool allow_fallback, PadeScratch& s);
 
-/// Compute the order-q Padé approximant from at least 2q moments.
-/// Throws std::invalid_argument when too few moments are supplied and
-/// health::FailError(kHankelIllConditioned) when the Hankel system is
-/// singular (moment degeneracy — retry with a lower order) or the
-/// approximant has a repeated pole.
-PadeResult pade_from_moments(std::span<const double> moments, std::size_t order);
-
-/// Largest order q such that the q x q Hankel system of these moments is
-/// numerically nonsingular; useful for automatic order selection.
-std::size_t max_feasible_order(std::span<const double> moments);
-
-/// Lane-block form of pade_from_moments: for each lane p < count with
-/// ok[p] != 0 and finite moments, runs pade_lane (with its order-fallback
-/// probes when allow_fallback) on the lane and stores the approximant in
-/// results[p].  Moment k of lane p is read at moments[k*stride + p] (2*order
-/// moments per lane).  Lanes that are skipped or fail get results[p].order
-/// = 0 and raise nothing.  Returns the number of lanes solved.
+/// Lane-block form of pade_lane: for each lane p < count with ok[p] != 0
+/// and finite moments, solves the lane (with the order-fallback probes
+/// when allow_fallback) and stores the approximant in results[p].  Moment
+/// k of lane p is read at moments[k*stride + p] (2*order moments per
+/// lane).  Lanes that are skipped or fail get results[p].order = 0 and
+/// raise nothing.  Returns the number of lanes solved.
 std::size_t pade_solve_batch(std::span<const double> moments, std::size_t stride,
                              std::size_t count, std::size_t order, bool allow_fallback,
                              std::span<const unsigned char> ok,
                              std::span<PadeResult> results);
-
-/// Evaluate N(s)/D(s) at complex s.
-std::complex<double> evaluate_pade(const PadeResult& pade, std::complex<double> s);
 
 }  // namespace awe::engine

@@ -42,9 +42,9 @@ class ReducedOrderModel {
   /// Assemble a model from an already-computed Padé approximant of
   /// `moments` (direct-term extraction, stability filter, residue re-fit —
   /// the tail of from_moments).  `pade` must have been produced by
-  /// pade_from_moments at the order from_moments would have selected for
-  /// these moments; then from_pade(pade, moments, opts) equals
-  /// from_moments(moments, opts) bit for bit.
+  /// pade_lane (as pade_solve_batch stores it) at the order from_moments
+  /// would have selected for these moments; then from_pade(pade, moments,
+  /// opts) equals from_moments(moments, opts) bit for bit.
   static ReducedOrderModel from_pade(PadeResult pade, std::span<const double> moments,
                                      const RomOptions& opts);
 

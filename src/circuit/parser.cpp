@@ -299,10 +299,12 @@ ParsedDeck parse_deck(std::istream& in) {
     if (head == ".symbol") {
       for (std::size_t i = 1; i < card.tokens.size(); ++i)
         deck.symbol_elements.push_back(lower(card.tokens[i]));
-    } else if (head == ".input") {
-      deck.input_source = lower(card.tokens[1]);
     } else {
-      deck.output_node = lower(card.tokens[1]);
+      // A model is one transfer: a second .input or .output is an error,
+      // not a silent override of the first.
+      std::string& target = head == ".input" ? deck.input_source : deck.output_node;
+      if (!target.empty()) fail(card.line_no, "repeated '" + card.tokens[0] + "'");
+      target = lower(card.tokens[1]);
     }
   }
   return deck;

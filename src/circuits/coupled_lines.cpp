@@ -54,44 +54,4 @@ CoupledLinesCircuit make_coupled_lines(const CoupledLineValues& v) {
   return c;
 }
 
-CoupledBusCircuit make_coupled_bus(const CoupledBusValues& v) {
-  if (v.lines < 2) throw std::invalid_argument("coupled bus: need at least 2 lines");
-  if (v.segments == 0) throw std::invalid_argument("coupled bus: segments must be >= 1");
-  CoupledBusCircuit c;
-  auto& nl = c.netlist;
-  const std::size_t n = v.segments;
-  const double r_seg = v.r_total / static_cast<double>(n);
-  const double cg_seg = v.c_ground_total / static_cast<double>(n);
-  const double cc_seg = v.c_couple_total / static_cast<double>(n);
-
-  auto node_of = [&](std::size_t line, std::size_t k) {
-    if (k == n) return nl.node("l" + std::to_string(line) + "_end");
-    return nl.node("l" + std::to_string(line) + "_" + std::to_string(k));
-  };
-
-  for (std::size_t line = 1; line <= v.lines; ++line) {
-    const std::string lt = std::to_string(line);
-    const NodeId drv = nl.node("drv" + lt);
-    // Line 1 carries the active source; the others have quiet drivers.
-    nl.add_voltage_source("vdrv" + lt, drv, kGround, line == 1 ? 1.0 : 0.0);
-    nl.add_resistor("rdrv" + lt, drv, node_of(line, 0), v.r_driver);
-    for (std::size_t k = 0; k < n; ++k) {
-      nl.add_resistor("r" + lt + "_" + std::to_string(k), node_of(line, k),
-                      node_of(line, k + 1), r_seg);
-      nl.add_capacitor("cg" + lt + "_" + std::to_string(k + 1), node_of(line, k + 1),
-                       kGround, cg_seg);
-    }
-    nl.add_capacitor("cload" + lt, node_of(line, n), kGround, v.c_load);
-  }
-  // Nearest-neighbor coupling.
-  for (std::size_t line = 1; line < v.lines; ++line)
-    for (std::size_t k = 1; k <= n; ++k)
-      nl.add_capacitor("cc" + std::to_string(line) + "_" + std::to_string(k),
-                       node_of(line, k), node_of(line + 1, k), cc_seg);
-
-  for (std::size_t line = 1; line <= v.lines; ++line)
-    c.line_outs.push_back(node_of(line, n));
-  return c;
-}
-
 }  // namespace awe::circuits

@@ -42,25 +42,4 @@ struct CoupledLinesCircuit {
 /// the cross-talk timing model).
 CoupledLinesCircuit make_coupled_lines(const CoupledLineValues& values = {});
 
-/// N-line bus generalization: `lines` parallel RC lines with
-/// nearest-neighbor capacitive coupling; line 1 is the aggressor (driven),
-/// the rest are quiet victims.  Far ends are named "l<k>_end".
-struct CoupledBusValues {
-  std::size_t lines = 3;
-  std::size_t segments = 100;
-  double r_total = 1.0e3;
-  double c_ground_total = 10e-12;
-  double c_couple_total = 5e-12;   ///< between adjacent lines
-  double r_driver = 100.0;
-  double c_load = 1e-12;
-};
-
-struct CoupledBusCircuit {
-  circuit::Netlist netlist;
-  std::vector<circuit::NodeId> line_outs;  ///< far end of each line
-  static constexpr const char* kInput = "vdrv1";
-};
-
-CoupledBusCircuit make_coupled_bus(const CoupledBusValues& values = {});
-
 }  // namespace awe::circuits

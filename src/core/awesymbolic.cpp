@@ -101,8 +101,7 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
   std::string cache_key;
   bool cache_quarantined = false;
   if (!build_opts.cache_dir.empty()) {
-    const circuit::NodeId outs[] = {output_node};
-    cache_key = model_cache_key(netlist, symbol_elements, input_source, outs, opts);
+    cache_key = model_cache_key(netlist, symbol_elements, input_source, output_node, opts);
     const std::string path = ModelCache::entry_path(build_opts.cache_dir, cache_key);
     // map_model mmap-opens a hit in place (O(pages touched)) instead of
     // stream-reading it; a corrupt or pre-v5 entry is quarantined and
@@ -563,129 +562,6 @@ std::vector<symbolic::RationalFunction> CompiledModel::symbolic_numerator() cons
   }
   throw std::invalid_argument(
       "symbolic_numerator: closed forms supported for orders 1 and 2 only");
-}
-
-MultiOutputModel MultiOutputModel::build(const circuit::Netlist& netlist,
-                                         std::vector<std::string> symbol_elements,
-                                         const std::string& input_source,
-                                         std::vector<circuit::NodeId> output_nodes,
-                                         const ModelOptions& opts,
-                                         const BuildOptions& build_opts) {
-  if (opts.order == 0) throw std::invalid_argument("MultiOutputModel: order must be >= 1");
-  std::optional<sweep::ThreadPool> local_pool;
-  sweep::ThreadPool* pool = resolve_pool(build_opts, local_pool);
-  part::MomentPartitioner partitioner(netlist, std::move(symbol_elements), input_source,
-                                      std::move(output_nodes));
-  part::MultiSymbolicMoments sym =
-      partitioner.compute_all(2 * opts.order, resolve_extract_options(build_opts, pool));
-
-  ExprGraph graph;
-  std::vector<symbolic::NodeId> vars;
-  for (std::size_t i = 0; i < sym.symbols.size(); ++i)
-    vars.push_back(graph.input(static_cast<std::uint32_t>(i)));
-  std::vector<symbolic::NodeId> roots;
-  for (const auto& per_output : sym.numerators)
-    for (const auto& numerator : per_output)
-      roots.push_back(lower_polynomial(graph, numerator, vars));
-  roots.push_back(lower_polynomial(graph, sym.det_y0, vars));
-
-  CompiledProgram program(graph, roots);
-  return MultiOutputModel(std::move(sym), std::move(program), opts);
-}
-
-std::vector<std::string> MultiOutputModel::symbol_names() const {
-  std::vector<std::string> names;
-  for (const auto& s : sym_.symbols) names.push_back(s.name);
-  return names;
-}
-
-std::vector<double> MultiOutputModel::moments_at(
-    std::size_t o, std::span<const double> element_values) const {
-  if (o >= sym_.outputs.size()) throw std::out_of_range("MultiOutputModel: output index");
-  if (element_values.size() != sym_.symbols.size())
-    throw std::invalid_argument("MultiOutputModel: wrong number of element values");
-  std::vector<double> inputs(element_values.begin(), element_values.end());
-  for (std::size_t i = 0; i < sym_.symbols.size(); ++i)
-    if (sym_.symbols[i].reciprocal) {
-      if (inputs[i] == 0.0)
-        throw std::domain_error("MultiOutputModel: zero resistance symbol value");
-      inputs[i] = 1.0 / inputs[i];
-    }
-  const std::size_t count = 2 * opts_.order;
-  std::vector<double> outputs(program_.output_count());
-  program_.run(inputs, outputs);
-  const double d = outputs.back();
-  if (d == 0.0) throw std::domain_error("MultiOutputModel: det(Y0) vanishes");
-  std::vector<double> m(count);
-  double dp = d;
-  for (std::size_t k = 0; k < count; ++k) {
-    m[k] = outputs[o * count + k] / dp;
-    dp *= d;
-  }
-  return m;
-}
-
-BatchWorkspace MultiOutputModel::make_batch_workspace(std::size_t width) const {
-  if (width == 0) throw std::invalid_argument("make_batch_workspace: width must be >= 1");
-  BatchWorkspace ws;
-  ws.width = width;
-  ws.symbol_values.resize(sym_.symbols.size() * width);
-  ws.program_outputs.resize(program_.output_count() * width);
-  ws.registers.resize(program_.register_count() * width);
-  return ws;
-}
-
-void MultiOutputModel::moments_batch(std::span<const double> element_values,
-                                     std::size_t stride, std::size_t count,
-                                     BatchWorkspace& ws, std::span<double> moments_out,
-                                     std::size_t out_stride,
-                                     std::span<unsigned char> ok) const {
-  if (count == 0) return;
-  const std::size_t nsym = sym_.symbols.size();
-  const std::size_t nm = moment_count();
-  const std::size_t nout = sym_.outputs.size();
-  check_batch_args(nsym, nout * nm, element_values, stride, count, ws, moments_out,
-                   out_stride, ok);
-  if (ws.symbol_values.size() < nsym * count ||
-      ws.program_outputs.size() < program_.output_count() * count ||
-      ws.registers.size() < program_.register_count() * count)
-    throw std::invalid_argument(
-        "MultiOutputModel: batch workspace does not match this model (use "
-        "make_batch_workspace())");
-
-  pack_symbol_block(sym_.symbols, element_values, stride, count, ws, ok);
-  program_.run_batch(std::span<const double>(ws.symbol_values.data(), nsym * count),
-                     std::span<double>(ws.program_outputs.data(),
-                                       program_.output_count() * count),
-                     std::span<double>(ws.registers.data(), program_.register_count() * count),
-                     count);
-  const double* const det = ws.program_outputs.data() + nout * nm * count;
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  for (std::size_t p = 0; p < count; ++p) {
-    if (det[p] == 0.0) ok[p] = 0;
-    if (!ok[p]) {
-      for (std::size_t row = 0; row < nout * nm; ++row)
-        moments_out[row * out_stride + p] = kNaN;
-      continue;
-    }
-    for (std::size_t o = 0; o < nout; ++o) {
-      double dp = det[p];
-      for (std::size_t k = 0; k < nm; ++k) {
-        moments_out[(o * nm + k) * out_stride + p] =
-            ws.program_outputs[(o * nm + k) * count + p] / dp;
-        dp *= det[p];
-      }
-    }
-  }
-}
-
-engine::ReducedOrderModel MultiOutputModel::evaluate(
-    std::size_t o, std::span<const double> element_values) const {
-  engine::RomOptions ropts;
-  ropts.order = opts_.order;
-  ropts.enforce_stability = opts_.enforce_stability;
-  ropts.allow_order_fallback = opts_.allow_order_fallback;
-  return engine::ReducedOrderModel::from_moments(moments_at(o, element_values), ropts);
 }
 
 std::string CompiledModel::export_c_source(std::string_view function_name) const {

@@ -312,61 +312,6 @@ class CompiledModel {
   std::span<const std::byte> symbolics_raw_;  ///< into *blob_
 };
 
-/// Several outputs compiled from ONE partition: the numeric reduction,
-/// det(Y0)/adjugate and the cross-moment CSE are all shared, so modeling
-/// e.g. both the direct and the cross-talk end of a coupled-line pair
-/// costs barely more than one of them (the hash-consed DAG dedupes the
-/// common subexpressions across outputs automatically).
-class MultiOutputModel {
- public:
-  /// `build_opts`: threads/pool parallelize the partition extraction;
-  /// cache_dir is ignored here (multi-output models are not cached —
-  /// they're built once per composite analysis, not per sweep).
-  static MultiOutputModel build(const circuit::Netlist& netlist,
-                                std::vector<std::string> symbol_elements,
-                                const std::string& input_source,
-                                std::vector<circuit::NodeId> output_nodes,
-                                const ModelOptions& opts = {},
-                                const BuildOptions& build_opts = {});
-
-  std::size_t output_count() const { return sym_.outputs.size(); }
-  circuit::NodeId output_node(std::size_t o) const { return sym_.outputs.at(o); }
-  std::size_t order() const { return opts_.order; }
-  const ModelOptions& options() const { return opts_; }
-  std::size_t moment_count() const { return 2 * opts_.order; }
-  std::size_t symbol_count() const { return sym_.symbols.size(); }
-  const part::MultiSymbolicMoments& symbolic_moments() const { return sym_; }
-  std::size_t instruction_count() const { return program_.instruction_count(); }
-  std::size_t port_count() const { return sym_.port_count; }
-  std::vector<std::string> symbol_names() const;
-
-  /// Moments of output `o` at the given element values.
-  std::vector<double> moments_at(std::size_t o, std::span<const double> element_values) const;
-  /// Reduced-order model of output `o`.
-  engine::ReducedOrderModel evaluate(std::size_t o,
-                                     std::span<const double> element_values) const;
-
-  /// Batched scratch for lane blocks of up to `width` points.
-  BatchWorkspace make_batch_workspace(std::size_t width) const;
-
-  /// Batched evaluation of ALL outputs: one shared program run per lane
-  /// block.  Same layout contract as CompiledModel::moments_batch, except
-  /// moment k of output o for point p lands at
-  /// moments_out[(o*moment_count() + k)*out_stride + p].
-  void moments_batch(std::span<const double> element_values, std::size_t stride,
-                     std::size_t count, BatchWorkspace& ws, std::span<double> moments_out,
-                     std::size_t out_stride, std::span<unsigned char> ok) const;
-
- private:
-  MultiOutputModel(part::MultiSymbolicMoments sym, symbolic::CompiledProgram program,
-                   ModelOptions opts)
-      : sym_(std::move(sym)), program_(std::move(program)), opts_(opts) {}
-
-  part::MultiSymbolicMoments sym_;
-  symbolic::CompiledProgram program_;  // outputs: [o0: N_0..N_{2q-1}]... , det(Y0)
-  ModelOptions opts_;
-};
-
 /// Automatic symbolic-element selection (paper §2.3): run AWEsensitivity
 /// and return the `how_many` differentiable elements with the largest
 /// normalized pole sensitivities.

@@ -42,8 +42,7 @@ void quarantine(const std::string& path, bool* corrupt_quarantined) {
 std::string model_cache_key(const circuit::Netlist& netlist,
                             std::span<const std::string> symbol_elements,
                             const std::string& input_source,
-                            std::span<const circuit::NodeId> output_nodes,
-                            const ModelOptions& opts) {
+                            circuit::NodeId output_node, const ModelOptions& opts) {
   // Values of symbolic elements and of the input source never enter the
   // compiled model (runtime inputs / unit-normalized excitation), so they
   // are excluded from the encoding: editing them must still hit.
@@ -97,8 +96,10 @@ std::string model_cache_key(const circuit::Netlist& netlist,
   put_u64(buf, symbol_elements.size());
   for (const std::string& s : symbol_elements) put_str(buf, s);
   put_str(buf, input_source);
-  put_u64(buf, output_nodes.size());
-  for (circuit::NodeId out : output_nodes) put_u32(buf, out);
+  // The output is encoded as a one-element list: the layout existing cache
+  // entries and printed keys were derived with.
+  put_u64(buf, 1);
+  put_u32(buf, output_node);
 
   put_u64(buf, opts.order);
   put_u8(buf, opts.enforce_stability ? 1 : 0);
@@ -224,9 +225,8 @@ std::shared_ptr<const CompiledModel> ModelCache::get_or_build(
   const auto out_id = netlist.find_node(output_node);
   if (!out_id)
     throw std::invalid_argument("ModelCache: unknown output node '" + output_node + "'");
-  const circuit::NodeId outs[] = {*out_id};
   const std::string key =
-      model_cache_key(netlist, symbol_elements, input_source, outs, opts);
+      model_cache_key(netlist, symbol_elements, input_source, *out_id, opts);
 
   if (auto hit = memory_get(key)) return hit;
 

@@ -7,7 +7,7 @@
 // handful of polynomials — serializes to a few kilobytes.  The cache makes
 // that cost once-per-circuit instead of once-per-process:
 //
-//   key   = content hash of (canonical netlist, symbol set, input, outputs,
+//   key   = content hash of (canonical netlist, symbol set, input, output,
 //           ModelOptions, format version)      -- model_cache_key()
 //   disk  = <cache_dir>/<key>.awemodel         -- atomic tmp+rename store
 //   RAM   = in-process LRU of shared_ptr<const CompiledModel>
@@ -37,15 +37,14 @@ namespace awe::core {
 /// kind, name, terminal/controlling node names, control-source names),
 /// non-symbolic element values (they are folded into the numeric partition
 /// and become program constants), the symbolic element set, input source,
-/// output node(s) and ModelOptions, plus the serialization format version.
+/// output node and ModelOptions, plus the serialization format version.
 /// Deliberately EXCLUDED: the values of symbolic elements and of the input
 /// source — neither enters the compiled model (symbols are runtime inputs;
 /// the excitation is unit-normalized), so editing them must still hit.
 std::string model_cache_key(const circuit::Netlist& netlist,
                             std::span<const std::string> symbol_elements,
                             const std::string& input_source,
-                            std::span<const circuit::NodeId> output_nodes,
-                            const ModelOptions& opts);
+                            circuit::NodeId output_node, const ModelOptions& opts);
 
 /// Two-level (memory LRU + disk) cache of compiled models.  All public
 /// methods are thread-safe; the build itself runs outside the lock, so

@@ -146,14 +146,14 @@ struct ChunkFit {
 
 /// Fit r's ROMs over the lane block [b, b+w): one fit_lanes call over the
 /// block, then the fallback ladder for the points whose primary fit
-/// failed.  Points the evaluation rung quarantined are skipped.  `moments`
-/// holds the output's moment rows (stride r.num_points).
-void fit_block(const engine::RomOptions& ropts, const double* moments,
-               const std::vector<std::uint8_t>& ok, std::size_t b, std::size_t w,
+/// failed.  Points the evaluation rung quarantined are skipped.
+void fit_block(const engine::RomOptions& ropts, std::size_t b, std::size_t w,
                const std::function<bool(const engine::ReducedOrderModel&)>& pred,
                SweepResult& r, ChunkFit& cf, std::vector<double>& lane,
                health::HealthReport& hr) {
   const std::size_t n = r.num_points, nm = lane.size();
+  const double* const moments = r.moments.data();
+  const std::vector<std::uint8_t>& ok = r.ok;
   std::function<void(std::size_t)> on_fit;
   if (pred)
     on_fit = [&](std::size_t i) {
@@ -230,7 +230,7 @@ Stats stats_over(const double* vals, std::size_t n, const std::vector<std::uint8
   return s;
 }
 
-/// Serial post-join reductions shared by both run_sweep overloads.
+/// Serial post-join reductions of a sweep.
 void finalize_result(SweepResult& res) {
   const std::size_t n = res.num_points;
   res.moment_stats.resize(res.num_moments);
@@ -386,8 +386,7 @@ SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> poin
           res.fail_class[p] = static_cast<std::uint8_t>(ev.fail);
         }
         if (need_rom)
-          fit_block(ropts, res.moments.data(), res.ok, b, w, opts.pass_predicate, res, *fit,
-                    lane, hr);
+          fit_block(ropts, b, w, opts.pass_predicate, res, *fit, lane, hr);
         for (std::size_t p = b; p < b + w && opts.pole_sensitivities; ++p) {
           if (res.fail_class[p] == static_cast<std::uint8_t>(health::FailClass::kNone)) {
             // Chain this point's moment gradients through the Padé/Hankel
@@ -446,101 +445,6 @@ SweepResult run_sweep(const core::SharedModelStore& store, std::vector<double> p
     throw std::runtime_error("run_sweep: model store '" + store.name() +
                              "' has no published model");
   return run_sweep(*pinned, std::move(points), num_points, opts);
-}
-
-std::vector<SweepResult> run_sweep(const core::MultiOutputModel& model,
-                                   std::vector<double> points, std::size_t num_points,
-                                   const SweepOptions& opts) {
-  const std::size_t nsym = model.symbol_count();
-  const std::size_t nm = model.moment_count();
-  const std::size_t nout = model.output_count();
-  if (points.size() != nsym * num_points)
-    throw std::invalid_argument("run_sweep: points.size() must be symbol_count*num_points");
-  if (opts.gradients || opts.pole_sensitivities)
-    throw std::invalid_argument(
-        "run_sweep: gradients are supported for single-output models only");
-  const std::size_t n = num_points;
-
-  std::vector<SweepResult> results(nout);
-  const bool need_rom = opts.with_rom || static_cast<bool>(opts.pass_predicate);
-  for (std::size_t o = 0; o < nout; ++o) {
-    SweepResult& r = results[o];
-    r.num_points = n;
-    r.num_symbols = nsym;
-    r.num_moments = nm;
-    r.points = points;
-    r.ok.assign(n, 1);
-    r.ladder_stage.assign(n, 0);
-    r.fail_class.assign(n, kUnprocessed);
-    if (need_rom) r.rom = make_rom_samples(n, model.order());
-    if (opts.pass_predicate) r.pass.assign(n, 0);
-  }
-  // All outputs' moments in one SoA block so a single shared program pass
-  // fills every output; rows are handed to the per-output results after.
-  std::vector<double> all(nout * nm * n, 0.0);
-  std::vector<std::uint8_t> ok(n, 1);
-
-  if (n > 0) {
-    std::optional<ThreadPool> local;
-    ThreadPool* pool = opts.pool;
-    if (!pool) pool = &local.emplace(opts.threads);
-    const std::size_t width = std::max<std::size_t>(1, opts.batch_width);
-    const engine::RomOptions ropts = rom_options(model.options());
-
-    // Ladder counters per (chunk, output), summed after the join.
-    std::vector<std::vector<health::HealthReport>> worker_health(
-        pool->size(), std::vector<health::HealthReport>(nout));
-
-    try {
-      pool->parallel_chunks(n, [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        std::vector<health::HealthReport>& wh = worker_health[worker];
-        core::BatchWorkspace ws = model.make_batch_workspace(width);
-        std::vector<double> lane(nm);
-        std::optional<ChunkFit> fit;
-        if (need_rom) fit.emplace(ropts.order, width);
-        for (std::size_t b = begin; b < end; b += width) {
-          if (opts.cancel && opts.cancel->cancelled()) {
-            for (std::size_t o = 0; o < nout; ++o)
-              mark_deadline_points(b, end, ok, results[o].ladder_stage,
-                                   results[o].fail_class);
-            break;
-          }
-          const std::size_t w = std::min(width, end - b);
-          model.moments_batch(std::span<const double>(points.data() + b, points.size() - b),
-                              n, w, ws, std::span<double>(all.data() + b, all.size() - b), n,
-                              std::span<unsigned char>(ok.data() + b, w));
-          for (std::size_t p = b; p < b + w; ++p) {
-            const FitOutcome ev = eval_ladder_point(all, ok, nout * nm, n, p);
-            for (std::size_t o = 0; o < nout; ++o) {
-              results[o].ladder_stage[p] = static_cast<std::uint8_t>(ev.stage);
-              results[o].fail_class[p] = static_cast<std::uint8_t>(ev.fail);
-            }
-          }
-          for (std::size_t o = 0; o < nout && need_rom; ++o)
-            fit_block(ropts, all.data() + o * nm * n, ok, b, w, opts.pass_predicate, results[o],
-                      *fit, lane, wh[o]);
-        }
-      });
-    } catch (const health::FailError&) {
-      for (std::size_t o = 0; o < nout; ++o)
-        contain_task_failure(results[o].fail_class, results[o].ladder_stage, ok);
-    }
-    for (const std::vector<health::HealthReport>& wh : worker_health) {
-      for (std::size_t o = 0; o < nout; ++o) {
-        results[o].health.order_fallbacks += wh[o].order_fallbacks;
-        results[o].health.shifted_refits += wh[o].shifted_refits;
-      }
-    }
-  }
-
-  for (std::size_t o = 0; o < nout; ++o) {
-    SweepResult& r = results[o];
-    r.moments.assign(all.begin() + static_cast<std::ptrdiff_t>(o * nm * n),
-                     all.begin() + static_cast<std::ptrdiff_t>((o + 1) * nm * n));
-    r.ok = ok;
-    finalize_result(r);
-  }
-  return results;
 }
 
 // -- drivers -------------------------------------------------------------

@@ -157,13 +157,6 @@ struct SweepResult {
 SweepResult run_sweep(const core::CompiledModel& model, std::vector<double> points,
                       std::size_t num_points, const SweepOptions& opts = {});
 
-/// Multi-output variant: one shared compiled-program pass per point, then
-/// per-output moments/ROMs.  Returns one SweepResult per model output
-/// (each carrying its own copy of the point set).
-std::vector<SweepResult> run_sweep(const core::MultiOutputModel& model,
-                                   std::vector<double> points, std::size_t num_points,
-                                   const SweepOptions& opts = {});
-
 /// Hot-swap-safe variant: pins the store's current generation ONCE (one
 /// shared_ptr copy) and runs the entire sweep against it.  A publish that
 /// lands mid-sweep affects only LATER sweeps — this one completes

@@ -88,32 +88,14 @@ bool symbolic_kind_supported(ElementKind kind) {
 
 }  // namespace
 
-SymbolicMoments MultiSymbolicMoments::for_output(std::size_t output_index) const {
-  SymbolicMoments out;
-  out.symbols = symbols;
-  out.numerators = numerators.at(output_index);
-  out.det_y0 = det_y0;
-  out.port_count = port_count;
-  out.global_dim = global_dim;
-  return out;
-}
-
 MomentPartitioner::MomentPartitioner(const Netlist& netlist,
                                      std::vector<std::string> symbol_elements,
                                      std::string input_source, NodeId output_node)
-    : MomentPartitioner(netlist, std::move(symbol_elements), std::move(input_source),
-                        std::vector<NodeId>{output_node}) {}
-
-MomentPartitioner::MomentPartitioner(const Netlist& netlist,
-                                     std::vector<std::string> symbol_elements,
-                                     std::string input_source,
-                                     std::vector<NodeId> output_nodes)
-    : netlist_(&netlist), output_nodes_(std::move(output_nodes)) {
-  if (output_nodes_.empty())
-    throw std::invalid_argument("MomentPartitioner: need at least one output node");
-  for (const NodeId output_node : output_nodes_)
-    if (output_node == kGround)
-      throw std::invalid_argument("MomentPartitioner: output node cannot be ground");
+    : netlist_(&netlist), output_node_(output_node) {
+  if (output_node_ == kGround)
+    throw std::invalid_argument("MomentPartitioner: output node cannot be ground");
+  if (output_node_ > netlist.num_nodes())
+    throw std::invalid_argument("MomentPartitioner: output node is not in the netlist");
   if (symbol_elements.empty())
     throw std::invalid_argument("MomentPartitioner: need at least one symbolic element");
 
@@ -166,11 +148,10 @@ MomentPartitioner::MomentPartitioner(const Netlist& netlist,
     if (e.neg == kGround && e.pos != kGround) rail_nodes_[e.pos] = true;
     if (e.pos == kGround && e.neg != kGround) rail_nodes_[e.neg] = true;
   }
-  for (const NodeId output_node : output_nodes_)
-    if (rail_nodes_[output_node])
-      throw std::invalid_argument(
-          "MomentPartitioner: output node is pinned by an ideal source (AC ground); "
-          "its small-signal transfer is identically zero");
+  if (rail_nodes_[output_node_])
+    throw std::invalid_argument(
+        "MomentPartitioner: output node is pinned by an ideal source (AC ground); "
+        "its small-signal transfer is identically zero");
   {
     const Element& in = netlist.elements()[input_element_];
     if ((in.pos != kGround && rail_nodes_[in.pos]) ||
@@ -200,7 +181,7 @@ MomentPartitioner::MomentPartitioner(const Netlist& netlist,
     add_port(in.pos);
     add_port(in.neg);
   }
-  for (const NodeId output_node : output_nodes_) add_port(output_node);
+  add_port(output_node_);
   std::sort(ports_.begin(), ports_.end());
   ports_.erase(std::unique(ports_.begin(), ports_.end()), ports_.end());
 }
@@ -475,13 +456,6 @@ void clear_plan_cache() {
 }
 
 std::vector<std::vector<double>> MomentPartitioner::numeric_port_moments(
-    std::size_t count, sweep::ThreadPool* pool) const {
-  ExtractOptions opts;
-  opts.pool = pool;
-  return numeric_port_moments(count, opts);
-}
-
-std::vector<std::vector<double>> MomentPartitioner::numeric_port_moments(
     std::size_t count, const ExtractOptions& opts) const {
   const std::size_t m = ports_.size();
 
@@ -642,24 +616,8 @@ std::vector<std::vector<double>> MomentPartitioner::numeric_port_moments(
   return std::move(*reduced);
 }
 
-SymbolicMoments MomentPartitioner::compute(std::size_t count, sweep::ThreadPool* pool) const {
-  return compute_all(count, pool).for_output(0);
-}
-
 SymbolicMoments MomentPartitioner::compute(std::size_t count,
                                            const ExtractOptions& opts) const {
-  return compute_all(count, opts).for_output(0);
-}
-
-MultiSymbolicMoments MomentPartitioner::compute_all(std::size_t count,
-                                                    sweep::ThreadPool* pool) const {
-  ExtractOptions opts;
-  opts.pool = pool;
-  return compute_all(count, opts);
-}
-
-MultiSymbolicMoments MomentPartitioner::compute_all(std::size_t count,
-                                                    const ExtractOptions& opts) const {
   if (count == 0) throw std::invalid_argument("MomentPartitioner: count must be >= 1");
   const std::size_t m = ports_.size();
   const std::size_t nvars = symbols_.size();
@@ -789,18 +747,14 @@ MultiSymbolicMoments MomentPartitioner::compute_all(std::size_t count,
     n[k] = adj.multiply(rhs);
   }
 
-  MultiSymbolicMoments out;
+  SymbolicMoments out;
   out.symbols = symbols_;
   out.det_y0 = d;
   out.port_count = m;
   out.global_dim = dim;
-  out.outputs = output_nodes_;
-  out.numerators.resize(output_nodes_.size());
-  for (std::size_t o = 0; o < output_nodes_.size(); ++o) {
-    const std::size_t out_idx = port_index(output_nodes_[o]);
-    out.numerators[o].reserve(count);
-    for (std::size_t k = 0; k < count; ++k) out.numerators[o].push_back(n[k][out_idx]);
-  }
+  const std::size_t out_idx = port_index(output_node_);
+  out.numerators.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) out.numerators.push_back(std::move(n[k][out_idx]));
   return out;
 }
 

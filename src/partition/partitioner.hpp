@@ -91,22 +91,6 @@ struct SymbolicMoments {
   std::vector<double> evaluate(std::span<const double> element_values) const;
 };
 
-/// Symbolic moments of several outputs sharing one partition: the numeric
-/// reduction, det(Y0) and the adjugate recursion are computed once; only
-/// the selection of the output component differs.
-struct MultiSymbolicMoments {
-  std::vector<SymbolSpec> symbols;
-  std::vector<circuit::NodeId> outputs;
-  /// numerators[o][k] is N_k of output o; moment = N_k / det_y0^{k+1}.
-  std::vector<std::vector<symbolic::Polynomial>> numerators;
-  symbolic::Polynomial det_y0;
-  std::size_t port_count = 0;
-  std::size_t global_dim = 0;
-
-  /// View of one output as a standalone SymbolicMoments.
-  SymbolicMoments for_output(std::size_t output_index) const;
-};
-
 class MomentPartitioner {
  public:
   /// `symbol_elements` are netlist element names to treat symbolically
@@ -116,24 +100,13 @@ class MomentPartitioner {
                     std::vector<std::string> symbol_elements, std::string input_source,
                     circuit::NodeId output_node);
 
-  /// Multi-output variant: every output node becomes a preserved port.
-  MomentPartitioner(const circuit::Netlist& netlist,
-                    std::vector<std::string> symbol_elements, std::string input_source,
-                    std::vector<circuit::NodeId> output_nodes);
-
   /// Port node set (original netlist node ids, ordered).
   const std::vector<circuit::NodeId>& ports() const { return ports_; }
 
-  /// Compute the first `count` composite moments symbolically.  `pool`
-  /// (optional) parallelizes the numeric-partition extraction; the result
-  /// is bit-identical whatever the thread count.
-  SymbolicMoments compute(std::size_t count, sweep::ThreadPool* pool = nullptr) const;
-  SymbolicMoments compute(std::size_t count, const ExtractOptions& opts) const;
-
-  /// Compute moments for every output at once (shared adjugate work).
-  MultiSymbolicMoments compute_all(std::size_t count,
-                                   sweep::ThreadPool* pool = nullptr) const;
-  MultiSymbolicMoments compute_all(std::size_t count, const ExtractOptions& opts) const;
+  /// Compute the first `count` composite moments symbolically.
+  /// `opts.pool` (optional) parallelizes the numeric-partition
+  /// extraction; the result is bit-identical whatever the thread count.
+  SymbolicMoments compute(std::size_t count, const ExtractOptions& opts = {}) const;
 
   /// Numeric-partition admittance moment blocks Y_0..Y_{count-1}
   /// (port_count x port_count, row-major), exposed for tests and the
@@ -141,9 +114,7 @@ class MomentPartitioner {
   /// with ExtractOptions::block_dir set, clean cells reload their cached
   /// blocks and only dirty cells are re-extracted.
   std::vector<std::vector<double>> numeric_port_moments(
-      std::size_t count, sweep::ThreadPool* pool = nullptr) const;
-  std::vector<std::vector<double>> numeric_port_moments(
-      std::size_t count, const ExtractOptions& opts) const;
+      std::size_t count, const ExtractOptions& opts = {}) const;
 
  private:
   struct GlobalLayout {
@@ -163,7 +134,7 @@ class MomentPartitioner {
   const circuit::Netlist* netlist_;
   std::vector<SymbolSpec> symbols_;
   std::size_t input_element_ = 0;
-  std::vector<circuit::NodeId> output_nodes_;
+  circuit::NodeId output_node_;
   std::vector<circuit::NodeId> ports_;  // sorted original node ids
   std::vector<bool> rail_nodes_;        // indexed by NodeId
 };

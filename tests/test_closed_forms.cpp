@@ -38,7 +38,9 @@ TEST(SymbolicPade, Order2CoefficientsMatchNumericPade) {
       auto ref = circuits::make_fig1(v);
       const auto m = engine::MomentGenerator(ref.netlist)
                          .transfer_moments(circuits::Fig1Circuit::kInput, ref.v2, 4);
-      const auto pade = engine::pade_from_moments(m, 2);
+      engine::PadeScratch pade(2);
+      ASSERT_EQ(engine::pade_lane(m, 2, /*allow_fallback=*/false, pade),
+                health::FailClass::kNone);
       EXPECT_NEAR(den[1].evaluate(vals), pade.denominator[1],
                   1e-6 * std::abs(pade.denominator[1]));
       EXPECT_NEAR(den[2].evaluate(vals), pade.denominator[2],

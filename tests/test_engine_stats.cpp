@@ -1,14 +1,12 @@
 // Golden tests for the sweep drivers (monte_carlo / grid_sweep / corners)
-// on the paper's fig1 RC and coupled-line circuits, cross-validated
-// point-by-point against CompiledModel::evaluate / moments_at and the
-// uncompiled reference path.
+// on the paper's fig1 RC, cross-validated point-by-point against
+// CompiledModel::evaluate / moments_at and the uncompiled reference path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "circuits/coupled_lines.hpp"
 #include "circuits/fig1_rc.hpp"
 #include "core/awesymbolic.hpp"
 #include "engine/sweep.hpp"
@@ -136,49 +134,6 @@ TEST(MonteCarlo, RomSamplesAndYieldCrossValidateAgainstEvaluate) {
   // two-section divider is G1G2/(G1G2) = 1 at every point.
   EXPECT_NEAR(res.dc_gain_stats->mean, 1.0, 1e-9);
   EXPECT_EQ(res.dc_gain_stats->count, n);
-}
-
-TEST(MultiOutputSweep, CoupledLinesMatchPerPointMoments) {
-  circuits::CoupledLineValues cv;
-  cv.segments = 20;
-  auto lines = circuits::make_coupled_lines(cv);
-  const auto model = core::MultiOutputModel::build(
-      lines.netlist,
-      {circuits::CoupledLinesCircuit::kSymbolRdriver,
-       circuits::CoupledLinesCircuit::kSymbolCload},
-      circuits::CoupledLinesCircuit::kInput, {lines.line1_out, lines.line2_out},
-      {.order = 2});
-  ASSERT_EQ(model.output_count(), 2u);
-
-  std::size_t n = 0;
-  const std::vector<sweep::Axis> axes{{.lo = 50.0, .hi = 200.0, .count = 3},
-                                      {.lo = 0.5e-12, .hi = 2e-12, .count = 3}};
-  const std::vector<double> pts = sweep::grid_points(axes, n);
-  ASSERT_EQ(n, 9u);
-
-  sweep::SweepOptions opts;
-  opts.threads = 2;
-  opts.batch_width = 4;
-  opts.with_rom = true;
-  const auto results = sweep::run_sweep(model, pts, n, opts);
-  ASSERT_EQ(results.size(), 2u);
-
-  for (std::size_t o = 0; o < 2; ++o) {
-    const auto& res = results[o];
-    ASSERT_EQ(res.ok_count, n);
-    for (std::size_t p = 0; p < n; ++p) {
-      const std::vector<double> vals{res.point(0, p), res.point(1, p)};
-      const auto direct = model.moments_at(o, vals);
-      ASSERT_EQ(direct.size(), res.num_moments);
-      for (std::size_t k = 0; k < res.num_moments; ++k)
-        EXPECT_EQ(res.moment(k, p), direct[k]);
-      const auto rom = model.evaluate(o, vals);
-      EXPECT_EQ(res.rom->dc_gain[p], rom.dc_gain());
-    }
-  }
-  // Direct line passes ~the full signal at DC, the victim line nothing.
-  EXPECT_NEAR(results[0].dc_gain_stats->mean, 1.0, 1e-6);
-  EXPECT_NEAR(results[1].dc_gain_stats->mean, 0.0, 1e-6);
 }
 
 TEST(Drivers, ValidateArguments) {

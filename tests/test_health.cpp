@@ -277,39 +277,6 @@ TEST(SweepLadderTest, PathologicalSweepNeverAbortsAndIsBitIdentical) {
   }
 }
 
-TEST(SweepLadderTest, MultiOutputCarriesPerOutputHealth) {
-  const auto deck = circuit::parse_deck_string(
-      "vin in 0 1\n"
-      "r1 in a 1k\n"
-      "c1 a 0 10p\n"
-      "r2 a out 2k\n"
-      "c2 out 0 5p\n"
-      ".symbol r2\n"
-      ".input vin\n"
-      ".output a\n"
-      ".output out\n"
-      ".end\n");
-  const auto model = core::MultiOutputModel::build(
-      deck.netlist, deck.symbol_elements, "vin",
-      {*deck.netlist.find_node("a"), *deck.netlist.find_node("out")}, {.order = 2});
-  const std::size_t n = 100;
-  std::vector<double> pts(n, 2e3);
-  pts[7] = 0.0;  // planted singular point hits BOTH outputs
-  sweep::SweepOptions opts;
-  opts.threads = 2;
-  opts.with_rom = true;
-  const auto results = sweep::run_sweep(model, pts, n, opts);
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) {
-    EXPECT_EQ(r.health.points_total, n);
-    EXPECT_EQ(r.health.points_quarantined, 1u);
-    EXPECT_EQ(r.point_fail_class(7), FailClass::kSingularY0);
-    EXPECT_EQ(r.health.points_ok + r.health.points_degraded +
-                  r.health.points_quarantined,
-              n);
-  }
-}
-
 // -- oracle / fuzz routing ----------------------------------------------
 
 TEST(OracleHealthTest, CleanDeckReportsNoFailures) {

@@ -363,9 +363,8 @@ TEST(ModelV4, PreV5FixturesFailClosed) {
   const auto out = *deck.netlist.find_node(deck.output_node);
   ModelOptions mopts;
   mopts.order = 2;
-  const circuit::NodeId outs[] = {out};
   const std::string key =
-      model_cache_key(deck.netlist, deck.symbol_elements, deck.input_source, outs, mopts);
+      model_cache_key(deck.netlist, deck.symbol_elements, deck.input_source, out, mopts);
   const std::string v5_entry = fixture("golden_v5_nograd.awemodel");
 
   for (const char* name :

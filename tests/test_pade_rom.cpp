@@ -47,7 +47,8 @@ TEST(Pade, RecoversExactSecondOrderSystem) {
   const std::vector<std::complex<double>> poles{{-1e6, 0}, {-5e7, 0}};
   const std::vector<std::complex<double>> residues{{2e6, 0}, {-1e7, 0}};
   const auto m = moments_of_poles(poles, residues, 4);
-  const auto pade = pade_from_moments(m, 2);
+  PadeScratch pade(2);
+  ASSERT_EQ(pade_lane(m, 2, /*allow_fallback=*/false, pade), health::FailClass::kNone);
   ASSERT_EQ(pade.poles.size(), 2u);
   // Both exact poles recovered.
   for (const auto& p : poles) {
@@ -69,7 +70,8 @@ TEST(Pade, RecoversComplexPolePair) {
   const std::vector<std::complex<double>> poles{{-1e5, 3e5}, {-1e5, -3e5}};
   const std::vector<std::complex<double>> residues{{1e5, -2e4}, {1e5, 2e4}};
   const auto m = moments_of_poles(poles, residues, 4);
-  const auto pade = pade_from_moments(m, 2);
+  PadeScratch pade(2);
+  ASSERT_EQ(pade_lane(m, 2, /*allow_fallback=*/false, pade), health::FailClass::kNone);
   double best = 1e300;
   for (const auto& got : pade.poles) best = std::min(best, std::abs(got - poles[0]));
   EXPECT_LT(best, 1e-2 * std::abs(poles[0]));
@@ -77,15 +79,20 @@ TEST(Pade, RecoversComplexPolePair) {
 
 TEST(Pade, InputValidation) {
   const std::vector<double> m{1.0, -1.0};
-  EXPECT_THROW(pade_from_moments(m, 0), std::invalid_argument);
-  EXPECT_THROW(pade_from_moments(m, 2), std::invalid_argument);
+  PadeScratch s(2);
+  EXPECT_THROW(pade_lane(m, 0, /*allow_fallback=*/false, s), std::invalid_argument);
+  EXPECT_THROW(pade_lane(m, 2, /*allow_fallback=*/false, s), std::invalid_argument);
 }
 
 TEST(Pade, DegenerateMomentsRejected) {
   // Moments of a 1-pole system cannot support order 2 (singular Hankel).
   const std::vector<double> m{1.0, -1.0, 1.0, -1.0};
-  EXPECT_THROW(pade_from_moments(m, 2), std::runtime_error);
-  EXPECT_EQ(max_feasible_order(m), 1u);
+  PadeScratch s(2);
+  EXPECT_EQ(pade_lane(m, 2, /*allow_fallback=*/false, s),
+            health::FailClass::kHankelIllConditioned);
+  // The fallback probes find order 1 the largest feasible one.
+  EXPECT_EQ(pade_lane(m, 2, /*allow_fallback=*/true, s), health::FailClass::kNone);
+  EXPECT_EQ(s.order, 1u);
 }
 
 TEST(Pade, MomentsPreservedByApproximant) {
@@ -335,6 +342,7 @@ TEST(FitLanes, PadeBatchMatchesScalarBitForBit) {
 
       std::size_t expect_solved = 0;
       std::vector<double> lane(nm);
+      PadeScratch ref(order);
       for (std::size_t p = 0; p < n; ++p) {
         SCOPED_TRACE(blk.names[p]);
         bool finite = true;
@@ -360,8 +368,9 @@ TEST(FitLanes, PadeBatchMatchesScalarBitForBit) {
         EXPECT_EQ(fail[p], scalar_fail);
         if (batch[p].order > 0) {
           ++expect_solved;
-          // The batched approximant is pade_from_moments at the same order.
-          const PadeResult ref = pade_from_moments(lane, batch[p].order);
+          // The batched approximant is pade_lane at the same order.
+          EXPECT_EQ(pade_lane(lane, batch[p].order, /*allow_fallback=*/false, ref),
+                    health::FailClass::kNone);
           EXPECT_EQ(ref.numerator, batch[p].numerator);
           EXPECT_EQ(ref.denominator, batch[p].denominator);
           std::optional<ReducedOrderModel> assembled;
@@ -617,9 +626,12 @@ Route route_of(const Lane& m, unsigned char ok, bool& zero_disc) {
     if (!std::isfinite(x)) return kNonFiniteMoment;
   const double w0 = moment_scale_of(m);
   if (!std::isfinite(w0) || w0 == 0.0) return kScaleOutOfRange;
-  if (max_feasible_order(m) < 2) return kInfeasible;
   PadeScratch ps(2);
   const health::FailClass f = pade_lane(m, 2, /*allow_fallback=*/true, ps);
+  // Largest feasible order below 2.  An order-1 solve cannot fail here (its
+  // one pole's D' is the nonzero b_1), so a failed lane had order 2.
+  if (f == health::FailClass::kOrderCollapse || (f == health::FailClass::kNone && ps.order < 2))
+    return kInfeasible;
   const double d1 = ps.denominator[1], d2 = ps.denominator[2];
   if (d2 == 0.0) return kTrailingZero;
   zero_disc = d1 * d1 - 4.0 * d2 == 0.0;

@@ -111,6 +111,25 @@ TEST(ParseDeck, MissingFieldsRejected) {
   EXPECT_THROW(parse_deck_string(".symbol\n"), std::runtime_error);
 }
 
+// A deck names one input and one output; a repeat fails at its own line.
+TEST(ParseDeck, RepeatedInputRejected) {
+  try {
+    parse_deck_string("V1 a 0 1\nV2 b 0 1\nR1 a b 1k\n.input v1\n.input v2\n.output b\n");
+    FAIL() << "expected parse failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "netlist line 5: repeated '.input'");
+  }
+}
+
+TEST(ParseDeck, RepeatedOutputRejected) {
+  try {
+    parse_deck_string("V1 a 0 1\nR1 a b 1k\nR2 b 0 1k\n.output a\n.input v1\n.OUTPUT b\n");
+    FAIL() << "expected parse failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "netlist line 6: repeated '.OUTPUT'");
+  }
+}
+
 TEST(ParseDeck, ContentAfterEndRejected) {
   EXPECT_THROW(parse_deck_string(".end\nR1 a 0 1k\n"), std::runtime_error);
 }

@@ -26,6 +26,12 @@ TEST(Partitioner, ValidatesInputs) {
                std::invalid_argument);
   EXPECT_THROW(MomentPartitioner(fig.netlist, {"vin"}, "vin", fig.v2),
                std::invalid_argument);
+  try {
+    MomentPartitioner(fig.netlist, {"g1"}, "vin", fig.netlist.num_nodes() + 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "MomentPartitioner: output node is not in the netlist");
+  }
 }
 
 TEST(Partitioner, PortsCoverSymbolsAndIo) {

@@ -102,10 +102,15 @@ TEST(PoleSensitivity, MatchesFiniteDifferencesOnFig1) {
     hi.set_value(idx, v0 * (1 + rel));
     Netlist lo = nl;
     lo.set_value(idx, v0 * (1 - rel));
-    const auto ph = pade_from_moments(
-        MomentGenerator(hi).transfer_moments(circuits::Fig1Circuit::kInput, fig.v2, 4), 2);
-    const auto pl = pade_from_moments(
-        MomentGenerator(lo).transfer_moments(circuits::Fig1Circuit::kInput, fig.v2, 4), 2);
+    PadeScratch ph(2), pl(2);
+    ASSERT_EQ(pade_lane(MomentGenerator(hi).transfer_moments(circuits::Fig1Circuit::kInput,
+                                                             fig.v2, 4),
+                        2, /*allow_fallback=*/false, ph),
+              health::FailClass::kNone);
+    ASSERT_EQ(pade_lane(MomentGenerator(lo).transfer_moments(circuits::Fig1Circuit::kInput,
+                                                             fig.v2, 4),
+                        2, /*allow_fallback=*/false, pl),
+              health::FailClass::kNone);
     for (std::size_t i = 0; i < 2; ++i) {
       // Match poles across perturbed runs by proximity.
       const auto p = pz.poles[i];

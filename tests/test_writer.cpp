@@ -1,4 +1,4 @@
-// Netlist serialization round trips and multi-output compiled models.
+// Netlist serialization round trips.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,11 +7,7 @@
 #include "awe/moments.hpp"
 #include "circuit/parser.hpp"
 #include "circuit/writer.hpp"
-#include "circuits/coupled_lines.hpp"
 #include "circuits/fig1_rc.hpp"
-#include "core/awesymbolic.hpp"
-#include "partition/partitioner.hpp"
-#include "symbolic/compile.hpp"
 #include "testing/netlist_gen.hpp"
 
 namespace awe {
@@ -187,127 +183,6 @@ TEST(Writer, RoundTripElectricallyIdentical) {
                       .transfer_moments("vin", *deck.netlist.find_node("v2"), 4);
   for (std::size_t k = 0; k < 4; ++k)
     EXPECT_NEAR(m1[k], m2[k], 1e-12 * (std::abs(m1[k]) + 1e-20));
-}
-
-// ---------------------------------------------------------------------------
-
-TEST(MultiOutput, MatchesSingleOutputModels) {
-  circuits::CoupledLineValues v;
-  v.segments = 40;
-  auto c = circuits::make_coupled_lines(v);
-  const std::vector<std::string> symbols{
-      circuits::CoupledLinesCircuit::kSymbolRdriver,
-      circuits::CoupledLinesCircuit::kSymbolCload};
-
-  const auto multi = core::MultiOutputModel::build(
-      c.netlist, symbols, circuits::CoupledLinesCircuit::kInput,
-      {c.line1_out, c.line2_out}, {.order = 2});
-  ASSERT_EQ(multi.output_count(), 2u);
-  EXPECT_EQ(multi.output_node(0), c.line1_out);
-
-  const auto single1 = core::CompiledModel::build(
-      c.netlist, symbols, circuits::CoupledLinesCircuit::kInput, c.line1_out,
-      {.order = 2});
-  const auto single2 = core::CompiledModel::build(
-      c.netlist, symbols, circuits::CoupledLinesCircuit::kInput, c.line2_out,
-      {.order = 2});
-
-  for (const double r : {50.0, 200.0}) {
-    const std::vector<double> vals{r, v.c_load};
-    const auto m1m = multi.moments_at(0, vals);
-    const auto m1s = single1.moments_at(vals);
-    const auto m2m = multi.moments_at(1, vals);
-    const auto m2s = single2.moments_at(vals);
-    for (std::size_t k = 0; k < 4; ++k) {
-      EXPECT_NEAR(m1m[k], m1s[k], 1e-9 * (std::abs(m1s[k]) + 1e-20));
-      EXPECT_NEAR(m2m[k], m2s[k], 1e-9 * (std::abs(m2s[k]) + 1e-20));
-    }
-  }
-}
-
-TEST(MultiOutput, CrossOutputCseSharesWork) {
-  // Compile the same multi-output symbolic moments (a) as one shared
-  // program and (b) as two independent per-output programs, and verify the
-  // shared program is strictly smaller — det(Y0) and the common moment
-  // subexpressions are emitted once.
-  circuits::CoupledLineValues v;
-  v.segments = 40;
-  auto c = circuits::make_coupled_lines(v);
-  const std::vector<std::string> symbols{
-      circuits::CoupledLinesCircuit::kSymbolRdriver,
-      circuits::CoupledLinesCircuit::kSymbolCload};
-  part::MomentPartitioner partitioner(c.netlist, symbols,
-                                      circuits::CoupledLinesCircuit::kInput,
-                                      std::vector<circuit::NodeId>{c.line1_out,
-                                                                   c.line2_out});
-  const auto sym = partitioner.compute_all(4);
-
-  auto compile_outputs = [&](std::span<const std::size_t> outs) {
-    symbolic::ExprGraph g;
-    std::vector<symbolic::NodeId> vars{g.input(0), g.input(1)};
-    std::vector<symbolic::NodeId> roots;
-    for (const std::size_t o : outs)
-      for (const auto& numerator : sym.numerators[o])
-        roots.push_back(lower_polynomial(g, numerator, vars));
-    roots.push_back(lower_polynomial(g, sym.det_y0, vars));
-    return symbolic::CompiledProgram(g, roots).instruction_count();
-  };
-  const std::size_t shared = compile_outputs(std::vector<std::size_t>{0, 1});
-  const std::size_t separate = compile_outputs(std::vector<std::size_t>{0}) +
-                               compile_outputs(std::vector<std::size_t>{1});
-  EXPECT_LT(shared, separate);
-}
-
-TEST(MultiOutput, BusVictimAttenuationDecaysWithDistance) {
-  circuits::CoupledBusValues v;
-  v.lines = 4;
-  v.segments = 30;
-  auto bus = circuits::make_coupled_bus(v);
-  // Victims at distance d couple through d capacitive stages, so their
-  // leading moments vanish up to m_{d}; order 3 keeps every output feasible.
-  const auto multi = core::MultiOutputModel::build(
-      bus.netlist, {"rdrv1", "cload2"}, circuits::CoupledBusCircuit::kInput,
-      bus.line_outs, {.order = 3});
-  ASSERT_EQ(multi.output_count(), 4u);
-
-  const std::vector<double> vals{v.r_driver, v.c_load};
-  auto peak = [&](std::size_t o) {
-    const auto rom = multi.evaluate(o, vals);
-    double p = 0.0;
-    for (double t = 0; t <= 300e-9; t += 1e-9)
-      p = std::max(p, std::abs(rom.step_response(t)));
-    return p;
-  };
-  const double direct = peak(0);
-  const double v1 = peak(1);
-  const double v2 = peak(2);
-  EXPECT_NEAR(direct, 1.0, 0.05);  // aggressor settles to 1
-  EXPECT_GT(v1, v2);               // coupling decays with distance
-  EXPECT_GT(v1, 1e-3);
-  EXPECT_LT(v2, v1);
-}
-
-TEST(MultiOutput, Validation) {
-  auto fig = circuits::make_fig1();
-  EXPECT_THROW(core::MultiOutputModel::build(fig.netlist, {"g2"}, "vin", {},
-                                             {.order = 2}),
-               std::invalid_argument);
-  const auto multi = core::MultiOutputModel::build(fig.netlist, {"g2"}, "vin",
-                                                   {fig.v1, fig.v2}, {.order = 2});
-  EXPECT_THROW(multi.moments_at(5, std::vector<double>{1.0}), std::out_of_range);
-  EXPECT_THROW(multi.moments_at(0, std::vector<double>{1.0, 2.0}),
-               std::invalid_argument);
-  EXPECT_EQ(multi.symbol_names().size(), 1u);
-}
-
-TEST(CoupledBus, GeneratorValidation) {
-  EXPECT_THROW(circuits::make_coupled_bus({.lines = 1}), std::invalid_argument);
-  EXPECT_THROW(circuits::make_coupled_bus({.lines = 3, .segments = 0}),
-               std::invalid_argument);
-  auto bus = circuits::make_coupled_bus({.lines = 3, .segments = 5});
-  EXPECT_TRUE(bus.netlist.validate().empty());
-  // 3 lines x (V + Rdrv + 5R + 5C + load) + 2 x 5 coupling caps.
-  EXPECT_EQ(bus.netlist.elements().size(), 3u * 13u + 10u);
 }
 
 }  // namespace

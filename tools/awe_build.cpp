@@ -170,9 +170,8 @@ int main(int argc, char** argv) {
 
       const auto out_node = deck.netlist.find_node(deck.output_node);
       if (!out_node) throw std::runtime_error("unknown output node");
-      const circuit::NodeId outs[] = {*out_node};
       const std::string key = core::model_cache_key(
-          deck.netlist, deck.symbol_elements, deck.input_source, outs, mopts);
+          deck.netlist, deck.symbol_elements, deck.input_source, *out_node, mopts);
 
       const auto before = cache.stats();
       last_model = cache.get_or_build(deck.netlist, deck.symbol_elements,
