@@ -10,13 +10,12 @@
 // run, but the incremental evaluation is orders of magnitude cheaper.
 //
 // The build-pipeline series (BM_Build*) measures the setup cost itself
-// under the levers this codebase adds on top of the paper: the parallel
-// extraction pipeline (BuildOptions::threads), the persistent
+// under the levers this codebase adds on top of the paper: the persistent
 // compiled-model cache (warm loads skip partition+symbolic+compile
 // entirely) and the incremental per-cell rebuild.  Each reports a
 // `builds_per_s` rate counter; the perf gate anchors the series to
-// BM_BuildCold so the gated quantity is the warm/cold, edit/cold and
-// threaded/serial speedup STRUCTURE, not machine speed.
+// BM_BuildCold so the gated quantity is the warm/cold and edit/cold
+// speedup STRUCTURE, not machine speed.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -38,9 +37,6 @@ using namespace awe;
 
 const std::vector<std::string> kSymbols{circuits::CoupledLinesCircuit::kSymbolRdriver,
                                         circuits::CoupledLinesCircuit::kSymbolCload};
-
-/// Pool size of the threaded cold build (table row and BM_BuildColdThreads).
-constexpr std::size_t kBuildThreads = 4;
 
 /// Fresh empty cache directory (under the system temp root) per call.
 std::string fresh_cache_dir(const char* tag) {
@@ -84,16 +80,7 @@ void print_comparison() {
     benchmark::DoNotOptimize(acc);
   }) / 1000.0;
 
-  // Build-pipeline levers: the same cold build on 4 threads, and
-  // warm-cache loads of the same model.
-  core::BuildOptions threaded;
-  threaded.threads = kBuildThreads;
-  const double t_setup_par = time_median(3, [&] {
-    const auto m = core::CompiledModel::build(c.netlist, kSymbols,
-                                              circuits::CoupledLinesCircuit::kInput,
-                                              c.line2_out, {.order = 2}, threaded);
-    benchmark::DoNotOptimize(m.instruction_count());
-  });
+  // Build-pipeline lever: warm-cache loads of the same model.
   const std::string cache_dir = fresh_cache_dir("table");
   core::BuildOptions cached;
   cached.cache_dir = cache_dir;
@@ -110,7 +97,6 @@ void print_comparison() {
   // the dirty cell re-extracts; every clean cell reloads its cached
   // moment blocks bit-identically.
   core::BuildOptions inc;
-  inc.incremental = true;
   inc.partition_block_dir = fresh_cache_dir("table_blocks");
   (void)core::CompiledModel::build(c.netlist, kSymbols,
                                    circuits::CoupledLinesCircuit::kInput, c.line2_out,
@@ -133,12 +119,10 @@ void print_comparison() {
   benchutil::print_time("AWEsymbolic setup (partition+symbolic+compile)", t_setup);
   benchutil::print_time("AWEsymbolic setup, warm model cache", t_warm);
   benchutil::print_time("one-element edit, incremental rebuild", t_inc_edit);
-  benchutil::print_time("AWEsymbolic setup, 4 build threads", t_setup_par);
   benchutil::print_time("AWEsymbolic incremental cost per evaluation", t_inc);
   std::printf("\nsetup ratio   : symbolic/AWE = %.2fx   (paper: 5.41s/1.12s = 4.8x)\n",
               t_setup / t_awe);
   std::printf("incremental   : AWE/symbolic = %.0fx    (paper: ~1e4x)\n", t_awe / t_inc);
-  std::printf("threaded build: serial/4 threads = %.2fx\n", t_setup / t_setup_par);
   std::printf("warm cache    : cold/warm = %.1fx   (acceptance floor: 10x)\n",
               t_setup / t_warm);
   std::printf("incr. rebuild : cold/edit = %.1fx   (acceptance floor: 10x)\n\n",
@@ -190,50 +174,31 @@ BENCHMARK(BM_SymbolicIncremental_CoupledLines)
     ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
-// -- build pipeline: cold / threaded / warm-cache / incremental ---------
+// -- build pipeline: cold / warm-cache / incremental ---------------------
 //
-// All four share one circuit size (1000 segments, the paper's coupled
+// All three share one circuit size (1000 segments, the paper's coupled
 // lines — the numeric extraction dominates the cold build there) and
 // report `builds_per_s`.  BM_BuildCold is the in-run anchor: the perf
 // gate divides the others by it, so what is actually gated is the
-// threaded, warm-cache and incremental speedup over a cold serial build.
+// warm-cache and incremental speedup over a cold build.
 
 constexpr std::size_t kBuildSegments = 1000;
 
-/// Cold builds of the coupled pair under `opts`, reported as builds_per_s.
-void run_cold_builds(benchmark::State& state, const core::BuildOptions& opts) {
+void BM_BuildCold(benchmark::State& state) {
   circuits::CoupledLineValues v;
   v.segments = kBuildSegments;
   auto c = circuits::make_coupled_lines(v);
   for (auto _ : state) {
     const auto model = core::CompiledModel::build(
         c.netlist, kSymbols, circuits::CoupledLinesCircuit::kInput, c.line2_out,
-        {.order = 2}, opts);
+        {.order = 2});
     benchmark::DoNotOptimize(model.instruction_count());
   }
   state.counters["builds_per_s"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
-
-void BM_BuildCold(benchmark::State& state) { run_cold_builds(state, {}); }
 BENCHMARK(BM_BuildCold)->Unit(benchmark::kMillisecond);
-
-// The same cold build with BuildOptions::threads (what `awe_build
-// --threads` sets): the cell extractions fan out over a pool spawned per
-// build (a one-cell plan fans out its port-moment columns instead).  Real
-// time, not main-thread CPU time: pool workers carry most of the work, and
-// the gated quantity is wall-clock builds/s.
-void BM_BuildColdThreads(benchmark::State& state) {
-  core::BuildOptions opts;
-  opts.threads = static_cast<std::size_t>(state.range(0));
-  run_cold_builds(state, opts);
-}
-BENCHMARK(BM_BuildColdThreads)
-    ->Arg(kBuildThreads)
-    ->ArgName("threads")
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 void BM_BuildWarmCache(benchmark::State& state) {
   circuits::CoupledLineValues v;
@@ -268,7 +233,6 @@ void BM_BuildIncrementalEdit(benchmark::State& state) {
   v.segments = kBuildSegments;
   auto c = circuits::make_coupled_lines(v);
   core::BuildOptions opts;
-  opts.incremental = true;
   opts.partition_block_dir = fresh_cache_dir("inc_blocks");
   (void)core::CompiledModel::build(c.netlist, kSymbols,
                                    circuits::CoupledLinesCircuit::kInput, c.line2_out,

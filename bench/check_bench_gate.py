@@ -29,8 +29,8 @@ a single gate.
 
 By default every counter is divided by the same run's anchor benchmark
 before comparing, so the gated quantity is a speedup STRUCTURE on the
-same machine (interpreter speedup over the scalar loop; threaded-build,
-warm-cache and incremental-edit speedup over a cold serial build) — a committed baseline
+same machine (interpreter speedup over the scalar loop; warm-cache and
+incremental-edit speedup over a cold build) — a committed baseline
 then transfers across runners of different absolute speed.  --no-anchor
 compares raw counter values (only sensible on dedicated, stable
 hardware).

@@ -6,7 +6,6 @@
 
 #include "awe/sensitivity.hpp"
 #include "core/model_cache.hpp"
-#include "engine/thread_pool.hpp"
 #include "health/report.hpp"
 #include "symbolic/serialize.hpp"
 
@@ -61,30 +60,6 @@ void check_batch_args(std::size_t nsym, std::size_t out_rows,
     throw std::invalid_argument("moments_batch: ok span too small");
 }
 
-/// Resolve BuildOptions to the pool a build should run with: the caller's
-/// pool when supplied, a build-scoped pool when threads != 1, else serial.
-/// `local` owns the build-scoped pool so it outlives the extraction.
-sweep::ThreadPool* resolve_pool(const BuildOptions& build_opts,
-                                std::optional<sweep::ThreadPool>& local) {
-  if (build_opts.pool) return build_opts.pool;
-  if (build_opts.threads == 1) return nullptr;
-  local.emplace(build_opts.threads);
-  return &*local;
-}
-
-/// Extraction knobs for a build: the resolved pool plus the per-cell
-/// block store directory (explicit partition_block_dir, or derived from
-/// cache_dir when the incremental flag is set).
-part::ExtractOptions resolve_extract_options(const BuildOptions& build_opts,
-                                             sweep::ThreadPool* pool) {
-  part::ExtractOptions eo;
-  eo.pool = pool;
-  eo.block_dir = build_opts.partition_block_dir;
-  if (eo.block_dir.empty() && build_opts.incremental && !build_opts.cache_dir.empty())
-    eo.block_dir = build_opts.cache_dir + "/blocks";
-  return eo;
-}
-
 }  // namespace
 
 CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
@@ -93,6 +68,9 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
                                    circuit::NodeId output_node, const ModelOptions& opts,
                                    const BuildOptions& build_opts) {
   if (opts.order == 0) throw std::invalid_argument("CompiledModel: order must be >= 1");
+  // Before the cache probe: a repeated symbol must never be served an
+  // entry that an older build stored for the same list.
+  part::require_distinct_symbols(symbol_elements);
 
   // Cache probe before any expensive work: a hit skips partitioning,
   // adjugate recursion and compilation entirely.  A corrupt entry is
@@ -111,13 +89,10 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
     if (cached) return std::move(*cached);
   }
 
-  std::optional<sweep::ThreadPool> local_pool;
-  sweep::ThreadPool* pool = resolve_pool(build_opts, local_pool);
-
   part::MomentPartitioner partitioner(netlist, std::move(symbol_elements), input_source,
                                       output_node);
   part::SymbolicMoments sym =
-      partitioner.compute(2 * opts.order, resolve_extract_options(build_opts, pool));
+      partitioner.compute(2 * opts.order, {.block_dir = build_opts.partition_block_dir});
 
   // Lower [N_0 .. N_{2q-1}, det(Y0)] onto one shared DAG so the CSE pass
   // works across all moments, then compile.

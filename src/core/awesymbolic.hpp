@@ -25,10 +25,6 @@
 #include "partition/partitioner.hpp"
 #include "symbolic/compile.hpp"
 
-namespace awe::sweep {
-class ThreadPool;
-}
-
 namespace awe::core {
 
 /// Structure-of-arrays scratch for batched evaluation: `width` points per
@@ -56,35 +52,22 @@ struct ModelOptions {
   bool with_gradients = false;
 };
 
-/// How a build RUNS, orthogonal to what it computes (ModelOptions): worker
-/// threads for the numeric-partition extraction, and the persistent
-/// compiled-model cache.  Every combination yields bit-identical models —
-/// parallel extraction writes disjoint slots in a fixed order, and cached
-/// loads restore the exact serialized bytes (DESIGN.md §10).
+/// How a build RUNS, orthogonal to what it computes (ModelOptions): the
+/// persistent compiled-model cache and the per-cell block store.  Every
+/// combination yields bit-identical models — cached loads restore the
+/// exact serialized bytes and reused blocks are the very vectors a cold
+/// build computes (DESIGN.md §10, §13).  The build itself is serial.
 struct BuildOptions {
-  /// Workers for the port-moment extraction (the m port RHS columns fan
-  /// out against one shared LU factor).  1 = serial (default); 0 = one
-  /// per hardware thread.  Ignored when `pool` is supplied.
-  std::size_t threads = 1;
-  /// Reuse an existing pool across builds instead of spawning one per
-  /// call (same pattern as sweep::SweepOptions::pool).  Not owned.
-  sweep::ThreadPool* pool = nullptr;
   /// When non-empty: look the model up in the content-addressed on-disk
   /// cache under this directory before building, and store it there after
   /// a cold build.  The directory is created on demand.  See
-  /// core/model_cache.hpp for the key derivation and ModelCache for the
-  /// in-process LRU layered on top.
+  /// core/model_cache.hpp for the key derivation.
   std::string cache_dir;
-  /// Incremental partition-level rebuild (DESIGN.md §13): persist per-cell
-  /// port-moment blocks under <cache_dir>/blocks (or partition_block_dir
-  /// when set) and reuse the blocks of unedited cells on the next build.
-  /// The rebuilt model is bit-identical to a cold build either way — the
-  /// flag only trades disk for extraction time.  Default off: a plain
-  /// cache directory stays exactly one entry per model, byte-comparable
-  /// across runs.
-  bool incremental = false;
-  /// Explicit block-store directory for the incremental path; empty means
-  /// derive <cache_dir>/blocks when `incremental` is set.
+  /// Incremental partition-level rebuild (DESIGN.md §13): when non-empty,
+  /// persist per-cell port-moment blocks under this directory and reuse
+  /// the blocks of unedited cells on the next build.  The rebuilt model is
+  /// bit-identical to a cold build either way — the store only trades disk
+  /// for extraction time.
   std::string partition_block_dir;
   /// When set (requires cache_dir): satisfy a warm cache hit by
   /// mmap-opening the v5 entry in place (CompiledModel::map_file) instead

@@ -109,9 +109,6 @@ std::string model_cache_key(const circuit::Netlist& netlist,
   return enc::digest_hex(buf);
 }
 
-ModelCache::ModelCache(std::string cache_dir, std::size_t max_entries)
-    : dir_(std::move(cache_dir)), max_entries_(max_entries) {}
-
 std::string ModelCache::entry_path(const std::string& dir, const std::string& key) {
   return (std::filesystem::path(dir) / (key + ".awemodel")).string();
 }
@@ -188,101 +185,6 @@ void ModelCache::store_file(const std::string& dir, const std::string& key,
       f.put(static_cast<char>(byte ^ 0x10));
     }
   }
-}
-
-std::shared_ptr<const CompiledModel> ModelCache::memory_get(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
-  ++stats_.memory_hits;
-  return it->second->second;
-}
-
-void ModelCache::memory_put(const std::string& key,
-                            std::shared_ptr<const CompiledModel> model) {
-  if (max_entries_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    it->second->second = std::move(model);
-    return;
-  }
-  lru_.emplace_front(key, std::move(model));
-  index_.emplace(key, lru_.begin());
-  while (lru_.size() > max_entries_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-std::shared_ptr<const CompiledModel> ModelCache::get_or_build(
-    const circuit::Netlist& netlist, std::vector<std::string> symbol_elements,
-    const std::string& input_source, const std::string& output_node,
-    const ModelOptions& opts, const BuildOptions& build_opts) {
-  const auto out_id = netlist.find_node(output_node);
-  if (!out_id)
-    throw std::invalid_argument("ModelCache: unknown output node '" + output_node + "'");
-  const std::string key =
-      model_cache_key(netlist, symbol_elements, input_source, *out_id, opts);
-
-  if (auto hit = memory_get(key)) return hit;
-
-  bool quarantined = false;
-  if (!dir_.empty()) {
-    const std::string path = entry_path(dir_, key);
-    auto loaded = build_opts.map_model ? map_file(path, &quarantined)
-                                       : load_file(path, &quarantined);
-    if (loaded) {
-      auto model = std::make_shared<const CompiledModel>(std::move(*loaded));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.disk_hits;
-      }
-      memory_put(key, model);
-      return model;
-    }
-    if (quarantined) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.corrupt_quarantined;
-    }
-  }
-
-  // Cold build runs OUTSIDE the lock (it can take seconds); concurrent
-  // misses on one key build redundantly but harmlessly — the results are
-  // byte-identical and the store is atomic.
-  BuildOptions bo = build_opts;
-  // The per-cell block store rides inside this cache's directory; resolve
-  // it before cache_dir is cleared below.
-  if (bo.incremental && bo.partition_block_dir.empty() && !dir_.empty())
-    bo.partition_block_dir =
-        (std::filesystem::path(dir_) / "blocks").string();
-  bo.cache_dir.clear();  // this cache is the cache layer; no recursion
-  CompiledModel built = CompiledModel::build(netlist, std::move(symbol_elements),
-                                             input_source, *out_id, opts, bo);
-  if (!dir_.empty()) store_file(dir_, key, built);
-  auto model = std::make_shared<const CompiledModel>(std::move(built));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    if (quarantined) ++stats_.rebuilds_after_quarantine;
-  }
-  if (quarantined)
-    health::global_counters().cache_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  memory_put(key, model);
-  return model;
-}
-
-ModelCache::Stats ModelCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-std::size_t ModelCache::memory_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
 }
 
 }  // namespace awe::core

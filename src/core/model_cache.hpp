@@ -10,22 +10,19 @@
 //   key   = content hash of (canonical netlist, symbol set, input, output,
 //           ModelOptions, format version)      -- model_cache_key()
 //   disk  = <cache_dir>/<key>.awemodel         -- atomic tmp+rename store
-//   RAM   = in-process LRU of shared_ptr<const CompiledModel>
+//
+// CompiledModel::build with BuildOptions::cache_dir is the one entry
+// point: it probes, quarantines, builds and stores through the static
+// helpers below.
 //
 // Because CompiledModel::save is deterministic and load restores the exact
 // bytes, a cached model is bit-identical to a cold build, which
 // test_model_cache and the determinism matrix's rows assert.
 #pragma once
 
-#include <cstddef>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "core/awesymbolic.hpp"
 
@@ -46,16 +43,11 @@ std::string model_cache_key(const circuit::Netlist& netlist,
                             const std::string& input_source,
                             circuit::NodeId output_node, const ModelOptions& opts);
 
-/// Two-level (memory LRU + disk) cache of compiled models.  All public
-/// methods are thread-safe; the build itself runs outside the lock, so
-/// concurrent misses on the same key may each build once — the atomic
-/// store keeps the disk entry coherent and the LRU keeps one copy.
+/// The on-disk level of the compiled-model cache: entry paths, loads that
+/// quarantine damage, and the atomic store.  Stateless; safe to call from
+/// any number of threads at once.
 class ModelCache {
  public:
-  /// `cache_dir` may be empty for a memory-only cache.  `max_entries` caps
-  /// the in-process LRU (0 disables the memory level).
-  explicit ModelCache(std::string cache_dir, std::size_t max_entries = 64);
-
   /// "<dir>/<key>.awemodel".
   static std::string entry_path(const std::string& dir, const std::string& key);
 
@@ -86,38 +78,6 @@ class ModelCache {
   /// race on the same key and readers still only ever see complete files.
   static void store_file(const std::string& dir, const std::string& key,
                          const CompiledModel& model);
-
-  /// LRU -> disk -> cold build, returning a shared handle (models are
-  /// immutable, so one instance serves any number of concurrent sweeps).
-  /// `build_opts.cache_dir` is ignored — this cache IS the cache layer.
-  std::shared_ptr<const CompiledModel> get_or_build(
-      const circuit::Netlist& netlist, std::vector<std::string> symbol_elements,
-      const std::string& input_source, const std::string& output_node,
-      const ModelOptions& opts = {}, const BuildOptions& build_opts = {});
-
-  struct Stats {
-    std::size_t memory_hits = 0;
-    std::size_t disk_hits = 0;
-    std::size_t misses = 0;  ///< cold builds
-    std::size_t evictions = 0;
-    std::size_t corrupt_quarantined = 0;  ///< entries moved to .bad on load
-    std::size_t rebuilds_after_quarantine = 0;  ///< cold builds replacing them
-  };
-  Stats stats() const;
-  std::size_t memory_entries() const;
-  const std::string& cache_dir() const { return dir_; }
-
- private:
-  std::shared_ptr<const CompiledModel> memory_get(const std::string& key);
-  void memory_put(const std::string& key, std::shared_ptr<const CompiledModel> model);
-
-  std::string dir_;
-  std::size_t max_entries_;
-  mutable std::mutex mu_;
-  /// MRU-first list of (key, model); map points into the list.
-  std::list<std::pair<std::string, std::shared_ptr<const CompiledModel>>> lru_;
-  std::unordered_map<std::string, decltype(lru_)::iterator> index_;
-  Stats stats_;
 };
 
 }  // namespace awe::core

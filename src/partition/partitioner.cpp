@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "circuit/content_hash.hpp"
 
 #include "circuit/mna.hpp"
-#include "engine/thread_pool.hpp"
 #include "health/report.hpp"
 #include "health/status.hpp"
 #include "partition/block_store.hpp"
@@ -88,6 +88,13 @@ bool symbolic_kind_supported(ElementKind kind) {
 
 }  // namespace
 
+void require_distinct_symbols(const std::vector<std::string>& symbol_elements) {
+  std::unordered_set<std::string_view> seen;
+  for (const std::string& name : symbol_elements)
+    if (!seen.insert(name).second)
+      throw std::invalid_argument("symbolic element '" + name + "' listed twice");
+}
+
 MomentPartitioner::MomentPartitioner(const Netlist& netlist,
                                      std::vector<std::string> symbol_elements,
                                      std::string input_source, NodeId output_node)
@@ -98,6 +105,7 @@ MomentPartitioner::MomentPartitioner(const Netlist& netlist,
     throw std::invalid_argument("MomentPartitioner: output node is not in the netlist");
   if (symbol_elements.empty())
     throw std::invalid_argument("MomentPartitioner: need at least one symbolic element");
+  require_distinct_symbols(symbol_elements);
 
   const auto input_idx = netlist.find_element(input_source);
   if (!input_idx)
@@ -238,67 +246,43 @@ std::optional<std::vector<std::vector<double>>> sum_and_reduce(
 /// Extract every cell of `plan` (block-store-aware), sum the per-cell
 /// blocks over the expanded boundary space [ports, promoted] in fixed
 /// cell order, and Schur-reduce back to the port space.  Returns an empty
-/// optional when the Schur DC seam block is singular; rethrows the first
-/// cell extraction failure (by cell order) otherwise.  With `out_blocks`
+/// optional when the Schur DC seam block is singular; a cell extraction
+/// failure propagates from the first failing cell.  With `out_blocks`
 /// non-null, the per-cell blocks are handed out for the plan memo.
 std::optional<std::vector<std::vector<double>>> extract_plan(
     circuit::Netlist& numeric, const CellPlan& plan,
-    const std::vector<NodeId>& remapped_ports, std::size_t count,
-    sweep::ThreadPool* pool, BlockStore* store,
+    const std::vector<NodeId>& remapped_ports, std::size_t count, BlockStore* store,
     std::vector<CellBlocks>* out_blocks = nullptr) {
   std::vector<CellBlocks> cell_blocks(plan.cells.size());
-  std::atomic<std::uint64_t> reused{0}, built{0};
-  auto extract_cell = [&](std::size_t ci, sweep::ThreadPool* inner) {
+  std::uint64_t reused = 0, built = 0;
+  for (std::size_t ci = 0; ci < plan.cells.size(); ++ci) {
     const Cell& cell = plan.cells[ci];
     const std::size_t nb = cell.boundary.size();
-    if (nb == 0) return;  // no boundary contact: zero contribution
+    if (nb == 0) continue;  // no boundary contact: zero contribution
     std::string key;
     if (store) {
       key = cell_key(cell, count);
       if (auto cached = store->load(key, nb, count)) {
         cell_blocks[ci] =
             std::make_shared<const std::vector<std::vector<double>>>(std::move(*cached));
-        reused.fetch_add(1, std::memory_order_relaxed);
-        return;
+        ++reused;
+        continue;
       }
     }
     CellCircuit cc = build_cell_circuit(numeric, cell, plan);
     auto fresh = std::make_shared<const std::vector<std::vector<double>>>(
-        port_admittance_moments_inplace(cc.circuit, cc.boundary_local, count, inner));
-    built.fetch_add(1, std::memory_order_relaxed);
+        port_admittance_moments_inplace(cc.circuit, cc.boundary_local, count));
+    ++built;
     if (store) store->store(key, nb, *fresh);
     cell_blocks[ci] = std::move(fresh);
-  };
-
-  // One cell: the existing bit-identical column parallelism applies
-  // inside it.  Several cells: parallelize across cells with serial
-  // columns — each cell's blocks are computed by exactly one thread, so
-  // the result never depends on the split.
-  if (plan.cells.size() == 1 || pool == nullptr) {
-    for (std::size_t ci = 0; ci < plan.cells.size(); ++ci)
-      extract_cell(ci, plan.cells.size() == 1 ? pool : nullptr);
-  } else {
-    std::vector<std::exception_ptr> errors(plan.cells.size());
-    pool->parallel_chunks(plan.cells.size(),
-                          [&](std::size_t, std::size_t begin, std::size_t end) {
-                            for (std::size_t ci = begin; ci < end; ++ci) {
-                              try {
-                                extract_cell(ci, nullptr);
-                              } catch (...) {
-                                errors[ci] = std::current_exception();
-                              }
-                            }
-                          });
-    for (const auto& err : errors)
-      if (err) std::rethrow_exception(err);
   }
   // The reused/built counters describe block-store traffic, so they only
   // move when a store is attached: plain builds stay counter-silent and
   // run-twice health reports stay byte-identical.
   if (store != nullptr) {
     auto& counters = health::global_counters();
-    counters.partition_blocks_reused.fetch_add(reused.load(), std::memory_order_relaxed);
-    counters.partition_blocks_built.fetch_add(built.load(), std::memory_order_relaxed);
+    counters.partition_blocks_reused.fetch_add(reused, std::memory_order_relaxed);
+    counters.partition_blocks_built.fetch_add(built, std::memory_order_relaxed);
   }
 
   auto reduced = sum_and_reduce(plan, remapped_ports, cell_blocks, count);
@@ -401,10 +385,6 @@ std::optional<std::vector<std::vector<double>>> plan_memo_rebuild(
   BlockStore store(opts.block_dir);
   std::vector<CellBlocks> blocks = e.blocks;
   std::uint64_t reused = 0, built = 0;
-  // Mirror extract_plan's parallelism rule: the inner column pool is only
-  // used when the plan has a single cell, so hit and cold builds run the
-  // same arithmetic for any thread count.
-  sweep::ThreadPool* inner = s.plan.cells.size() == 1 ? opts.pool : nullptr;
   try {
     for (std::size_t ci = 0; ci < s.plan.cells.size(); ++ci) {
       const Cell& cell = s.plan.cells[ci];
@@ -423,7 +403,7 @@ std::optional<std::vector<std::vector<double>>> plan_memo_rebuild(
       }
       CellCircuit cc = build_cell_circuit(s.numeric, cell, s.plan, cur);
       auto fresh = std::make_shared<const std::vector<std::vector<double>>>(
-          port_admittance_moments_inplace(cc.circuit, cc.boundary_local, count, inner));
+          port_admittance_moments_inplace(cc.circuit, cc.boundary_local, count));
       store.store(key, nb, *fresh);
       blocks[ci] = std::move(fresh);
       ++built;
@@ -589,8 +569,8 @@ std::vector<std::vector<double>> MomentPartitioner::numeric_port_moments(
       plan_cells(numeric, remapped_ports, opts.cell_target, /*allow_promotion=*/true);
   if (!plan.promoted.empty()) {
     try {
-      if (auto reduced = extract_plan(numeric, plan, remapped_ports, count, opts.pool,
-                                      store_ptr, memo_blocks_ptr)) {
+      if (auto reduced =
+              extract_plan(numeric, plan, remapped_ports, count, store_ptr, memo_blocks_ptr)) {
         if (use_memo)
           plan_memo_insert(memo_key, std::move(numeric), std::move(remapped_ports),
                            std::move(plan), std::move(cur_values),
@@ -605,8 +585,8 @@ std::vector<std::vector<double>> MomentPartitioner::numeric_port_moments(
                       /*allow_promotion=*/false);
   }
   const CellPlan& component_plan = plan;
-  auto reduced = extract_plan(numeric, component_plan, remapped_ports, count, opts.pool,
-                              store_ptr, fell_back ? nullptr : memo_blocks_ptr);
+  auto reduced = extract_plan(numeric, component_plan, remapped_ports, count, store_ptr,
+                              fell_back ? nullptr : memo_blocks_ptr);
   if (!reduced)
     throw health::FailError(health::FailClass::kSingularY0,
                             "numeric_port_moments: seam elimination is singular");

@@ -24,22 +24,14 @@
 #include "symbolic/poly_matrix.hpp"
 #include "symbolic/rational.hpp"
 
-namespace awe::sweep {
-class ThreadPool;
-}
-
 namespace awe::part {
 
 /// Knobs for the numeric-partition extraction.  The extraction is always
 /// cell-based (see cells.hpp): the numeric partition is decomposed into
 /// canonical cells, each extracted independently, summed, and Schur-
 /// reduced back to the port space — so its result is a pure function of
-/// the netlist whatever the thread count or block-cache state.
+/// the netlist whatever the block-cache state.
 struct ExtractOptions {
-  /// Optional worker pool.  One cell in the plan parallelizes the
-  /// per-port excitation columns; several cells parallelize across cells
-  /// (serial columns inside each) — both bit-identical to serial.
-  sweep::ThreadPool* pool = nullptr;
   /// Persistent per-cell block store directory; empty disables the store
   /// (blocks are always recomputed).  Clean cells reload bit-identical
   /// blocks, so an incremental rebuild equals a cold build byte for byte.
@@ -54,6 +46,10 @@ struct ExtractOptions {
 /// lets a test force the next build through the on-disk block store (the
 /// memo serves clean cells from memory without re-probing the disk).
 void clear_plan_cache();
+
+/// Throws std::invalid_argument when a name appears twice in
+/// `symbol_elements`: the repeat would stamp its element twice.
+void require_distinct_symbols(const std::vector<std::string>& symbol_elements);
 
 /// How an element's netlist value maps onto its internal symbol variable.
 /// Resistors are represented internally by their conductance (the MNA
@@ -104,8 +100,6 @@ class MomentPartitioner {
   const std::vector<circuit::NodeId>& ports() const { return ports_; }
 
   /// Compute the first `count` composite moments symbolically.
-  /// `opts.pool` (optional) parallelizes the numeric-partition
-  /// extraction; the result is bit-identical whatever the thread count.
   SymbolicMoments compute(std::size_t count, const ExtractOptions& opts = {}) const;
 
   /// Numeric-partition admittance moment blocks Y_0..Y_{count-1}

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "circuit/mna.hpp"
-#include "engine/thread_pool.hpp"
 #include "health/failpoints.hpp"
 #include "health/status.hpp"
 #include "linalg/sparse_lu.hpp"
@@ -44,7 +43,7 @@ class NetlistRestorer {
 
 std::vector<std::vector<double>> port_admittance_moments_inplace(
     circuit::Netlist& netlist, const std::vector<circuit::NodeId>& port_nodes,
-    std::size_t count, sweep::ThreadPool* pool) {
+    std::size_t count) {
   const std::size_t m = port_nodes.size();
   if (m == 0) throw std::invalid_argument("port_admittance_moments: no ports");
   for (const auto p : port_nodes)
@@ -76,8 +75,8 @@ std::vector<std::vector<double>> port_admittance_moments_inplace(
 
   std::vector<std::vector<double>> yk(count, std::vector<double>(m * m, 0.0));
   // Column j: excite port j, run the moment recursion against the shared
-  // factor.  Columns are independent and write disjoint (i*m + j) slots.
-  auto solve_column = [&](std::size_t j) {
+  // factor.
+  for (std::size_t j = 0; j < m; ++j) {
     health::failpoints::maybe_fail(health::failpoints::sites::kPartitionMomentSolve);
     linalg::Vector x = lu->solve(assembler.rhs("__port" + std::to_string(j), 1.0));
     for (std::size_t k = 0; k < count; ++k) {
@@ -91,13 +90,6 @@ std::vector<std::vector<double>> port_admittance_moments_inplace(
       // current (the branch current flows node -> ground).
       for (std::size_t i = 0; i < m; ++i) yk[k][i * m + j] = -x[aux_row[i]];
     }
-  };
-  if (pool && pool->size() > 1 && m > 1) {
-    pool->parallel_chunks(m, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t j = begin; j < end; ++j) solve_column(j);
-    });
-  } else {
-    for (std::size_t j = 0; j < m; ++j) solve_column(j);
   }
   return yk;
 }

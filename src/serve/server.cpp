@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "circuit/parser.hpp"
-#include "core/model_cache.hpp"
 #include "health/failpoints.hpp"
 #include "health/status.hpp"
 
@@ -101,17 +100,13 @@ core::CompiledModel Server::build_model() const {
   if (deck.symbol_elements.empty() || deck.input_source.empty() ||
       deck.output_node.empty())
     throw std::runtime_error("deck needs .symbol/.input/.output directives");
-  if (!cfg_.cache_dir.empty()) {
-    // Through the persistent cache: a corrupt entry quarantines to .bad and
-    // rebuilds (core/model_cache) instead of failing the reload.
-    core::ModelCache cache(cfg_.cache_dir);
-    const auto model = cache.get_or_build(deck.netlist, deck.symbol_elements,
-                                          deck.input_source, deck.output_node,
-                                          cfg_.model, {});
-    return *model;
-  }
+  // An empty cache_dir builds cold; otherwise a corrupt entry quarantines
+  // to .bad and rebuilds (core/model_cache) instead of failing the reload.
+  core::BuildOptions build_opts;
+  build_opts.cache_dir = cfg_.cache_dir;
   return core::CompiledModel::build(deck.netlist, deck.symbol_elements,
-                                    deck.input_source, deck.output_node, cfg_.model);
+                                    deck.input_source, deck.output_node, cfg_.model,
+                                    build_opts);
 }
 
 std::shared_ptr<const Server::ModelMeta> Server::meta() const {

@@ -67,7 +67,7 @@ struct ServerConfig {
   // Model source.
   std::string deck_path;
   core::ModelOptions model;
-  std::string cache_dir;   ///< build through ModelCache (quarantine reuse) when set
+  std::string cache_dir;   ///< BuildOptions::cache_dir of every (re)build; empty = cold
   std::string store_name;  ///< shm store name; empty = private heap backing
 
   // Concurrency.

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -308,47 +309,40 @@ void check_cache_corruption(const std::string& site, bool arm_before_store) {
   FailpointGuard guard;
   const auto deck = circuit::parse_deck_string(kDeck);
   const auto dir = fresh_dir(site.substr(site.rfind('.') + 1));
-  const auto before =
-      health::global_counters().cache_corrupt_quarantined.load();
+  core::BuildOptions bo;
+  bo.cache_dir = dir.string();
+  auto build = [&] {
+    return core::CompiledModel::build(deck.netlist, deck.symbol_elements, "vin", "out", {},
+                                      bo);
+  };
+  auto& counters = health::global_counters();
 
   if (arm_before_store) fp::arm(site, "once");
-  {
-    core::ModelCache cache(dir.string());
-    (void)cache.get_or_build(deck.netlist, deck.symbol_elements, "vin", "out");
-    EXPECT_EQ(cache.stats().misses, 1u);
-  }
+  EXPECT_FALSE(build().view_backed()) << site;  // cold build, stored
   if (!arm_before_store) fp::arm(site, "once");
 
-  // One on-disk entry exists (possibly damaged).  A FRESH cache (empty
-  // LRU) probing the same key must treat damage as a miss: quarantine the
-  // entry to <path>.bad, rebuild cold, store a clean replacement.
+  // One on-disk entry exists (possibly damaged).  The next build probing
+  // the same key must treat damage as a miss: quarantine the entry to
+  // <path>.bad, rebuild cold, store a clean replacement.
   std::string entry;
   for (const auto& f : std::filesystem::directory_iterator(dir))
     if (f.path().extension() == ".awemodel") entry = f.path().string();
   ASSERT_FALSE(entry.empty());
-  {
-    core::ModelCache cache(dir.string());
-    std::shared_ptr<const core::CompiledModel> model;
-    ASSERT_NO_THROW(model = cache.get_or_build(deck.netlist, deck.symbol_elements,
-                                               "vin", "out"));
-    ASSERT_TRUE(model);
-    const auto st = cache.stats();
-    EXPECT_EQ(st.corrupt_quarantined, 1u) << site;
-    EXPECT_EQ(st.rebuilds_after_quarantine, 1u) << site;
-    EXPECT_EQ(st.disk_hits, 0u) << site;
-  }
+  const auto quarantined = counters.cache_corrupt_quarantined.load();
+  const auto rebuilds = counters.cache_rebuilds.load();
+  std::optional<core::CompiledModel> model;
+  ASSERT_NO_THROW(model.emplace(build()));
+  EXPECT_FALSE(model->view_backed()) << site;  // a rebuild, not a hit
+  EXPECT_EQ(counters.cache_corrupt_quarantined.load(), quarantined + 1) << site;
+  EXPECT_EQ(counters.cache_rebuilds.load(), rebuilds + 1) << site;
   EXPECT_TRUE(std::filesystem::exists(part::quarantine_path(entry)))
       << site;
   EXPECT_TRUE(std::filesystem::exists(entry)) << site;  // rebuilt replacement
-  EXPECT_GE(health::global_counters().cache_corrupt_quarantined.load(),
-            before + 1);
 
-  // The replacement is clean: a third cache gets a plain disk hit.
+  // The replacement is clean: the next build is a plain cache hit.
   fp::reset();
-  core::ModelCache cache(dir.string());
-  (void)cache.get_or_build(deck.netlist, deck.symbol_elements, "vin", "out");
-  EXPECT_EQ(cache.stats().disk_hits, 1u) << site;
-  EXPECT_EQ(cache.stats().corrupt_quarantined, 0u) << site;
+  EXPECT_TRUE(build().view_backed()) << site;
+  EXPECT_EQ(counters.cache_corrupt_quarantined.load(), quarantined + 1) << site;
 }
 
 TEST(FailpointsTest, CacheStoreCrashIsQuarantinedAndRebuilt) {

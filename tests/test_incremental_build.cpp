@@ -2,10 +2,9 @@
 //
 // The hard correctness bar: a rebuild that reuses cached per-cell moment
 // blocks must be BYTE-identical to a cold build of the edited netlist —
-// across thread counts, and after a torn block store quarantines and
-// rebuilds.  Anything weaker would let the incremental path drift from
-// the cold path silently, and every downstream oracle compares models by
-// bytes.
+// also after a torn block store quarantines and rebuilds.  Anything
+// weaker would let the incremental path drift from the cold path
+// silently, and every downstream oracle compares models by bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -85,40 +84,23 @@ BlockCounters delta(const BlockCounters& before) {
           now.quarantined - before.quarantined};
 }
 
-TEST(IncrementalBuild, BitIdenticalToColdAcrossThreadCounts) {
+TEST(IncrementalBuild, BitIdenticalToCold) {
   auto deck = inc_deck();
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto blocks = fresh_dir("bits_t" + std::to_string(threads));
+  BuildOptions inc;
+  inc.partition_block_dir = fresh_dir("bits").string();
+  // Warm the block store with the pristine deck, then edit one element.
+  (void)build_bytes(deck, inc);
 
-    BuildOptions inc;
-    inc.threads = threads;
-    inc.incremental = true;
-    inc.partition_block_dir = blocks.string();
-    // Warm the block store with the pristine deck, then edit one element.
-    (void)build_bytes(deck, inc);
-
-    circuit::ParsedDeck edited = deck;
-    edited.netlist.set_value("c1", 12e-12);
-
-    BuildOptions cold;
-    cold.threads = threads;
-    const std::string cold_bytes = build_bytes(edited, cold);
-    const std::string inc_bytes = build_bytes(edited, inc);
-    EXPECT_EQ(inc_bytes, cold_bytes);
-
-    // And the serial cold build agrees too: thread count is invisible.
-    BuildOptions serial;
-    serial.threads = 1;
-    EXPECT_EQ(build_bytes(edited, serial), cold_bytes);
-  }
+  circuit::ParsedDeck edited = deck;
+  edited.netlist.set_value("c1", 12e-12);
+  const std::string cold_bytes = build_bytes(edited, {});
+  EXPECT_EQ(build_bytes(edited, inc), cold_bytes);
 }
 
 TEST(IncrementalBuild, ReusesCleanCellsRebuildsDirtyOne) {
   auto deck = inc_deck();
   const auto blocks = fresh_dir("counters");
   BuildOptions inc;
-  inc.incremental = true;
   inc.partition_block_dir = blocks.string();
 
   // Cold store: every cell is built, nothing reused.
@@ -150,7 +132,6 @@ TEST(IncrementalBuild, TornBlockIsQuarantinedAndRebuilt) {
   auto deck = inc_deck();
   const auto blocks = fresh_dir("torn");
   BuildOptions inc;
-  inc.incremental = true;
   inc.partition_block_dir = blocks.string();
   BuildOptions cold;
   const std::string cold_bytes = build_bytes(deck, cold);
@@ -185,24 +166,6 @@ TEST(IncrementalBuild, TornBlockIsQuarantinedAndRebuilt) {
   const BlockCounters d2 = delta(before2);
   EXPECT_EQ(d2.quarantined, 0u);
   EXPECT_EQ(d2.reused, 3u);
-}
-
-TEST(IncrementalBuild, CacheDirResolvesBlockStore) {
-  // ModelCache route: incremental=true with only cache_dir set lands the
-  // block store at <cache_dir>/blocks.
-  auto deck = inc_deck();
-  const auto dir = fresh_dir("cachedir");
-  BuildOptions bo;
-  bo.cache_dir = dir.string();
-  bo.incremental = true;
-  const auto before = counters_now();
-  (void)build_bytes(deck, bo);
-  EXPECT_EQ(delta(before).built, 3u);
-  EXPECT_TRUE(std::filesystem::is_directory(dir / "blocks"));
-  std::size_t n = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir / "blocks"))
-    if (entry.path().extension() == ".aweblock") ++n;
-  EXPECT_EQ(n, 3u);
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 //     stable across calls, insensitive to symbolic/input values,
 //     sensitive to topology, numeric values and ModelOptions;
 //   - corrupt or foreign cache entries degrade to a miss, never an error;
-//   - the parallel build pipeline (threads > 1) produces the same bytes
-//     as the serial one;
+//   - concurrent builders of one key through one cache directory agree
+//     byte for byte, and leave an entry the next build maps in place;
 //   - port_admittance_moments_inplace leaves the netlist untouched on
 //     every exit path (the mutate-and-restore satellite).
 #include <gtest/gtest.h>
@@ -30,7 +30,6 @@
 #include "circuit/parser.hpp"
 #include "circuit/writer.hpp"
 #include "core/model_cache.hpp"
-#include "engine/thread_pool.hpp"
 #include "health/failpoints.hpp"
 #include "partition/block_store.hpp"
 #include "partition/port_moments.hpp"
@@ -309,6 +308,30 @@ TEST(ModelCache, CorruptEntryFallsBackToColdBuild) {
   EXPECT_EQ(serialize(model), serialize(*repaired));
 }
 
+// A repeated symbol would stamp its element twice.  The build refuses the
+// list before its cache probe, so even a valid entry already stored under
+// that list's key is never served.
+TEST(ModelCache, RepeatedSymbolIsRefusedBeforeTheCacheProbe) {
+  const auto dir = fresh_dir("repeated_symbol");
+  const auto deck = rc_deck();
+  const std::vector<std::string> twice{"r1", "c2", "r1"};
+  const circuit::NodeId out = *deck.netlist.find_node(deck.output_node);
+  const std::string key = model_cache_key(deck.netlist, twice, deck.input_source, out, {});
+  ModelCache::store_file(dir.string(), key,
+                         CompiledModel::build(deck.netlist, deck.symbol_elements,
+                                              deck.input_source, deck.output_node));
+
+  BuildOptions bo;
+  bo.cache_dir = dir.string();
+  try {
+    (void)CompiledModel::build(deck.netlist, twice, deck.input_source, deck.output_node,
+                               {}, bo);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "symbolic element 'r1' listed twice");
+  }
+}
+
 /// In a forked child: write 64 KiB through part::write_entry under a 4 KiB
 /// file size limit.  0 when the write threw and left neither the entry nor
 /// a "<entry>.tmp.<pid>.<n>" file in `dir`.
@@ -338,87 +361,29 @@ TEST(ModelCache, FailedWriteEntryRemovesItsTempFile) {
   EXPECT_EXIT(std::_Exit(write_past_size_limit(dir)), ::testing::ExitedWithCode(0), "");
 }
 
-TEST(ModelCache, LruHitsEvictionsAndStats) {
-  const auto dir = fresh_dir("lru");
-  ModelCache cache(dir.string(), /*max_entries=*/2);
-  const auto deck = rc_deck();
-
-  const auto a = cache.get_or_build(deck.netlist, deck.symbol_elements, deck.input_source,
-                                    deck.output_node);
-  const auto b = cache.get_or_build(deck.netlist, deck.symbol_elements, deck.input_source,
-                                    deck.output_node);
-  EXPECT_EQ(a.get(), b.get()) << "memory hit must return the same instance";
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().memory_hits, 1u);
-
-  // Two more distinct keys overflow the 2-entry LRU.
-  (void)cache.get_or_build(deck.netlist, deck.symbol_elements, deck.input_source,
-                           deck.output_node, {.order = 3});
-  (void)cache.get_or_build(deck.netlist, deck.symbol_elements, deck.input_source,
-                           deck.output_node, {.order = 4});
-  EXPECT_EQ(cache.memory_entries(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  // The evicted entry comes back from DISK, not a rebuild.
-  (void)cache.get_or_build(deck.netlist, deck.symbol_elements, deck.input_source,
-                           deck.output_node);
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 3u);
-}
-
-TEST(ModelCache, ConcurrentGetOrBuildIsCoherent) {
+TEST(ModelCache, ConcurrentBuildsAreCoherent) {
   const auto dir = fresh_dir("concurrent");
-  ModelCache cache(dir.string());
   const auto deck = rc_deck();
+  BuildOptions bo;
+  bo.cache_dir = dir.string();
 
-  std::vector<std::shared_ptr<const CompiledModel>> got(8);
+  // Racing cold builds of one key each store through tmp+rename; every
+  // builder must see the same bytes whichever of them won the store.
+  std::vector<std::string> got(8);
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < got.size(); ++t)
     workers.emplace_back([&, t] {
-      got[t] = cache.get_or_build(deck.netlist, deck.symbol_elements, deck.input_source,
-                                  deck.output_node);
+      got[t] = serialize(CompiledModel::build(deck.netlist, deck.symbol_elements,
+                                              deck.input_source, deck.output_node, {}, bo));
     });
   for (auto& w : workers) w.join();
+  for (const auto& bytes : got) EXPECT_EQ(bytes, got[0]);
 
-  const std::string bytes = serialize(*got[0]);
-  for (const auto& m : got) {
-    ASSERT_TRUE(m);
-    EXPECT_EQ(bytes, serialize(*m));
-  }
-  const auto s = cache.stats();
-  EXPECT_GE(s.misses, 1u);
-  EXPECT_EQ(s.misses + s.memory_hits + s.disk_hits, got.size());
-}
-
-// -- parallel build pipeline -------------------------------------------
-
-TEST(ParallelBuild, ThreadsProduceByteIdenticalModels) {
-  for (const auto& path : corpus_files()) {
-    const auto deck = load_deck(path);
-    if (!buildable(deck)) continue;
-    SCOPED_TRACE(path.filename().string());
-    const auto serial = CompiledModel::build(deck.netlist, deck.symbol_elements,
-                                             deck.input_source, deck.output_node);
-    BuildOptions four_threads;
-    four_threads.threads = 4;
-    const auto parallel = CompiledModel::build(deck.netlist, deck.symbol_elements,
-                                               deck.input_source, deck.output_node, {},
-                                               four_threads);
-    EXPECT_EQ(serialize(serial), serialize(parallel));
-  }
-}
-
-TEST(ParallelBuild, SharedPoolMatchesSerial) {
-  const auto deck = rc_deck();
-  sweep::ThreadPool pool(3);
-  BuildOptions shared_pool;
-  shared_pool.pool = &pool;
-  const auto serial = CompiledModel::build(deck.netlist, deck.symbol_elements,
-                                           deck.input_source, deck.output_node);
-  const auto pooled = CompiledModel::build(deck.netlist, deck.symbol_elements,
-                                           deck.input_source, deck.output_node, {},
-                                           shared_pool);
-  EXPECT_EQ(serialize(serial), serialize(pooled));
+  // The published entry is complete: the next build is a cache hit.
+  const auto warm = CompiledModel::build(deck.netlist, deck.symbol_elements,
+                                         deck.input_source, deck.output_node, {}, bo);
+  EXPECT_TRUE(warm.view_backed());
+  EXPECT_EQ(serialize(warm), got[0]);
 }
 
 // -- mutate-and-restore extraction (the deep-copy fix) ------------------
@@ -441,12 +406,6 @@ TEST(PortMomentsInplace, RestoresNetlistOnSuccessAndThrow) {
                std::runtime_error);
   EXPECT_EQ(circuit::deck_to_string(deck), before)
       << "throw path must restore elements and source values";
-
-  // And the extraction itself is pool-invariant (bit-identical columns).
-  sweep::ThreadPool pool(4);
-  auto copy = deck.netlist;
-  const auto yk_par = part::port_admittance_moments_inplace(copy, ports, 4, &pool);
-  EXPECT_EQ(yk, yk_par);
 }
 
 }  // namespace

@@ -27,6 +27,12 @@ TEST(Partitioner, ValidatesInputs) {
   EXPECT_THROW(MomentPartitioner(fig.netlist, {"vin"}, "vin", fig.v2),
                std::invalid_argument);
   try {
+    MomentPartitioner(fig.netlist, {"g1", "g2", "g1"}, "vin", fig.v2);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "symbolic element 'g1' listed twice");
+  }
+  try {
     MomentPartitioner(fig.netlist, {"g1"}, "vin", fig.netlist.num_nodes() + 1);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {

@@ -86,10 +86,10 @@ std::string first_numeric_element(const circuit::ParsedDeck& deck) {
 int main(int argc, char** argv) {
   cli::install_sigpipe_guard();
   const cli::HealthJsonSink sink = cli::HealthJsonSink::from_argv(argc, argv);
-  std::string cache_dir;
   std::string audit_dir;
   core::ModelOptions mopts;
   core::BuildOptions bopts;
+  bool incremental = false;
   bool quiet = false;
   std::string save_model;
   std::optional<double> edit_first_factor;
@@ -99,13 +99,11 @@ int main(int argc, char** argv) {
       .tool = "awe_build",
       .synopsis = "--cache-dir DIR [options] deck.sp [deck2.sp ...] | --map-audit DIR",
       .options = {
-          cli::text("--cache-dir", "DIR", cache_dir, "persistent cache directory"),
+          cli::text("--cache-dir", "DIR", bopts.cache_dir, "persistent cache directory"),
           cli::number("--order", "Q", mopts.order, "Padé order (default 2)", 1),
-          cli::number("--threads", "N", bopts.threads,
-                      "extraction worker threads, 0 = hardware (default 1)"),
           cli::flag("--gradients", mopts.with_gradients,
                     "also compile the exact symbolic gradients"),
-          cli::flag("--incremental", bopts.incremental,
+          cli::flag("--incremental", incremental,
                     "rebuild only an edited deck's dirty cells (DESIGN.md §13)"),
           cli::flag("--mmap", bopts.map_model,
                     "warm loads mmap the v5 cache entry in place"),
@@ -129,19 +127,22 @@ int main(int argc, char** argv) {
       .sink = &sink};
   const std::vector<std::string> decks = cli.parse(argc, argv);
   if (edit_first_factor == 0.0) cli.fail("--edit-first-numeric needs a nonzero factor");
-  // The maintenance mode runs standalone: no decks, no cache instance.
+  // The maintenance mode runs standalone: no decks, no build.
   if (!audit_dir.empty()) {
-    if (!decks.empty() || !cache_dir.empty())
+    if (!decks.empty() || !bopts.cache_dir.empty())
       cli.fail("--map-audit takes no decks and no --cache-dir");
     const int rc = map_audit_dir(audit_dir, quiet);
     sink.flush();
     return rc;
   }
-  if (cache_dir.empty() || decks.empty()) cli.fail("needs --cache-dir and a deck");
+  if (bopts.cache_dir.empty() || decks.empty()) cli.fail("needs --cache-dir and a deck");
+  // The per-cell block store rides inside the cache directory.
+  if (incremental)
+    bopts.partition_block_dir = (std::filesystem::path(bopts.cache_dir) / "blocks").string();
 
-  core::ModelCache cache(cache_dir);
   int failures = 0;
-  std::shared_ptr<const core::CompiledModel> last_model;
+  std::size_t cold_builds = 0, disk_hits = 0;
+  std::optional<core::CompiledModel> last_model;
   for (const std::string& path : decks) {
     try {
       std::ifstream in(path);
@@ -173,13 +174,16 @@ int main(int argc, char** argv) {
       const std::string key = core::model_cache_key(
           deck.netlist, deck.symbol_elements, deck.input_source, *out_node, mopts);
 
-      const auto before = cache.stats();
-      last_model = cache.get_or_build(deck.netlist, deck.symbol_elements,
-                                      deck.input_source, deck.output_node, mopts,
-                                      bopts);
-      const auto after = cache.stats();
-      const char* how = after.misses > before.misses ? "cold" : "warm";
-      if (!quiet) std::printf("%s  %s  %s\n", key.c_str(), how, path.c_str());
+      last_model = core::CompiledModel::build(deck.netlist, deck.symbol_elements,
+                                              deck.input_source, *out_node, mopts, bopts);
+      // A cache hit is always a blob-backed open; a cold build never is.
+      const bool warm = last_model->view_backed();
+      if (warm)
+        ++disk_hits;
+      else
+        ++cold_builds;
+      if (!quiet)
+        std::printf("%s  %s  %s\n", key.c_str(), warm ? "warm" : "cold", path.c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "awe_build: %s: %s\n", path.c_str(), e.what());
       ++failures;
@@ -201,11 +205,9 @@ int main(int argc, char** argv) {
     last_model->save(out);
   }
 
-  if (!quiet) {
-    const auto s = cache.stats();
-    std::printf("awe_build: %zu decks — %zu cold builds, %zu disk hits, %zu memory hits\n",
-                decks.size(), s.misses, s.disk_hits, s.memory_hits);
-  }
+  if (!quiet)
+    std::printf("awe_build: %zu decks — %zu cold builds, %zu disk hits\n", decks.size(),
+                cold_builds, disk_hits);
 
   // Under the SIGPIPE guard a consumer that closed stdout early (e.g.
   // "--health-json - | head") makes this write fail with EPIPE instead of

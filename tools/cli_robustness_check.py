@@ -156,12 +156,14 @@ def main():
     missing = os.path.join(args.workdir, "missing.sp")
     usage_errors = [
         # (what, text the reason must contain, health file or None, command)
-        # Removed features: the native AOT backend, the v3 repacker and
-        # the fused evaluation form.
+        # Removed features: the native AOT backend, the v3 repacker, the
+        # fused evaluation form and the threaded build.
         ("awe_build --native", "--native", "build_native",
          [args.awe_build, "--cache-dir", cache, "--native", args.deck]),
         ("awe_build --pack-v4", "--pack-v4", "build_pack_v4",
          [args.awe_build, "--pack-v4", cache]),
+        ("awe_build --threads 4", "--threads", "build_threads",
+         [args.awe_build, "--cache-dir", cache, "--threads", "4", args.deck]),
         ("awe_opt --native", "--native", "opt_native",
          [args.awe_opt, "--measure", "pole1", "--mc", "64", "--native",
           args.deck]),
@@ -177,9 +179,8 @@ def main():
          [args.awe_opt, "--measure", "pole1", "--mc", "abc", args.deck]),
         ("awe_opt --sigma nope", "--sigma", "opt_sigma",
          [args.awe_opt, "--mc", "64", "--sigma", "nope", args.deck]),
-        ("awe_build --threads two", "--threads", "build_threads",
-         [args.awe_build, "--cache-dir", cache, "--threads", "two",
-          args.deck]),
+        ("awe_build --order 2x", "--order", "build_order",
+         [args.awe_build, "--cache-dir", cache, "--order", "2x", args.deck]),
         ("awesym_cli deck --mc 8zz", "--mc", "cli_mc_8zz",
          [args.awesym_cli, args.deck, "--mc", "8zz"]),
         ("awesym_cli deck --mc abc", "--mc", "cli_mc_abc",

@@ -122,10 +122,12 @@ def build_rows(a):
               w("cold_%s.bin" % n), DECKS[n]])
         return w("cold_%s.bin" % n)
 
-    def incremental(n, t):
-        d = w("inc_%s_t%d" % (n, t))
-        flags = ["--threads", t, "--incremental", "--cache-dir", d, "--quiet"]
+    def incremental(n):
+        d = w("inc_" + n)
+        flags = ["--incremental", "--cache-dir", d, "--quiet"]
         tool([build] + flags + [DECKS[n]])
+        need(glob.glob(os.path.join(d, "blocks", "*.aweblock")),
+             "no .aweblock files in %s/blocks" % d)
         tool([build] + flags + ["--edit-first-numeric", "1.1",
                                 "--save-model", d + ".bin", DECKS[n]])
         same_bytes(cold_edit(n), d + ".bin")
@@ -168,8 +170,7 @@ def build_rows(a):
         same_bytes(grads_t1(n), grads(n, t, "grads_%s_t%d.txt" % (n, t)))
 
     for n in DECKS:
-        rows += [("incremental %s t%d" % (n, t), incremental, n, t)
-                 for t in THREADS]
+        rows.append(("incremental %s" % n, incremental, n))
         rows += [("backing %s %s t%d" % (n, how, t), backing, n, t, how)
                  for t in THREADS for how in ("mmap", "shm")]
         rows.append(("gradient %s heap-vs-mmap" % n, gradient_mmap, n))
