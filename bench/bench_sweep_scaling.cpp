@@ -4,10 +4,11 @@
 //
 // Methodology (documented in DESIGN.md "Batch and parallel evaluation"):
 // the baseline is the best the PRE-ENGINE code could do — a single-thread
-// loop over CompiledModel::moments_at with a reused Workspace, i.e.
-// allocation-free but scalar and serial.  The engine rows then isolate
-// two effects: batch width (SoA interpreter, 1 thread) and thread count
-// (static-chunked pool at the best width).
+// allocation-free loop that runs the register program one point at a time
+// (ScalarYardstick below; the library itself runs every point as a lane
+// block).  The engine rows then isolate two effects: batch
+// width (SoA interpreter, 1 thread) and thread count (static-chunked pool
+// at the best width).
 //
 // Perf-CI contract: every registered google-benchmark case exports a
 // `norm_ops_per_s` counter = points/sec x instruction count.
@@ -16,10 +17,13 @@
 // bench/check_bench_gate.py gates it against BENCH_baseline.json.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "circuits/coupled_lines.hpp"
 #include "circuits/opamp741.hpp"
 #include "core/awesymbolic.hpp"
+#include "core/model_blob.hpp"
 #include "engine/sweep.hpp"
 
 namespace {
@@ -66,18 +71,98 @@ std::vector<double> mc_points(std::size_t n) {
   return sweep::sample_points(dists, n, 2024);
 }
 
+/// A yardstick, not an evaluation path: a serial per-point register loop
+/// with no lanes, over the model's v5 instruction stream, with the
+/// library's symbol transform and moment division.  BM_ScalarLoop times it
+/// to anchor `check_bench_gate.py --gate norm_ops_per_s:BM_ScalarLoop`: a
+/// count-1 lane block runs 1.15-1.4x slower, and an anchor that much slower
+/// would loosen every anchored gate by that factor.  main() aborts unless
+/// its moments equal moments_batch() bit for bit.
+class ScalarYardstick {
+ public:
+  explicit ScalarYardstick(const core::CompiledModel& model)
+      : blob_(core::make_heap_blob(model.pack())) {
+    const core::ModelView view = core::ModelView::open(blob_->bytes());
+    code_ = view.program_code();
+    for (const core::v5::SymbolEntry& s : view.symbols()) reciprocal_.push_back(s.reciprocal);
+    inputs_.resize(code_.input_count);
+    regs_.resize(code_.register_count);
+    outputs_.resize(code_.outputs.size());
+    moments_.resize(outputs_.size() - 1);
+  }
+
+  /// Moments m_0..m_{2q-1} at one point; valid until the next call.  Out
+  /// of line, like the library call it stands in for.
+  [[gnu::noinline]] const std::vector<double>& moments(std::span<const double> vals) {
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+      if (reciprocal_[i] && vals[i] == 0.0) throw std::domain_error("zero resistance");
+      inputs_[i] = reciprocal_[i] ? 1.0 / vals[i] : vals[i];
+    }
+    double* const r = regs_.data();
+    for (const symbolic::Instr& ins : code_.instrs) {
+      switch (ins.op) {
+        case symbolic::OpCode::kConst: r[ins.dst] = code_.constants[ins.a]; break;
+        case symbolic::OpCode::kInput: r[ins.dst] = inputs_[ins.a]; break;
+        case symbolic::OpCode::kAdd: r[ins.dst] = r[ins.a] + r[ins.b]; break;
+        case symbolic::OpCode::kSub: r[ins.dst] = r[ins.a] - r[ins.b]; break;
+        case symbolic::OpCode::kMul: r[ins.dst] = r[ins.a] * r[ins.b]; break;
+        case symbolic::OpCode::kDiv: r[ins.dst] = r[ins.a] / r[ins.b]; break;
+        case symbolic::OpCode::kNeg: r[ins.dst] = -r[ins.a]; break;
+      }
+    }
+    for (std::size_t k = 0; k < outputs_.size(); ++k) outputs_[k] = r[code_.outputs[k]];
+    const double d = outputs_.back();
+    if (d == 0.0) throw std::domain_error("det(Y0) vanishes");
+    double dp = d;
+    for (std::size_t k = 0; k < moments_.size(); ++k) {
+      moments_[k] = outputs_[k] / dp;
+      dp *= d;
+    }
+    return moments_;
+  }
+
+ private:
+  std::shared_ptr<const core::ModelBlob> blob_;  // code_ points into it
+  symbolic::ProgramCode code_;
+  std::vector<unsigned char> reciprocal_;
+  std::vector<double> inputs_, regs_, outputs_, moments_;
+};
+
+/// Abort unless the yardstick's moments equal moments_batch() bit for bit
+/// on the 4096 Monte Carlo points BM_ScalarLoop runs.
+void check_yardstick() {
+  const auto& model = opamp_model();
+  constexpr std::size_t n = 4096;
+  const auto pts = mc_points(n);
+  const std::size_t nm = model.moment_count();
+  auto ws = model.make_batch_workspace(n);
+  std::vector<double> batch(nm * n);
+  std::vector<unsigned char> ok(n);
+  model.moments_batch(pts, n, n, ws, batch, n, ok);
+  ScalarYardstick scalar(model);
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto& m = scalar.moments(std::vector<double>{pts[p], pts[n + p]});
+    for (std::size_t k = 0; k < nm; ++k)
+      if (!ok[p] || std::bit_cast<std::uint64_t>(m[k]) !=
+                        std::bit_cast<std::uint64_t>(batch[k * n + p])) {
+        std::fprintf(stderr, "ScalarYardstick: point %zu moment %zu differs from "
+                             "moments_batch\n", p, k);
+        std::abort();
+      }
+  }
+}
+
 /// Scalar baseline: serial allocation-free per-point loop.
 double scalar_loop_seconds(const core::CompiledModel& model,
                            const std::vector<double>& pts, std::size_t n) {
+  ScalarYardstick scalar(model);
   return benchutil::time_median(3, [&] {
-    auto ws = model.make_workspace();
     std::vector<double> vals(2);
     double acc = 0.0;
     for (std::size_t p = 0; p < n; ++p) {
       vals[0] = pts[p];
       vals[1] = pts[n + p];
-      model.moments_at(vals, ws);
-      acc += ws.moments[0];
+      acc += scalar.moments(vals)[0];
     }
     benchmark::DoNotOptimize(acc);
   });
@@ -145,16 +230,14 @@ void set_norm_counter(benchmark::State& state, std::size_t points_per_iter) {
 }
 
 void BM_ScalarLoop(benchmark::State& state) {
-  const auto& model = opamp_model();
   const auto pts = mc_points(4096);
-  auto ws = model.make_workspace();
+  ScalarYardstick scalar(opamp_model());
   std::vector<double> vals(2);
   std::size_t p = 0;
   for (auto _ : state) {
     vals[0] = pts[p];
     vals[1] = pts[4096 + p];
-    model.moments_at(vals, ws);
-    benchmark::DoNotOptimize(ws.moments[0]);
+    benchmark::DoNotOptimize(scalar.moments(vals)[0]);
     p = (p + 1) % 4096;
   }
   set_norm_counter(state, 1);
@@ -314,6 +397,7 @@ int main(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--benchmark_format=json") show_table = false;
   if (const char* e = std::getenv("AWE_BENCH_TABLE"); e && std::string_view(e) == "0")
     show_table = false;
+  check_yardstick();
   if (show_table) print_scaling_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdio>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "awe/awe.hpp"
@@ -79,20 +80,33 @@ BENCHMARK(BM_AweSymbolic_PerDatapoint)->Unit(benchmark::kMicrosecond);
 
 void BM_AweSymbolic_MomentsOnly(benchmark::State& state) {
   // The pure compiled-program evaluation (paper: 0.37 us per evaluation of
-  // the symbolic forms).
+  // the symbolic forms): moments_batch over a reused workspace, `width`
+  // grid points per call (1: one point per call; 64: the sweep engine's
+  // lane block).  items_per_second is points per second.
   auto amp = circuits::make_opamp741();
   const auto model = core::CompiledModel::build(
       amp.netlist, kSymbols, circuits::Opamp741Circuit::kInput, amp.out, {.order = 2});
-  auto ws = model.make_workspace();
-  const auto grid = symbol_grid(64);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& v = grid[i++ % grid.size()];
-    model.moments_at(std::vector<double>{v[0], v[1]}, ws);
-    benchmark::DoNotOptimize(ws.moments[0]);
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = 64;
+  const auto grid = symbol_grid(n);
+  std::vector<double> values(2 * n);  // SoA: symbol i of point p at [i*n + p]
+  for (std::size_t p = 0; p < n; ++p) {
+    values[p] = grid[p][0];
+    values[n + p] = grid[p][1];
   }
+  auto ws = model.make_batch_workspace(width);
+  std::vector<double> moments(model.moment_count() * width);
+  std::vector<unsigned char> ok(width);
+  std::size_t b = 0;
+  for (auto _ : state) {
+    model.moments_batch(std::span<const double>(values).subspan(b), n, width, ws, moments,
+                        width, ok);
+    benchmark::DoNotOptimize(moments[0]);
+    b = (b + width) % n;
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AweSymbolic_MomentsOnly);
+BENCHMARK(BM_AweSymbolic_MomentsOnly)->ArgName("width")->Arg(1)->Arg(64);
 
 void BM_AweSymbolic_Setup(benchmark::State& state) {
   auto amp = circuits::make_opamp741();

@@ -14,54 +14,6 @@ namespace awe::core {
 using symbolic::CompiledProgram;
 using symbolic::ExprGraph;
 
-namespace {
-
-/// Pack a lane block of element values (SoA, point stride `stride`) into
-/// ws.symbol_values (lane stride `count`), applying the reciprocal
-/// transforms.  Lanes where a reciprocal symbol is exactly zero — the
-/// scalar path's throw condition — get ok[p] = 0 and a zero input.
-void pack_symbol_block(std::span<const part::SymbolSpec> symbols,
-                       std::span<const double> element_values, std::size_t stride,
-                       std::size_t count, BatchWorkspace& ws,
-                       std::span<unsigned char> ok) {
-  for (std::size_t p = 0; p < count; ++p) ok[p] = 1;
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    const double* const src = element_values.data() + i * stride;
-    double* const dst = ws.symbol_values.data() + i * count;
-    if (symbols[i].reciprocal) {
-      for (std::size_t p = 0; p < count; ++p) {
-        if (src[p] == 0.0) {
-          ok[p] = 0;
-          dst[p] = 0.0;
-        } else {
-          dst[p] = 1.0 / src[p];
-        }
-      }
-    } else {
-      for (std::size_t p = 0; p < count; ++p) dst[p] = src[p];
-    }
-  }
-}
-
-void check_batch_args(std::size_t nsym, std::size_t out_rows,
-                      std::span<const double> element_values, std::size_t stride,
-                      std::size_t count, const BatchWorkspace& ws,
-                      std::span<const double> moments_out, std::size_t out_stride,
-                      std::span<const unsigned char> ok) {
-  if (count > ws.width)
-    throw std::invalid_argument("moments_batch: count exceeds workspace width");
-  if (stride < count || out_stride < count)
-    throw std::invalid_argument("moments_batch: stride smaller than count");
-  if (nsym > 0 && element_values.size() < (nsym - 1) * stride + count)
-    throw std::invalid_argument("moments_batch: element_values span too small");
-  if (out_rows > 0 && moments_out.size() < (out_rows - 1) * out_stride + count)
-    throw std::invalid_argument("moments_batch: moments_out span too small");
-  if (ok.size() < count)
-    throw std::invalid_argument("moments_batch: ok span too small");
-}
-
-}  // namespace
-
 CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
                                    std::vector<std::string> symbol_elements,
                                    const std::string& input_source,
@@ -235,48 +187,27 @@ CompiledModel CompiledModel::build(const circuit::Netlist& netlist,
   return build(netlist, std::move(symbol_elements), input_source, *node, opts, build_opts);
 }
 
-CompiledModel::Workspace CompiledModel::make_workspace() const {
-  Workspace ws;
-  ws.symbol_values.resize(sym_.symbols.size());
-  ws.program_outputs.resize(program_.output_count());
-  ws.registers.resize(program_.register_count());
-  ws.moments.resize(moment_count());
-  return ws;
-}
-
-void CompiledModel::moments_at(std::span<const double> element_values, Workspace& ws) const {
+void CompiledModel::check_point(std::span<const double> element_values) const {
   if (element_values.size() != sym_.symbols.size())
     throw std::invalid_argument("CompiledModel: wrong number of element values");
-  // Precondition (documented in the header): ws comes from THIS model's
-  // make_workspace().  A workspace built for a different model would make
-  // the writes below run out of bounds, so reject it outright.
-  if (ws.symbol_values.size() != sym_.symbols.size() ||
-      ws.program_outputs.size() != program_.output_count() ||
-      ws.registers.size() < program_.register_count() || ws.moments.size() != moment_count())
-    throw std::invalid_argument(
-        "CompiledModel: workspace does not match this model (use make_workspace())");
-  for (std::size_t i = 0; i < sym_.symbols.size(); ++i) {
-    double v = element_values[i];
-    if (sym_.symbols[i].reciprocal) {
-      if (v == 0.0) throw std::domain_error("CompiledModel: zero resistance symbol value");
-      v = 1.0 / v;
-    }
-    ws.symbol_values[i] = v;
-  }
-  program_.run_with_scratch(ws.symbol_values, ws.program_outputs, ws.registers);
-  const double d = ws.program_outputs.back();
-  if (d == 0.0) throw std::domain_error("CompiledModel: det(Y0) vanishes at this point");
-  double dp = d;
-  for (std::size_t k = 0; k < moment_count(); ++k) {
-    ws.moments[k] = ws.program_outputs[k] / dp;
-    dp *= d;
-  }
+}
+
+void CompiledModel::throw_point_failure(std::span<const double> element_values) const {
+  // A zero resistance fails the lane before det(Y0) is looked at.
+  for (std::size_t i = 0; i < sym_.symbols.size(); ++i)
+    if (sym_.symbols[i].reciprocal && element_values[i] == 0.0)
+      throw std::domain_error("CompiledModel: zero resistance symbol value");
+  throw std::domain_error("CompiledModel: det(Y0) vanishes at this point");
 }
 
 std::vector<double> CompiledModel::moments_at(std::span<const double> element_values) const {
-  Workspace ws = make_workspace();
-  moments_at(element_values, ws);
-  return ws.moments;
+  check_point(element_values);
+  BatchWorkspace ws = make_batch_workspace(1);
+  std::vector<double> moments(moment_count());
+  unsigned char ok = 0;
+  moments_batch(element_values, 1, 1, ws, moments, 1, std::span<unsigned char>(&ok, 1));
+  if (!ok) throw_point_failure(element_values);
+  return moments;
 }
 
 BatchWorkspace CompiledModel::make_batch_workspace(std::size_t width) const {
@@ -289,28 +220,54 @@ BatchWorkspace CompiledModel::make_batch_workspace(std::size_t width) const {
   return ws;
 }
 
-void CompiledModel::moments_batch(std::span<const double> element_values, std::size_t stride,
-                                  std::size_t count, BatchWorkspace& ws,
-                                  std::span<double> moments_out, std::size_t out_stride,
-                                  std::span<unsigned char> ok) const {
-  if (count == 0) return;
+void CompiledModel::run_lane_block(const CompiledProgram& program,
+                                   std::span<const double> element_values,
+                                   std::size_t stride, std::size_t count, BatchWorkspace& ws,
+                                   std::span<double> moments_out, std::size_t out_stride,
+                                   std::span<unsigned char> ok,
+                                   const char* ws_mismatch) const {
   const std::size_t nsym = sym_.symbols.size();
   const std::size_t nm = moment_count();
-  check_batch_args(nsym, nm, element_values, stride, count, ws, moments_out, out_stride, ok);
+  if (count > ws.width)
+    throw std::invalid_argument("moments_batch: count exceeds workspace width");
+  if (stride < count || out_stride < count)
+    throw std::invalid_argument("moments_batch: stride smaller than count");
+  if (nsym > 0 && element_values.size() < (nsym - 1) * stride + count)
+    throw std::invalid_argument("moments_batch: element_values span too small");
+  if (moments_out.size() < (nm - 1) * out_stride + count)
+    throw std::invalid_argument("moments_batch: moments_out span too small");
+  if (ok.size() < count) throw std::invalid_argument("moments_batch: ok span too small");
   if (ws.symbol_values.size() < nsym * count ||
-      ws.program_outputs.size() < program_.output_count() * count ||
-      ws.registers.size() < program_.register_count() * count)
-    throw std::invalid_argument(
-        "CompiledModel: batch workspace does not match this model (use "
-        "make_batch_workspace())");
+      ws.program_outputs.size() < program.output_count() * count ||
+      ws.registers.size() < program.register_count() * count)
+    throw std::invalid_argument(ws_mismatch);
 
-  pack_symbol_block(sym_.symbols, element_values, stride, count, ws, ok);
-  program_.run_batch(std::span<const double>(ws.symbol_values.data(), nsym * count),
-                     std::span<double>(ws.program_outputs.data(),
-                                       program_.output_count() * count),
-                     std::span<double>(ws.registers.data(),
-                                       program_.register_count() * count),
-                     count);
+  // Pack the element values (point stride `stride`) into lane stride
+  // `count`, applying the reciprocal transforms; a zero resistance value
+  // fails its lane and enters as a zero.
+  for (std::size_t p = 0; p < count; ++p) ok[p] = 1;
+  for (std::size_t i = 0; i < nsym; ++i) {
+    const double* const src = element_values.data() + i * stride;
+    double* const dst = ws.symbol_values.data() + i * count;
+    if (sym_.symbols[i].reciprocal) {
+      for (std::size_t p = 0; p < count; ++p) {
+        if (src[p] == 0.0) {
+          ok[p] = 0;
+          dst[p] = 0.0;
+        } else {
+          dst[p] = 1.0 / src[p];
+        }
+      }
+    } else {
+      for (std::size_t p = 0; p < count; ++p) dst[p] = src[p];
+    }
+  }
+  program.run_batch(
+      std::span<const double>(ws.symbol_values.data(), nsym * count),
+      std::span<double>(ws.program_outputs.data(), program.output_count() * count),
+      std::span<double>(ws.registers.data(), program.register_count() * count), count);
+
+  // The primal block [N_0 .. N_{2q-1}, det(Y0)] leads both programs' outputs.
   const double* const det = ws.program_outputs.data() + nm * count;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   for (std::size_t p = 0; p < count; ++p) {
@@ -327,6 +284,16 @@ void CompiledModel::moments_batch(std::span<const double> element_values, std::s
   }
 }
 
+void CompiledModel::moments_batch(std::span<const double> element_values, std::size_t stride,
+                                  std::size_t count, BatchWorkspace& ws,
+                                  std::span<double> moments_out, std::size_t out_stride,
+                                  std::span<unsigned char> ok) const {
+  if (count == 0) return;
+  run_lane_block(program_, element_values, stride, count, ws, moments_out, out_stride, ok,
+                 "CompiledModel: batch workspace does not match this model (use "
+                 "make_batch_workspace())");
+}
+
 engine::ReducedOrderModel CompiledModel::evaluate(
     std::span<const double> element_values) const {
   const auto m = moments_at(element_values);
@@ -339,54 +306,20 @@ engine::ReducedOrderModel CompiledModel::evaluate(
 
 CompiledModel::MomentsAndGradients CompiledModel::moments_and_gradients(
     std::span<const double> element_values) const {
-  if (!grad_program_)
-    throw std::logic_error(
-        "CompiledModel: build with ModelOptions::with_gradients for gradients");
-  const std::size_t nvars = sym_.symbols.size();
-  const std::size_t count = moment_count();
-  if (element_values.size() != nvars)
-    throw std::invalid_argument("CompiledModel: wrong number of element values");
-
-  // Internal symbol values + chain-rule factors d(symbol)/d(element value).
-  std::vector<double> inputs(nvars), chain(nvars, 1.0);
-  for (std::size_t i = 0; i < nvars; ++i) {
-    double v = element_values[i];
-    if (sym_.symbols[i].reciprocal) {
-      if (v == 0.0) throw std::domain_error("CompiledModel: zero resistance symbol value");
-      chain[i] = -1.0 / (v * v);  // d(1/v)/dv
-      v = 1.0 / v;
-    }
-    inputs[i] = v;
-  }
-
-  // ONE run of the gradient program yields the primal block and every
-  // adjoint block (the primal roots are embedded first — DESIGN.md §14).
-  std::vector<double> goutputs(grad_program_->output_count());
-  grad_program_->run(inputs, goutputs);
-  const double d = goutputs[count];  // det(Y0) closes the primal block
-  if (d == 0.0) throw std::domain_error("CompiledModel: det(Y0) vanishes at this point");
-
+  BatchWorkspace ws = make_gradient_batch_workspace(1);  // std::logic_error first
+  check_point(element_values);
+  const std::size_t nsym = sym_.symbols.size();
+  const std::size_t nm = moment_count();
   MomentsAndGradients out;
-  out.moments.resize(count);
-  double dp = d;
-  for (std::size_t k = 0; k < count; ++k) {
-    out.moments[k] = goutputs[k] / dp;
-    dp *= d;
-  }
-  out.dm.assign(count, std::vector<double>(nvars, 0.0));
-  for (std::size_t i = 0; i < nvars; ++i) {
-    const double* per_sym = goutputs.data() + (i + 1) * (count + 1);
-    const double dd = per_sym[count];  // d det / d symbol_i
-    double dpk = d;                    // d^{k+1}
-    for (std::size_t k = 0; k < count; ++k) {
-      // m_k = N_k / d^{k+1}:
-      //   dm_k = dN_k / d^{k+1} - (k+1) m_k (dd / d).
-      const double dm_sym =
-          per_sym[k] / dpk - static_cast<double>(k + 1) * out.moments[k] * (dd / d);
-      out.dm[k][i] = dm_sym * chain[i];
-      dpk *= d;
-    }
-  }
+  out.moments.resize(nm);
+  std::vector<double> grads(nsym * nm);
+  unsigned char ok = 0;
+  moments_and_gradients_batch(element_values, 1, 1, ws, out.moments, 1, grads, 1,
+                              std::span<unsigned char>(&ok, 1));
+  if (!ok) throw_point_failure(element_values);
+  out.dm.assign(nm, std::vector<double>(nsym));
+  for (std::size_t i = 0; i < nsym; ++i)
+    for (std::size_t k = 0; k < nm; ++k) out.dm[k][i] = grads[i * nm + k];
   return out;
 }
 
@@ -414,45 +347,29 @@ void CompiledModel::moments_and_gradients_batch(
   if (count == 0) return;
   const std::size_t nsym = sym_.symbols.size();
   const std::size_t nm = moment_count();
-  check_batch_args(nsym, nm, element_values, stride, count, ws, moments_out, out_stride, ok);
   if (grad_stride < count)
     throw std::invalid_argument("moments_and_gradients_batch: grad_stride smaller than count");
   if (nsym * nm > 0 && grads_out.size() < (nsym * nm - 1) * grad_stride + count)
     throw std::invalid_argument("moments_and_gradients_batch: grads_out span too small");
-  if (ws.symbol_values.size() < nsym * count ||
-      ws.program_outputs.size() < grad_program_->output_count() * count ||
-      ws.registers.size() < grad_program_->register_count() * count)
-    throw std::invalid_argument(
-        "CompiledModel: batch workspace does not match the gradient program (use "
-        "make_gradient_batch_workspace())");
+  run_lane_block(*grad_program_, element_values, stride, count, ws, moments_out, out_stride,
+                 ok,
+                 "CompiledModel: batch workspace does not match the gradient program (use "
+                 "make_gradient_batch_workspace())");
 
-  pack_symbol_block(sym_.symbols, element_values, stride, count, ws, ok);
-  grad_program_->run_batch(
-      std::span<const double>(ws.symbol_values.data(), nsym * count),
-      std::span<double>(ws.program_outputs.data(), grad_program_->output_count() * count),
-      std::span<double>(ws.registers.data(), grad_program_->register_count() * count),
-      count);
-
+  // The adjoint blocks follow the primal one: per symbol i,
+  // [dN_0/ds_i .. dN_{2q-1}/ds_i, d det/ds_i].
   const double* const det = ws.program_outputs.data() + nm * count;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   for (std::size_t p = 0; p < count; ++p) {
-    if (det[p] == 0.0) ok[p] = 0;
     if (!ok[p]) {
-      for (std::size_t k = 0; k < nm; ++k) moments_out[k * out_stride + p] = kNaN;
       for (std::size_t row = 0; row < nsym * nm; ++row)
         grads_out[row * grad_stride + p] = kNaN;
       continue;
     }
     const double d = det[p];
-    double dp = d;
-    for (std::size_t k = 0; k < nm; ++k) {
-      moments_out[k * out_stride + p] = ws.program_outputs[k * count + p] / dp;
-      dp *= d;
-    }
     for (std::size_t i = 0; i < nsym; ++i) {
-      // Chain factor d(symbol)/d(element value), computed from the element
-      // value with the EXACT expression the scalar path uses, so strict
-      // lanes bit-agree with moments_and_gradients().
+      // Chain factor d(symbol)/d(element value): d(1/v)/dv for a
+      // resistance.
       double chain = 1.0;
       if (sym_.symbols[i].reciprocal) {
         const double v = element_values[i * stride + p];
@@ -462,6 +379,7 @@ void CompiledModel::moments_and_gradients_batch(
       const double dd = per_sym[nm * count + p];  // d det / d symbol_i
       double dpk = d;
       for (std::size_t k = 0; k < nm; ++k) {
+        // m_k = N_k / d^{k+1}:  dm_k = dN_k / d^{k+1} - (k+1) m_k (dd / d).
         const double m_k = moments_out[k * out_stride + p];
         const double dm_sym =
             per_sym[k * count + p] / dpk - static_cast<double>(k + 1) * m_k * (dd / d);

@@ -106,24 +106,12 @@ class CompiledModel {
   const part::SymbolicMoments& symbolic_moments() const { return full_sym(); }
   std::vector<std::string> symbol_names() const { return sym_.symbol_names(); }
 
-  /// Reusable allocation-free evaluation scratch for the hot path.
-  struct Workspace {
-    std::vector<double> symbol_values;
-    std::vector<double> program_outputs;
-    std::vector<double> registers;
-    std::vector<double> moments;
-  };
-  Workspace make_workspace() const;
-
   /// Numeric moments m_0..m_{2q-1} at the given element values (one per
-  /// symbol, in symbolic_moments().symbols order), via the compiled
-  /// program.
+  /// symbol, in symbolic_moments().symbols order): one moments_batch() lane
+  /// block of count 1.  Throws std::invalid_argument on a wrong number of
+  /// values and std::domain_error where moments_batch() fails the lane
+  /// (zero resistance value, vanishing det(Y0)).
   std::vector<double> moments_at(std::span<const double> element_values) const;
-  /// Allocation-free variant; result lives in ws.moments.
-  /// Precondition: `ws` must have been produced by THIS model's
-  /// make_workspace() — a workspace sized for a different model is
-  /// rejected with std::invalid_argument.
-  void moments_at(std::span<const double> element_values, Workspace& ws) const;
 
   /// Batched structure-of-arrays scratch sized for lane blocks of up to
   /// `width` points.
@@ -133,9 +121,9 @@ class CompiledModel {
   /// Element value i of point p is read from element_values[i*stride + p];
   /// moment k of point p lands in moments_out[k*out_stride + p].  ok[p]
   /// (size count) is set to 0 — and the point's moments to NaN — exactly
-  /// where the scalar moments_at() would throw (zero resistance value or
-  /// vanishing det(Y0)); every other lane is bit-identical to the scalar
-  /// path.  Thread-safe for concurrent callers with distinct workspaces.
+  /// where moments_at() throws (zero resistance value or vanishing
+  /// det(Y0)); every other lane is bit-identical whatever `count`.
+  /// Thread-safe for concurrent callers with distinct workspaces.
   void moments_batch(std::span<const double> element_values, std::size_t stride,
                      std::size_t count, BatchWorkspace& ws, std::span<double> moments_out,
                      std::size_t out_stride, std::span<unsigned char> ok) const;
@@ -144,8 +132,10 @@ class CompiledModel {
   engine::ReducedOrderModel evaluate(std::span<const double> element_values) const;
 
   /// Moments plus their exact gradients with respect to the ELEMENT
-  /// values (reciprocal transforms chain-ruled).  Requires
-  /// ModelOptions::with_gradients at build time.
+  /// values (reciprocal transforms chain-ruled): one
+  /// moments_and_gradients_batch() lane block of count 1, with the error
+  /// contract of moments_at().  Requires ModelOptions::with_gradients at
+  /// build time (std::logic_error otherwise).
   struct MomentsAndGradients {
     std::vector<double> moments;              ///< m_0..m_{2q-1}
     std::vector<std::vector<double>> dm;      ///< dm[k][i] = dm_k/d(value_i)
@@ -167,10 +157,9 @@ class CompiledModel {
   /// point p lands at grads_out[(i*moment_count() + k)*grad_stride + p],
   /// chain-ruled to ELEMENT values (reciprocal symbols included) exactly
   /// as moments_and_gradients().  Failed lanes (ok[p] == 0) get NaN
-  /// moments and gradients.  Every lane is
-  /// bit-identical to the scalar moments_and_gradients() regardless of
-  /// count or thread.  Requires with_gradients (throws
-  /// std::logic_error otherwise).
+  /// moments and gradients.  Every lane is bit-identical regardless of
+  /// count or thread.  Requires with_gradients (throws std::logic_error
+  /// otherwise).
   void moments_and_gradients_batch(std::span<const double> element_values,
                                    std::size_t stride, std::size_t count,
                                    BatchWorkspace& ws, std::span<double> moments_out,
@@ -267,6 +256,20 @@ class CompiledModel {
     part::SymbolicMoments full;
   };
   const part::SymbolicMoments& full_sym() const;
+
+  /// The lane block both batch calls share: argument and workspace checks
+  /// (`ws_mismatch` is the workspace error text), the symbol pack with the
+  /// reciprocal transforms, one run of `program`, and the moment division
+  /// of its primal block (NaN moments on failed lanes).
+  void run_lane_block(const symbolic::CompiledProgram& program,
+                      std::span<const double> element_values, std::size_t stride,
+                      std::size_t count, BatchWorkspace& ws, std::span<double> moments_out,
+                      std::size_t out_stride, std::span<unsigned char> ok,
+                      const char* ws_mismatch) const;
+  /// The scalar entry points' arity check (exactly one value per symbol).
+  void check_point(std::span<const double> element_values) const;
+  /// Rethrow a failed count-1 lane as the std::domain_error its point hit.
+  [[noreturn]] void throw_point_failure(std::span<const double> element_values) const;
 
   CompiledModel(part::SymbolicMoments sym, symbolic::CompiledProgram program,
                 std::optional<symbolic::CompiledProgram> grad_program, ModelOptions opts)

@@ -91,8 +91,8 @@ AllocResult allocate_registers(const std::vector<VInstr>& seq,
       assert(n < 2 || ins.b != kUnassigned);
     }
     // Release registers whose owning value was last read here; the freed
-    // register may immediately become this instruction's dst (the batch
-    // kernels read each lane before writing it, so dst==src is safe).
+    // register may immediately become this instruction's dst (the
+    // interpreter reads each lane before writing it, so dst==src is safe).
     for (auto it = frees.find(i); it != frees.end() && it->first == i;) {
       free_regs.push_back(it->second);
       it = frees.erase(it);
@@ -116,7 +116,8 @@ AllocResult allocate_registers(const std::vector<VInstr>& seq,
 }  // namespace
 
 CompiledProgram::CompiledProgram(const ExprGraph& graph, std::span<const NodeId> roots) {
-  input_count_ = graph.input_count();
+  auto storage = std::make_shared<Storage>();
+  std::vector<double>& constants = storage->constants;
   const std::size_t nnodes = graph.node_count();
 
   // Nodes are created bottom-up, so ascending NodeId is a topological
@@ -145,11 +146,10 @@ CompiledProgram::CompiledProgram(const ExprGraph& graph, std::span<const NodeId>
   }
 
   auto const_index = [&](double v) -> std::uint32_t {
-    const auto it = std::find(own_constants_.begin(), own_constants_.end(), v);
-    if (it != own_constants_.end())
-      return static_cast<std::uint32_t>(it - own_constants_.begin());
-    own_constants_.push_back(v);
-    return static_cast<std::uint32_t>(own_constants_.size() - 1);
+    const auto it = std::find(constants.begin(), constants.end(), v);
+    if (it != constants.end()) return static_cast<std::uint32_t>(it - constants.begin());
+    constants.push_back(v);
+    return static_cast<std::uint32_t>(constants.size() - 1);
   };
 
   // One VInstr per reachable node, in scalar operation order.
@@ -175,76 +175,16 @@ CompiledProgram::CompiledProgram(const ExprGraph& graph, std::span<const NodeId>
     seq.push_back(v);
   }
   AllocResult alloc = allocate_registers(seq, roots, nnodes);
-  own_instrs_ = std::move(alloc.instrs);
-  own_output_regs_ = std::move(alloc.output_regs);
-  register_count_ = alloc.register_count;
-  rebind();
-}
-
-void CompiledProgram::rebind() {
-  instrs_ = own_instrs_;
-  constants_ = own_constants_;
-  output_regs_ = own_output_regs_;
-}
-
-CompiledProgram::CompiledProgram(const CompiledProgram& other)
-    : own_instrs_(other.own_instrs_),
-      own_constants_(other.own_constants_),
-      own_output_regs_(other.own_output_regs_),
-      instrs_(other.instrs_),
-      constants_(other.constants_),
-      output_regs_(other.output_regs_),
-      register_count_(other.register_count_),
-      input_count_(other.input_count_),
-      external_(other.external_) {
-  if (!external_) rebind();
-}
-
-CompiledProgram::CompiledProgram(CompiledProgram&& other) noexcept
-    : own_instrs_(std::move(other.own_instrs_)),
-      own_constants_(std::move(other.own_constants_)),
-      own_output_regs_(std::move(other.own_output_regs_)),
-      instrs_(other.instrs_),
-      constants_(other.constants_),
-      output_regs_(other.output_regs_),
-      register_count_(other.register_count_),
-      input_count_(other.input_count_),
-      external_(other.external_) {
-  // vector move transfers the heap buffer, so the copied spans still alias
-  // valid storage; rebind anyway to keep the invariant trivially auditable.
-  if (!external_) rebind();
-}
-
-CompiledProgram& CompiledProgram::operator=(const CompiledProgram& other) {
-  if (this == &other) return *this;
-  CompiledProgram tmp(other);
-  *this = std::move(tmp);
-  return *this;
-}
-
-CompiledProgram& CompiledProgram::operator=(CompiledProgram&& other) noexcept {
-  if (this == &other) return *this;
-  own_instrs_ = std::move(other.own_instrs_);
-  own_constants_ = std::move(other.own_constants_);
-  own_output_regs_ = std::move(other.own_output_regs_);
-  instrs_ = other.instrs_;
-  constants_ = other.constants_;
-  output_regs_ = other.output_regs_;
-  register_count_ = other.register_count_;
-  input_count_ = other.input_count_;
-  external_ = other.external_;
-  if (!external_) rebind();
-  return *this;
+  storage->instrs = std::move(alloc.instrs);
+  storage->outputs = std::move(alloc.output_regs);
+  code_ = {storage->instrs, storage->constants, storage->outputs, graph.input_count(),
+           alloc.register_count};
+  storage_ = std::move(storage);
 }
 
 CompiledProgram CompiledProgram::from_code(const ProgramCode& code) {
   CompiledProgram p;
-  p.instrs_ = code.instrs;
-  p.constants_ = code.constants;
-  p.output_regs_ = code.outputs;
-  p.input_count_ = code.input_count;
-  p.register_count_ = code.register_count;
-  p.external_ = true;
+  p.code_ = code;
   p.validate();
   return p;
 }
@@ -252,22 +192,22 @@ CompiledProgram CompiledProgram::from_code(const ProgramCode& code) {
 void CompiledProgram::validate() const {
   // Structural validation: every operand must stay inside the loaded
   // register/constant/input bounds so a corrupt mapped region cannot
-  // make run() read out of range.
+  // make run_batch() read out of range.
   auto check_reg = [&](std::uint32_t r) {
-    if (r >= register_count_)
+    if (r >= code_.register_count)
       throw std::runtime_error("CompiledProgram::load: register out of range");
   };
-  for (const Instr& in : instrs_) {
+  for (const Instr& in : code_.instrs) {
     if (static_cast<std::uint8_t>(in.op) > static_cast<std::uint8_t>(OpCode::kNeg))
       throw std::runtime_error("CompiledProgram::load: unknown opcode");
     check_reg(in.dst);
     switch (in.op) {
       case OpCode::kConst:
-        if (in.a >= constants_.size())
+        if (in.a >= code_.constants.size())
           throw std::runtime_error("CompiledProgram::load: constant out of range");
         break;
       case OpCode::kInput:
-        if (in.a >= input_count_)
+        if (in.a >= code_.input_count)
           throw std::runtime_error("CompiledProgram::load: input out of range");
         break;
       case OpCode::kNeg:
@@ -279,76 +219,26 @@ void CompiledProgram::validate() const {
         break;
     }
   }
-  for (std::uint32_t r : output_regs_) check_reg(r);
-}
-
-void CompiledProgram::run(std::span<const double> inputs, std::span<double> outputs) const {
-  std::vector<double> scratch(register_count_);
-  run_with_scratch(inputs, outputs, scratch);
-}
-
-void CompiledProgram::run_with_scratch(std::span<const double> inputs,
-                                       std::span<double> outputs,
-                                       std::span<double> scratch) const {
-  if (inputs.size() < input_count_)
-    throw std::invalid_argument("CompiledProgram::run: too few inputs");
-  if (outputs.size() != output_regs_.size())
-    throw std::invalid_argument("CompiledProgram::run: output size mismatch");
-  if (scratch.size() < register_count_)
-    throw std::invalid_argument("CompiledProgram::run: scratch too small");
-
-  double* const r = scratch.data();
-  for (const Instr& ins : instrs_) {
-    switch (ins.op) {
-      case OpCode::kConst:
-        r[ins.dst] = constants_[ins.a];
-        break;
-      case OpCode::kInput:
-        r[ins.dst] = inputs[ins.a];
-        break;
-      case OpCode::kAdd:
-        r[ins.dst] = r[ins.a] + r[ins.b];
-        break;
-      case OpCode::kSub:
-        r[ins.dst] = r[ins.a] - r[ins.b];
-        break;
-      case OpCode::kMul:
-        r[ins.dst] = r[ins.a] * r[ins.b];
-        break;
-      case OpCode::kDiv:
-        r[ins.dst] = r[ins.a] / r[ins.b];
-        break;
-      case OpCode::kNeg:
-        r[ins.dst] = -r[ins.a];
-        break;
-    }
-  }
-  for (std::size_t k = 0; k < output_regs_.size(); ++k) outputs[k] = r[output_regs_[k]];
+  for (std::uint32_t r : code_.outputs) check_reg(r);
 }
 
 void CompiledProgram::run_batch(std::span<const double> inputs, std::span<double> outputs,
                                 std::span<double> scratch, std::size_t count) const {
   if (count == 0) return;
-  if (inputs.size() < input_count_ * count)
+  if (inputs.size() < code_.input_count * count)
     throw std::invalid_argument("CompiledProgram::run_batch: too few inputs");
-  if (outputs.size() < output_regs_.size() * count)
+  if (outputs.size() < code_.outputs.size() * count)
     throw std::invalid_argument("CompiledProgram::run_batch: output size mismatch");
-  if (scratch.size() < register_count_ * count)
+  if (scratch.size() < code_.register_count * count)
     throw std::invalid_argument("CompiledProgram::run_batch: scratch too small");
-  run_batch_strict(inputs, outputs, scratch, count);
-}
-
-void CompiledProgram::run_batch_strict(std::span<const double> inputs,
-                                       std::span<double> outputs, std::span<double> scratch,
-                                       std::size_t count) const {
   double* const r = scratch.data();
   const double* const in = inputs.data();
   const std::size_t w = count;
-  for (const Instr& ins : instrs_) {
+  for (const Instr& ins : code_.instrs) {
     double* const d = r + ins.dst * w;
     switch (ins.op) {
       case OpCode::kConst: {
-        const double c = constants_[ins.a];
+        const double c = code_.constants[ins.a];
         for (std::size_t l = 0; l < w; ++l) d[l] = c;
         break;
       }
@@ -388,8 +278,8 @@ void CompiledProgram::run_batch_strict(std::span<const double> inputs,
       }
     }
   }
-  for (std::size_t k = 0; k < output_regs_.size(); ++k) {
-    const double* const s = r + output_regs_[k] * w;
+  for (std::size_t k = 0; k < code_.outputs.size(); ++k) {
+    const double* const s = r + code_.outputs[k] * w;
     double* const d = outputs.data() + k * w;
     for (std::size_t l = 0; l < w; ++l) d[l] = s[l];
   }
@@ -412,17 +302,17 @@ std::string c_literal(double v) {
 std::string CompiledProgram::to_c_source(std::string_view function_name) const {
   std::string src;
   src += "void " + std::string(function_name) + "(const double* in, double* out) {\n";
-  if (input_count_ == 0) src += "  (void)in;\n";  // a constant program reads no inputs
-  src += "  double r[" + std::to_string(register_count_ == 0 ? 1 : register_count_) +
-         "];\n";
+  if (code_.input_count == 0) src += "  (void)in;\n";  // a constant program reads no inputs
+  src += "  double r[" +
+         std::to_string(code_.register_count == 0 ? 1 : code_.register_count) + "];\n";
   auto num = [](double v) { return c_literal(v); };
-  for (const Instr& ins : instrs_) {
+  for (const Instr& ins : code_.instrs) {
     const std::string d = "  r[" + std::to_string(ins.dst) + "] = ";
     const std::string a = "r[" + std::to_string(ins.a) + "]";
     const std::string b = "r[" + std::to_string(ins.b) + "]";
     switch (ins.op) {
       case OpCode::kConst:
-        src += d + num(constants_[ins.a]) + ";\n";
+        src += d + num(code_.constants[ins.a]) + ";\n";
         break;
       case OpCode::kInput:
         src += d + "in[" + std::to_string(ins.a) + "];\n";
@@ -444,8 +334,8 @@ std::string CompiledProgram::to_c_source(std::string_view function_name) const {
         break;
     }
   }
-  for (std::size_t k = 0; k < output_regs_.size(); ++k)
-    src += "  out[" + std::to_string(k) + "] = r[" + std::to_string(output_regs_[k]) +
+  for (std::size_t k = 0; k < code_.outputs.size(); ++k)
+    src += "  out[" + std::to_string(k) + "] = r[" + std::to_string(code_.outputs[k]) +
            "];\n";
   src += "}\n";
   return src;

@@ -4,13 +4,16 @@
 // provides a compiled set of operations which can quickly produce a final
 // AWE approximation, where the operands are the values of the symbols."
 // The program is a straight-line instruction vector over a small register
-// file, one instruction per DAG node in the scalar operation order, so
-// every evaluation is bit-for-bit reproducible; registers are recycled
-// after the last use of each intermediate, so the working set stays cache
-// resident even for thousand-operation models.
+// file, one instruction per DAG node in the scalar operation order.  It
+// has one interpreter, run_batch(): each instruction runs across a block
+// of lanes (one point per lane), and a single point is a block of one, so
+// every lane is bit-for-bit reproducible whatever the block width.
+// Registers are recycled after the last use of each intermediate, so the
+// working set stays cache resident even for thousand-operation models.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,11 +34,11 @@ struct Instr {
 };
 
 /// Non-owning executable view of a compiled program: the exact spans the
-/// interpreter and the C emitter read.  For an owning CompiledProgram the
-/// spans alias its internal vectors; for a view-backed one (model format
-/// v5, DESIGN.md §15) they point straight into a mapped file or shared
-/// memory region — the region's records ARE the instruction stream, so
-/// opening a model touches no per-instruction allocation at all.  The
+/// interpreter and the C emitter read.  For a compiled CompiledProgram the
+/// spans alias its shared immutable storage; for one opened from a model
+/// (format v5, DESIGN.md §15) they point straight into a mapped file or
+/// shared memory region — the region's records ARE the instruction stream,
+/// so opening a model touches no per-instruction allocation at all.  The
 /// backing region must outlive every program built over it (CompiledModel
 /// pins it with a shared handle).
 struct ProgramCode {
@@ -48,32 +51,21 @@ struct ProgramCode {
 
 class CompiledProgram {
  public:
-  /// Compile the subgraph reachable from `roots`.  Output k of run() is the
-  /// value of roots[k].
+  /// Compile the subgraph reachable from `roots`.  Output k of run_batch()
+  /// is the value of roots[k].
   CompiledProgram(const ExprGraph& graph, std::span<const NodeId> roots);
 
-  std::size_t output_count() const { return output_regs_.size(); }
-  std::size_t input_count() const { return input_count_; }
-  std::size_t instruction_count() const { return instrs_.size(); }
+  std::size_t output_count() const { return code_.outputs.size(); }
+  std::size_t input_count() const { return code_.input_count; }
+  std::size_t instruction_count() const { return code_.instrs.size(); }
   /// Scratch registers per lane.
-  std::size_t register_count() const { return register_count_; }
+  std::size_t register_count() const { return code_.register_count; }
 
-  /// Evaluate: inputs are the symbol values; outputs receives the root
-  /// values.  Thread-safe (no internal mutable state) when
-  /// each caller supplies its own scratch via run_with_scratch.
-  void run(std::span<const double> inputs, std::span<double> outputs) const;
-
-  /// Same, with caller-provided scratch — the allocation-free hot path for
-  /// iterative evaluation.
-  /// Preconditions (validated, std::invalid_argument on violation):
-  ///   inputs.size() >= input_count(), outputs.size() == output_count(),
-  ///   scratch.size() >= register_count().
-  void run_with_scratch(std::span<const double> inputs, std::span<double> outputs,
-                        std::span<double> scratch) const;
-
-  /// Batched structure-of-arrays execution of `count` independent points.
-  /// Lane stride is `count`: input i of point p sits at inputs[i*count + p],
-  /// output k of point p lands at outputs[k*count + p].
+  /// Structure-of-arrays execution of `count` independent points, the one
+  /// interpreter.  Lane stride is `count`: input i of point p sits at
+  /// inputs[i*count + p], output k of point p lands at outputs[k*count + p].
+  /// Thread-safe: the program is immutable, and each caller supplies its
+  /// own scratch.
   ///
   /// Preconditions (validated, std::invalid_argument on violation):
   ///   inputs.size()  >= input_count()*count,
@@ -81,8 +73,8 @@ class CompiledProgram {
   ///   scratch.size() >= register_count()*count.
   ///
   /// Each instruction is executed across all lanes in exactly the scalar
-  /// operation order, so every lane's result is bit-identical to run() on
-  /// that point regardless of `count`.  count == 0 is a no-op.
+  /// operation order, so every lane's result is bit-identical regardless of
+  /// `count`.  count == 0 is a no-op.
   void run_batch(std::span<const double> inputs, std::span<double> outputs,
                  std::span<double> scratch, std::size_t count) const;
 
@@ -92,13 +84,10 @@ class CompiledProgram {
   /// downstream application with zero interpreter overhead.
   std::string to_c_source(std::string_view function_name) const;
 
-  /// The executable view of this program.  For an owning program the spans
-  /// alias internal storage and stay valid as long as the program lives;
-  /// for a view-backed program they alias the external region it was built
-  /// over.
-  ProgramCode code() const {
-    return {instrs_, constants_, output_regs_, input_count_, register_count_};
-  }
+  /// The executable view of this program, valid as long as the program (or
+  /// any copy of it) lives, or, for a program built by from_code(), as long
+  /// as the external region lives.
+  ProgramCode code() const { return code_; }
 
   /// Construct a program that executes directly out of `code` without
   /// copying any stream — the model-format zero-copy path.  The caller
@@ -109,47 +98,25 @@ class CompiledProgram {
   /// index out of the register file.
   static CompiledProgram from_code(const ProgramCode& code);
 
-  /// True when the instruction stream aliases an external region (mapped
-  /// file / shared memory) rather than internal storage.
-  bool view_backed() const { return external_; }
-
  private:
+  /// The streams a compiled program owns.  Immutable once compiled and
+  /// shared by every copy, so the spans in code_ stay valid across copies
+  /// and moves.
+  struct Storage {
+    std::vector<Instr> instrs;
+    std::vector<double> constants;
+    std::vector<std::uint32_t> outputs;
+  };
+
   CompiledProgram() = default;  // for from_code()
 
   /// Structural validation of the current stream: every operand register,
   /// constant index and input index in bounds, output maps in bounds.
   /// Throws std::runtime_error with a "CompiledProgram::load:" message.
   void validate() const;
-  /// Point the execution spans at the owned vectors (after the owned
-  /// storage has been (re)filled or copied/moved).
-  void rebind();
 
-  void run_batch_strict(std::span<const double> inputs, std::span<double> outputs,
-                        std::span<double> scratch, std::size_t count) const;
-
-  // Owned storage.  Empty for view-backed programs (external_ == true),
-  // where the execution spans below alias a caller-owned region instead.
-  std::vector<Instr> own_instrs_;
-  std::vector<double> own_constants_;
-  std::vector<std::uint32_t> own_output_regs_;
-
-  // Execution views — the only thing the run/emit paths ever read.
-  std::span<const Instr> instrs_;
-  std::span<const double> constants_;
-  std::span<const std::uint32_t> output_regs_;
-  std::size_t register_count_ = 0;
-  std::size_t input_count_ = 0;
-  bool external_ = false;
-
- public:
-  // Copy/move must re-point the spans at the destination's own_* storage
-  // (or keep aliasing the external region for view-backed programs);
-  // defaulted versions would leave a copy's spans dangling into the source.
-  CompiledProgram(const CompiledProgram& other);
-  CompiledProgram(CompiledProgram&& other) noexcept;
-  CompiledProgram& operator=(const CompiledProgram& other);
-  CompiledProgram& operator=(CompiledProgram&& other) noexcept;
-  ~CompiledProgram() = default;
+  std::shared_ptr<const Storage> storage_;  ///< null for from_code() programs
+  ProgramCode code_;  ///< the only thing the run/emit paths read
 };
 
 static_assert(sizeof(Instr) == 16, "Instr layout is part of model format v5");

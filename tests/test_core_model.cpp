@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "awe/awe.hpp"
 #include "circuits/fig1_rc.hpp"
@@ -75,22 +79,10 @@ TEST(CompiledModel, EvaluateProducesSameRomAsFullAwe) {
   EXPECT_NEAR(rom.dc_gain(), rom_ref.dc_gain(), 1e-9 * std::abs(rom_ref.dc_gain()));
 }
 
-TEST(CompiledModel, WorkspaceReuseMatchesAllocatingPath) {
-  auto fig = circuits::make_fig1();
-  const auto model = CompiledModel::build(fig.netlist, {"g2", "c2"},
-                                          circuits::Fig1Circuit::kInput, fig.v2,
-                                          {.order = 2});
-  auto ws = model.make_workspace();
-  const std::vector<double> vals{1.5, 0.8};
-  model.moments_at(vals, ws);
-  const auto ref = model.moments_at(vals);
-  for (std::size_t k = 0; k < ref.size(); ++k) EXPECT_DOUBLE_EQ(ws.moments[k], ref[k]);
-}
-
 TEST(CompiledModel, WorkspaceFromDifferentModelRejected) {
-  // Regression: a workspace built by another model's make_workspace() used
-  // to drive out-of-bounds writes; the documented precondition is now
-  // enforced with an explicit size check.
+  // Regression: a workspace built for another model used to drive
+  // out-of-bounds writes; the documented precondition is enforced with an
+  // explicit size check.
   auto fig = circuits::make_fig1();
   const auto two_sym = CompiledModel::build(fig.netlist, {"g2", "c2"},
                                             circuits::Fig1Circuit::kInput, fig.v2,
@@ -98,13 +90,6 @@ TEST(CompiledModel, WorkspaceFromDifferentModelRejected) {
   const auto one_sym = CompiledModel::build(fig.netlist, {"c1"},
                                             circuits::Fig1Circuit::kInput, fig.v2,
                                             {.order = 1});
-  auto foreign = one_sym.make_workspace();
-  EXPECT_THROW(two_sym.moments_at(std::vector<double>{1.0, 1.0}, foreign),
-               std::invalid_argument);
-  auto own = two_sym.make_workspace();
-  EXPECT_NO_THROW(two_sym.moments_at(std::vector<double>{1.0, 1.0}, own));
-
-  // Same contract on the batched path.
   auto foreign_batch = one_sym.make_batch_workspace(8);
   std::vector<double> pts(2 * 8, 1.0), out(two_sym.moment_count() * 8);
   std::vector<unsigned char> ok(8);
@@ -157,6 +142,65 @@ TEST(CompiledModel, ReciprocalSymbolGuards) {
   const auto m = model.moments_at(std::vector<double>{2e3});
   EXPECT_NEAR(m[0], 1.0, 1e-12);
   EXPECT_NEAR(m[1], -2e-6, 1e-15);
+}
+
+/// what() of the E that f throws; a marker when it throws nothing or
+/// another type.
+template <class E, class F>
+std::string what_of(F&& f) {
+  try {
+    f();
+  } catch (const E& e) {
+    return e.what();
+  } catch (...) {
+    return "<other exception>";
+  }
+  return "<no exception>";
+}
+
+TEST(CompiledModel, ScalarEntryPointsKeepTheirErrorContract) {
+  // The fuzz oracle records these texts as compiled_error, so its JSON
+  // bytes depend on them: each scalar entry point must raise the same
+  // type with the same text.
+  circuit::Netlist nl;
+  const auto in = nl.node("in");
+  const auto out = nl.node("out");
+  nl.add_voltage_source("vin", in, circuit::kGround, 1.0);
+  nl.add_resistor("rsym", in, out, 1e3);
+  nl.add_capacitor("c1", out, circuit::kGround, 1e-9);
+  const auto rc =
+      CompiledModel::build(nl, {"rsym"}, "vin", out, {.order = 1, .with_gradients = true});
+  // g2 = 0 leaves v2 with no DC path: det(Y0) vanishes.
+  auto fig = circuits::make_fig1();
+  const auto floating = CompiledModel::build(fig.netlist, {"g2", "c2"},
+                                             circuits::Fig1Circuit::kInput, fig.v2,
+                                             {.order = 2, .with_gradients = true});
+
+  using Call = std::function<void(const CompiledModel&, std::span<const double>)>;
+  const std::pair<const char*, Call> entries[] = {
+      {"moments_at", [](const CompiledModel& m, std::span<const double> v) { m.moments_at(v); }},
+      {"evaluate", [](const CompiledModel& m, std::span<const double> v) { m.evaluate(v); }},
+      {"moments_and_gradients",
+       [](const CompiledModel& m, std::span<const double> v) { m.moments_and_gradients(v); }}};
+  const std::string arity = "CompiledModel: wrong number of element values";
+  for (const auto& [name, call] : entries) {
+    EXPECT_EQ(what_of<std::domain_error>([&] { call(rc, std::vector<double>{0.0}); }),
+              "CompiledModel: zero resistance symbol value")
+        << name;
+    EXPECT_EQ(what_of<std::domain_error>([&] { call(floating, std::vector<double>{0.0, 1.0}); }),
+              "CompiledModel: det(Y0) vanishes at this point")
+        << name;
+    EXPECT_EQ(what_of<std::invalid_argument>([&] { call(floating, std::vector<double>{1.0}); }),
+              arity)
+        << name;
+    EXPECT_EQ(what_of<std::invalid_argument>(
+                  [&] { call(floating, std::vector<double>{1.0, 1.0, 1.0}); }),
+              arity)
+        << name;
+    EXPECT_EQ(what_of<std::domain_error>([&] { call(floating, std::vector<double>{1.0, 1.0}); }),
+              "<no exception>")
+        << name;
+  }
 }
 
 TEST(SelectSymbols, ReturnsRequestedCount) {

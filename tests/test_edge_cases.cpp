@@ -126,8 +126,8 @@ TEST(EdgeCases, CompiledProgramSingleConstantRoot) {
   symbolic::ExprGraph g;
   const auto root = g.constant(42.0);
   symbolic::CompiledProgram prog(g, std::vector<symbolic::NodeId>{root});
-  std::vector<double> out(1);
-  prog.run(std::vector<double>{}, out);
+  std::vector<double> out(1), scratch(prog.register_count());
+  prog.run_batch(std::vector<double>{}, out, scratch, 1);
   EXPECT_DOUBLE_EQ(out[0], 42.0);
 }
 
@@ -136,8 +136,8 @@ TEST(EdgeCases, CompiledProgramDuplicateRoots) {
   const auto x = g.input(0);
   const auto r = g.mul(x, x);
   symbolic::CompiledProgram prog(g, std::vector<symbolic::NodeId>{r, r, x});
-  std::vector<double> out(3);
-  prog.run(std::vector<double>{3.0}, out);
+  std::vector<double> out(3), scratch(prog.register_count());
+  prog.run_batch(std::vector<double>{3.0}, out, scratch, 1);
   EXPECT_DOUBLE_EQ(out[0], 9.0);
   EXPECT_DOUBLE_EQ(out[1], 9.0);
   EXPECT_DOUBLE_EQ(out[2], 3.0);
@@ -148,11 +148,11 @@ TEST(EdgeCases, ScratchTooSmallRejected) {
   const auto r = g.add(g.input(0), g.constant(1.0));
   symbolic::CompiledProgram prog(g, std::vector<symbolic::NodeId>{r});
   std::vector<double> out(1), scratch;
-  EXPECT_THROW(prog.run_with_scratch(std::vector<double>{1.0}, out, scratch),
+  EXPECT_THROW(prog.run_batch(std::vector<double>{1.0}, out, scratch, 1),
                std::invalid_argument);
   std::vector<double> in;
   std::vector<double> scratch2(prog.register_count());
-  EXPECT_THROW(prog.run_with_scratch(in, out, scratch2), std::invalid_argument);
+  EXPECT_THROW(prog.run_batch(in, out, scratch2, 1), std::invalid_argument);
 }
 
 TEST(EdgeCases, VcvsLoopHasUniqueSolution) {

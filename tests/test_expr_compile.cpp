@@ -70,8 +70,8 @@ TEST(CompiledProgram, MatchesReferenceEvaluation) {
   std::uniform_real_distribution<double> dist(-2.0, 2.0);
   for (int i = 0; i < 30; ++i) {
     const std::vector<double> in{dist(rng), dist(rng)};
-    std::vector<double> out(3);
-    prog.run(in, out);
+    std::vector<double> out(3), scratch(prog.register_count());
+    prog.run_batch(in, out, scratch, 1);
     for (std::size_t k = 0; k < roots.size(); ++k)
       EXPECT_NEAR(out[k], g.evaluate_node(roots[k], in), 1e-12);
   }
@@ -112,8 +112,8 @@ TEST(LowerPolynomial, HornerEvaluationCorrect) {
   std::uniform_real_distribution<double> dist(-3.0, 3.0);
   for (int i = 0; i < 30; ++i) {
     const std::vector<double> pt{dist(rng), dist(rng)};
-    std::vector<double> out(1);
-    prog.run(pt, out);
+    std::vector<double> out(1), scratch(prog.register_count());
+    prog.run_batch(pt, out, scratch, 1);
     EXPECT_NEAR(out[0], p.evaluate(pt), 1e-9 * (1.0 + std::abs(p.evaluate(pt))));
   }
 }
@@ -134,8 +134,8 @@ TEST(LowerRational, DividesNumeratorByDenominator) {
   const std::vector<NodeId> vars{g.input(0)};
   const auto root = lower_rational(g, rf, vars);
   CompiledProgram prog(g, std::vector<NodeId>{root});
-  std::vector<double> out(1);
-  prog.run(std::vector<double>{3.0}, out);
+  std::vector<double> out(1), scratch(prog.register_count());
+  prog.run_batch(std::vector<double>{3.0}, out, scratch, 1);
   EXPECT_NEAR(out[0], 4.0 / 5.0, 1e-12);
 }
 

@@ -1,7 +1,8 @@
 // Property tests for the batched SoA interpreter and the sweep engine's
-// determinism guarantee: run_batch must match scalar run() BIT-FOR-BIT on
-// every lane for any batch width (including odd remainder tails), and a
-// sweep's results must be bit-identical whatever the thread count.
+// determinism guarantee: run_batch must match an independent node-by-node
+// evaluation of the graph BIT-FOR-BIT on every lane for any batch width
+// (including odd remainder tails), and a sweep's results must be
+// bit-identical whatever the thread count.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,6 +13,7 @@
 #include "circuits/fig1_rc.hpp"
 #include "core/awesymbolic.hpp"
 #include "engine/sweep.hpp"
+#include "expr_reference.hpp"
 #include "symbolic/compile.hpp"
 #include "symbolic/expr.hpp"
 
@@ -20,11 +22,18 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Random straight-line program over `ninputs` inputs.  Division is kept
-/// pole-free (denominator b*b + c with c > 0) so lanes stay finite-ish;
-/// bitwise comparison would survive inf/NaN anyway.
-symbolic::CompiledProgram random_program(std::mt19937& rng, std::size_t ninputs,
-                                         std::size_t nops, std::size_t nroots) {
+/// Random straight-line program over `ninputs` inputs, with the graph it
+/// was compiled from.  Division is kept pole-free (denominator b*b + c with
+/// c > 0) so lanes stay finite-ish; bitwise comparison would survive inf/NaN
+/// anyway.
+struct RandomProgram {
+  symbolic::ExprGraph graph;
+  std::vector<symbolic::NodeId> roots;
+  symbolic::CompiledProgram prog;
+};
+
+RandomProgram random_program(std::mt19937& rng, std::size_t ninputs, std::size_t nops,
+                             std::size_t nroots) {
   symbolic::ExprGraph g;
   std::vector<symbolic::NodeId> pool;
   for (std::size_t i = 0; i < ninputs; ++i)
@@ -48,7 +57,8 @@ symbolic::CompiledProgram random_program(std::mt19937& rng, std::size_t ninputs,
   std::vector<symbolic::NodeId> roots;
   std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
   for (std::size_t k = 0; k < nroots; ++k) roots.push_back(pool[pick(rng)]);
-  return symbolic::CompiledProgram(g, roots);
+  symbolic::CompiledProgram prog(g, roots);
+  return {std::move(g), std::move(roots), std::move(prog)};
 }
 
 TEST(RunBatch, BitIdenticalToScalarAcrossWidthsAndTails) {
@@ -56,7 +66,8 @@ TEST(RunBatch, BitIdenticalToScalarAcrossWidthsAndTails) {
   std::uniform_real_distribution<double> vdist(-2.0, 2.0);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t ninputs = 1 + trial % 4;
-    const auto prog = random_program(rng, ninputs, 40 + 7 * trial, 3);
+    const auto rp = random_program(rng, ninputs, 40 + 7 * trial, 3);
+    const auto& prog = rp.prog;
     const std::size_t nout = prog.output_count();
 
     // n chosen so every width below leaves an odd remainder tail.
@@ -64,13 +75,13 @@ TEST(RunBatch, BitIdenticalToScalarAcrossWidthsAndTails) {
     std::vector<double> points(ninputs * n);
     for (double& v : points) v = vdist(rng);
 
-    // Scalar reference, point by point.
+    // Graph reference, point by point.
     std::vector<double> ref(nout * n);
-    std::vector<double> in(ninputs), out(nout);
+    std::vector<double> in(ninputs);
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t i = 0; i < ninputs; ++i) in[i] = points[i * n + p];
-      prog.run(in, out);
-      for (std::size_t k = 0; k < nout; ++k) ref[k * n + p] = out[k];
+      const auto v = awe::testing::node_values(rp.graph, in);
+      for (std::size_t k = 0; k < nout; ++k) ref[k * n + p] = v[rp.roots[k]];
     }
 
     for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{8},
@@ -96,7 +107,7 @@ TEST(RunBatch, BitIdenticalToScalarAcrossWidthsAndTails) {
 
 TEST(RunBatch, RejectsUndersizedSpans) {
   std::mt19937 rng(5);
-  const auto prog = random_program(rng, 2, 20, 2);
+  const auto prog = random_program(rng, 2, 20, 2).prog;
   std::vector<double> in(2 * 4), out(2 * 4), scratch(prog.register_count() * 4);
   EXPECT_NO_THROW(prog.run_batch(in, out, scratch, 4));
   EXPECT_THROW(prog.run_batch(std::span<const double>(in.data(), 3), out, scratch, 4),

@@ -47,18 +47,18 @@ TEST(SweepStress, ManyThreadsShareOneConstModel) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       // Per-thread workspaces; the model itself is shared and const.
-      auto ws = model.make_workspace();
+      auto ws = model.make_batch_workspace(1);
       auto bws = model.make_batch_workspace(16);
-      std::vector<double> vals(2), out(nm * npts);
+      std::vector<double> vals(2), moments(nm), out(nm * npts);
       std::vector<unsigned char> ok(npts);
       for (int it = 0; it < kIters; ++it) {
-        // Scalar path.
+        // One point per call through a reused count-1 workspace.
         const std::size_t p = static_cast<std::size_t>((t * kIters + it) % npts);
         vals[0] = points[p];
         vals[1] = points[npts + p];
-        model.moments_at(vals, ws);
+        model.moments_batch(vals, 1, 1, ws, moments, 1, std::span<unsigned char>(ok.data(), 1));
         for (std::size_t k = 0; k < nm; ++k)
-          if (ws.moments[k] != ref[k * npts + p]) mismatches.fetch_add(1);
+          if (moments[k] != ref[k * npts + p]) mismatches.fetch_add(1);
         // Batched path over the whole set.
         for (std::size_t b = 0; b < npts; b += 16) {
           const std::size_t w = std::min<std::size_t>(16, npts - b);

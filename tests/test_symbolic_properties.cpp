@@ -80,8 +80,8 @@ TEST_P(SymbolicProperty, CompiledProgramIsDeterministicAndFaithful) {
   for (int t = 0; t < 5; ++t) {
     std::vector<double> pt(nv);
     for (auto& v : pt) v = val(rng);
-    std::vector<double> out(2);
-    prog1.run(pt, out);
+    std::vector<double> out(2), scratch(prog1.register_count());
+    prog1.run_batch(pt, out, scratch, 1);
     EXPECT_NEAR(out[0], p.evaluate(pt), 1e-8 * (1.0 + std::abs(out[0])));
     EXPECT_NEAR(out[1], q.evaluate(pt), 1e-8 * (1.0 + std::abs(out[1])));
   }
