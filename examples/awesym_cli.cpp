@@ -11,7 +11,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -93,7 +92,6 @@ int main(int argc, char** argv) {
   std::uint64_t mc_seed = 42;
   sweep::SweepOptions sopts;
   core::BuildOptions build_opts;
-  std::string shm_name;
   std::string dump_moments;
 
   const cli::Parser cli{
@@ -131,8 +129,6 @@ int main(int argc, char** argv) {
                     "build through the persistent model cache under DIR"),
           cli::flag("--mmap", build_opts.map_model,
                     "with --cache-dir: mmap a v5 cache hit in place"),
-          cli::text("--shm", "NAME", shm_name,
-                    "evaluate through a shared-memory model store (/NAME.g1)"),
           cli::text("--dump-moments", "FILE", dump_moments,
                     "with --mc: write every moment as text (\"-\" = stdout)"),
           cli::HealthJsonSink::option(),
@@ -187,23 +183,8 @@ int main(int argc, char** argv) {
     if (symbols.empty())
       return deck_error("no symbols: use .symbol directives, --symbols or --auto-symbols");
 
-    core::CompiledModel built = core::CompiledModel::build(deck.netlist, symbols,
-                                                           deck.input_source, *out_node,
-                                                           {.order = order}, build_opts);
-
-    // --shm: publish into a shared-memory hot-swap store and evaluate
-    // through a pinned view of the published generation — every downstream
-    // query below runs against the shm region, not the heap build.
-    std::optional<core::SharedModelStore> store;
-    std::shared_ptr<core::CompiledModel> shared;
-    if (!shm_name.empty()) {
-      store.emplace(shm_name, core::SharedModelStore::Backing::kShm);
-      store->publish(built);
-      shared = std::make_shared<core::CompiledModel>(*store->acquire());
-    } else {
-      shared = std::make_shared<core::CompiledModel>(std::move(built));
-    }
-    const core::CompiledModel& model = *shared;
+    const core::CompiledModel model = core::CompiledModel::build(
+        deck.netlist, symbols, deck.input_source, *out_node, {.order = order}, build_opts);
     std::printf("model: order %zu, symbols", order);
     for (const auto& s : model.symbol_names()) std::printf(" %s", s.c_str());
     std::printf(", %zu ports, %zu compiled instructions", model.port_count(),
@@ -284,7 +265,7 @@ int main(int argc, char** argv) {
         // Deterministic text for the CI byte-compare: per point, the ok
         // flag and every raw moment at full precision.  %.17g round-trips
         // IEEE doubles exactly, so bit-identical moments produce
-        // byte-identical dumps — across thread counts and heap/mmap/shm
+        // byte-identical dumps — across thread counts and heap/mmap
         // backings.
         std::FILE* out =
             dump_moments == "-" ? stdout : std::fopen(dump_moments.c_str(), "w");

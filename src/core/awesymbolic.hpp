@@ -235,11 +235,11 @@ class CompiledModel {
   /// (O(pages touched)).  Same validation/throw contract as from_blob.
   static CompiledModel map_file(const std::filesystem::path& path,
                                 bool verify_checksum = false);
-  /// True when this model executes out of an external region (mmap/shm/
+  /// True when this model executes out of an external region (mmap or
   /// heap blob) rather than owned vectors.
   bool view_backed() const { return blob_ != nullptr; }
-  /// Region provenance for health/audit output ("heap", file path, or
-  /// "shm:/name"); empty for built/parsed models.
+  /// Region provenance for health/audit output ("heap" or the file
+  /// path); empty for built/parsed models.
   std::string blob_origin() const { return blob_ ? blob_->origin() : std::string(); }
 
  private:

@@ -110,10 +110,6 @@ class MappedBlob final : public ModelBlob {
   std::string origin_;
 };
 
-std::string shm_path(const std::string& name) {
-  return name.empty() || name[0] != '/' ? "/" + name : name;
-}
-
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -147,47 +143,6 @@ std::shared_ptr<const ModelBlob> map_file_blob(const std::filesystem::path& path
   ::close(fd);
   if (addr == MAP_FAILED) throw_errno("map_file_blob: mmap " + path.string());
   return std::make_shared<MappedBlob>(addr, size, path.string());
-}
-
-std::shared_ptr<const ModelBlob> create_shm_blob(const std::string& name,
-                                                 std::span<const std::byte> bytes) {
-  const std::string path = shm_path(name);
-  ::shm_unlink(path.c_str());  // replace any stale object of the same name
-  const int fd = ::shm_open(path.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-  if (fd < 0) throw_errno("create_shm_blob: shm_open " + path);
-  if (::ftruncate(fd, static_cast<off_t>(bytes.size())) != 0) {
-    ::close(fd);
-    ::shm_unlink(path.c_str());
-    throw_errno("create_shm_blob: ftruncate " + path);
-  }
-  void* addr = ::mmap(nullptr, bytes.size(), PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (addr == MAP_FAILED) {
-    ::shm_unlink(path.c_str());
-    throw_errno("create_shm_blob: mmap " + path);
-  }
-  std::memcpy(addr, bytes.data(), bytes.size());
-  return std::make_shared<MappedBlob>(addr, bytes.size(), "shm:" + path);
-}
-
-std::shared_ptr<const ModelBlob> open_shm_blob(const std::string& name) {
-  const std::string path = shm_path(name);
-  const int fd = ::shm_open(path.c_str(), O_RDONLY, 0);
-  if (fd < 0) throw_errno("open_shm_blob: shm_open " + path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    throw std::runtime_error("open_shm_blob: empty shared-memory object " + path);
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  void* addr = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (addr == MAP_FAILED) throw_errno("open_shm_blob: mmap " + path);
-  return std::make_shared<MappedBlob>(addr, size, "shm:" + path);
-}
-
-void unlink_shm_blob(const std::string& name) {
-  ::shm_unlink(shm_path(name).c_str());
 }
 
 // ---- validated view -----------------------------------------------------
@@ -351,7 +306,7 @@ std::string pack_model_v5(const PackInput& in) {
     cursor = align_up(static_cast<std::size_t>(cursor + s.size));
   }
   // The tail is padded to the alignment quantum too, so total_size (and
-  // every file/shm region holding a blob) is a whole number of 64-byte
+  // every file or heap region holding a blob) is a whole number of 64-byte
   // units — concatenation-safe and mappable with no trailing slack page
   // arithmetic.
   const std::uint64_t total_size = align_up(static_cast<std::size_t>(

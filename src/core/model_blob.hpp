@@ -10,7 +10,7 @@
 // varints, every record at its static_assert-pinned layout).  Opening a
 // model is therefore mmap + bounds validation: O(pages touched), not
 // O(model size); the same blob also serves unchanged from a heap buffer
-// or a POSIX shared-memory region (SharedModelStore hot-swap).
+// (CompiledModel::load, SharedModelStore hot-swap).
 //
 // Only the symbolic-polynomial section keeps a stream encoding (the
 // symbolic/serialize.hpp primitives): it is cold (needed for
@@ -116,16 +116,16 @@ static_assert(alignof(Header) <= 64 && alignof(Meta) <= 64 &&
 /// FNV-1a 64-bit over a byte range (the model checksum primitive).
 std::uint64_t fnv1a64(const void* data, std::size_t size);
 
-/// Abstract owner of a model region: heap buffer, mmap'd cache file, or a
-/// named shared-memory segment.  CompiledModel pins the blob with a
-/// shared_ptr so the region outlives every program view built over it —
-/// including through SharedModelStore hot-swap retirement.
+/// Abstract owner of a model region: a heap buffer or an mmap'd cache
+/// file.  CompiledModel pins the blob with a shared_ptr so the region
+/// outlives every program view built over it — including through
+/// SharedModelStore hot-swap retirement.
 class ModelBlob {
  public:
   virtual ~ModelBlob() = default;
   virtual std::span<const std::byte> bytes() const = 0;
-  /// Where the region came from, for health/audit messages ("heap",
-  /// file path, or shm name).
+  /// Where the region came from, for health/audit messages ("heap" or
+  /// the file path).
   virtual std::string origin() const = 0;
 };
 
@@ -135,15 +135,6 @@ std::shared_ptr<const ModelBlob> make_heap_blob(std::string_view bytes);
 /// checksum is computed here (see the integrity contract above).
 /// Throws std::runtime_error (errno text included) on open/map failure.
 std::shared_ptr<const ModelBlob> map_file_blob(const std::filesystem::path& path);
-/// Create (or replace) a POSIX shared-memory object `/name` holding a copy
-/// of `bytes`, and return a mapping of it.
-std::shared_ptr<const ModelBlob> create_shm_blob(const std::string& name,
-                                                 std::span<const std::byte> bytes);
-/// Map an existing shared-memory object read-only.
-std::shared_ptr<const ModelBlob> open_shm_blob(const std::string& name);
-/// Remove the name; existing mappings stay valid until unmapped.
-void unlink_shm_blob(const std::string& name);
-
 /// The one format-version check, shared by CompiledModel::load and
 /// ModelView::open: any version but kModelFormatVersion throws
 /// health::FailError(kModelFormat, "CompiledModel::load: unsupported

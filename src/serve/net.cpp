@@ -67,8 +67,8 @@ int listen_unix(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket");
   set_cloexec(fd);
-  // A kill -9'd predecessor leaves the path bound; replace it the same way
-  // the shm store replaces a stale region name.
+  // A kill -9'd predecessor leaves the path bound; unlink it so a
+  // restart on the same path binds.
   ::unlink(path.c_str());
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);

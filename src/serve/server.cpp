@@ -82,21 +82,17 @@ Server::Conn::~Conn() {
   if (fd >= 0) ::close(fd);
 }
 
-Server::Server(ServerConfig cfg)
-    : cfg_(std::move(cfg)),
-      store_(cfg_.store_name.empty() ? "awe_serve" : cfg_.store_name,
-             cfg_.store_name.empty() ? core::SharedModelStore::Backing::kHeap
-                                     : core::SharedModelStore::Backing::kShm) {}
+Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)), store_("awe_serve") {}
 
 Server::~Server() {
   stop();
   if (drain_thread_.joinable()) drain_thread_.join();
 }
 
-core::CompiledModel Server::build_model() const {
+Server::Loaded Server::build_model() const {
   std::ifstream in(cfg_.deck_path);
   if (!in) throw std::runtime_error("cannot open deck " + cfg_.deck_path);
-  circuit::ParsedDeck deck = circuit::parse_deck(in);
+  const circuit::ParsedDeck deck = circuit::parse_deck(in);
   if (deck.symbol_elements.empty() || deck.input_source.empty() ||
       deck.output_node.empty())
     throw std::runtime_error("deck needs .symbol/.input/.output directives");
@@ -104,9 +100,19 @@ core::CompiledModel Server::build_model() const {
   // to .bad and rebuilds (core/model_cache) instead of failing the reload.
   core::BuildOptions build_opts;
   build_opts.cache_dir = cfg_.cache_dir;
-  return core::CompiledModel::build(deck.netlist, deck.symbol_elements,
-                                    deck.input_source, deck.output_node, cfg_.model,
-                                    build_opts);
+  Loaded loaded{core::CompiledModel::build(deck.netlist, deck.symbol_elements,
+                                           deck.input_source, deck.output_node,
+                                           cfg_.model, build_opts),
+                std::make_shared<ModelMeta>()};
+  ModelMeta& m = *loaded.meta;
+  m.symbols = loaded.model.symbol_names();
+  m.order = loaded.model.order();
+  // Nominal values for server-side Monte Carlo, from the deck the model
+  // was built from: the build has already resolved every symbol.
+  const auto& elements = deck.netlist.elements();
+  for (const auto& s : m.symbols)
+    m.nominal.push_back(elements[deck.netlist.find_element(s).value()].value);
+  return loaded;
 }
 
 std::shared_ptr<const Server::ModelMeta> Server::meta() const {
@@ -123,19 +129,9 @@ void Server::start() {
   // Build + publish generation 1 before binding: a daemon that cannot
   // serve its first request should fail its start, not its clients.
   {
-    const core::CompiledModel model = build_model();
-    auto m = std::make_shared<ModelMeta>();
-    m->symbols = model.symbol_names();
-    m->order = model.order();
-    // Nominal deck values for server-side Monte Carlo sampling.
-    std::ifstream in(cfg_.deck_path);
-    const circuit::ParsedDeck deck = circuit::parse_deck(in);
-    for (const auto& s : m->symbols) {
-      const auto idx = deck.netlist.find_element(s);
-      m->nominal.push_back(idx ? deck.netlist.elements()[*idx].value : 0.0);
-    }
-    store_.publish(model);
-    set_meta(std::move(m));
+    Loaded loaded = build_model();
+    store_.publish(loaded.model);
+    set_meta(std::move(loaded.meta));
   }
 
   if (cfg_.tcp) {
@@ -539,18 +535,9 @@ void Server::handle_reload(const Job& job) {
       // The swap failpoint sits INSIDE the retry loop: serve.swap=once
       // fails exactly the first attempt, proving the backoff path.
       health::failpoints::maybe_fail(health::failpoints::sites::kServeSwap);
-      const core::CompiledModel model = build_model();
-      auto m = std::make_shared<ModelMeta>();
-      m->symbols = model.symbol_names();
-      m->order = model.order();
-      std::ifstream in(cfg_.deck_path);
-      const circuit::ParsedDeck deck = circuit::parse_deck(in);
-      for (const auto& s : m->symbols) {
-        const auto idx = deck.netlist.find_element(s);
-        m->nominal.push_back(idx ? deck.netlist.elements()[*idx].value : 0.0);
-      }
-      const std::uint64_t gen = store_.publish(model);
-      set_meta(std::move(m));
+      Loaded loaded = build_model();
+      const std::uint64_t gen = store_.publish(loaded.model);
+      set_meta(std::move(loaded.meta));
       stats_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
       std::string body;
       put(body, ",\"generation\":", gen);

@@ -67,8 +67,7 @@ struct ServerConfig {
   // Model source.
   std::string deck_path;
   core::ModelOptions model;
-  std::string cache_dir;   ///< BuildOptions::cache_dir of every (re)build; empty = cold
-  std::string store_name;  ///< shm store name; empty = private heap backing
+  std::string cache_dir;  ///< BuildOptions::cache_dir of every (re)build; empty = cold
 
   // Concurrency.
   std::size_t workers = 2;             ///< eval worker threads
@@ -202,15 +201,20 @@ class Server {
   void respond(const std::shared_ptr<Conn>& conn, std::string line);
   void evict(const std::shared_ptr<Conn>& conn);
 
-  /// Parse the deck and build a fresh model (through the cache when
-  /// configured).  Pure; throws on failure.
-  core::CompiledModel build_model() const;
   /// Derived per-model facts readers need without touching the store.
   struct ModelMeta {
     std::vector<std::string> symbols;
     std::vector<double> nominal;  ///< deck values, for server-side MC
     std::size_t order = 0;
   };
+  struct Loaded {
+    core::CompiledModel model;
+    std::shared_ptr<ModelMeta> meta;
+  };
+  /// Parse the deck once and build a fresh model (through the cache when
+  /// configured) with its meta from that same parse.  Pure; throws on
+  /// failure.
+  Loaded build_model() const;
   std::shared_ptr<const ModelMeta> meta() const;
   void set_meta(std::shared_ptr<const ModelMeta> m);
 

@@ -37,7 +37,7 @@ struct Instr {
 /// interpreter and the C emitter read.  For a compiled CompiledProgram the
 /// spans alias its shared immutable storage; for one opened from a model
 /// (format v5, DESIGN.md §15) they point straight into a mapped file or
-/// shared memory region — the region's records ARE the instruction stream,
+/// heap region — the region's records ARE the instruction stream,
 /// so opening a model touches no per-instruction allocation at all.  The
 /// backing region must outlive every program built over it (CompiledModel
 /// pins it with a shared handle).

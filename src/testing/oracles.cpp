@@ -333,14 +333,14 @@ OracleResult run_oracles(const circuit::ParsedDeck& deck, const OracleOptions& o
   compare(exact_path, awe_path, "exact", "awe", opts.cross_tol, opts.ill_limit);
   compare(awe_path, strict_path, "awe", "strict", opts.cross_tol, opts.ill_limit);
 
-  // The sweep engine guarantees bit-identical results to the scalar
-  // interpreter — compared exactly, no tolerance.
+  // The sweep engine guarantees bit-identical results to the count-1 lane
+  // block — compared exactly, no tolerance.
   if (strict_path.ok && sweep_path.ok && res.status == OracleStatus::kAgree) {
     for (std::size_t k = 0; k < nm; ++k) {
       if (strict_path.m[k] == sweep_path.m[k]) continue;
       res.status = OracleStatus::kMismatch;
       res.mismatch_kind = "sweep not bit-identical";
-      res.detail = "sweep is not bit-identical to the scalar path at moment " +
+      res.detail = "sweep is not bit-identical to the count-1 lane block at moment " +
                    std::to_string(k) + ": " + json::exact(strict_path.m[k]) + " vs " +
                    json::exact(sweep_path.m[k]);
       return res;

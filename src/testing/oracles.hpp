@@ -4,7 +4,7 @@
 // moments:
 //   1. exact  — Cramer's-rule symbolic H(s,e), Maclaurin long division
 //   2. awe    — numeric MNA moment recursion (sparse LU per deck)
-//   3. strict — compiled interpreter, scalar run()
+//   3. strict — compiled interpreter, moments_at() (a count-1 lane block)
 //   4. sweep  — the parallel sweep engine's batched interpreter, one point
 //
 // Comparison is condition-aware rather than binary: each moment m_k gets a

@@ -19,7 +19,8 @@ namespace {
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Random expression DAG.  Division is kept pole-free (denominator
-/// b*b + c with c > 0) so lanes stay finite.
+/// b*b + c with c > 0) so lanes stay finite.  With `horner`, one op in six
+/// is the a*b + c shape polynomial lowering emits.
 struct RandomDag {
   ExprGraph graph;
   std::vector<NodeId> nodes;
@@ -27,14 +28,14 @@ struct RandomDag {
 };
 
 RandomDag random_dag(std::mt19937& rng, std::size_t ninputs, std::size_t nops,
-                     std::size_t nroots) {
+                     std::size_t nroots, bool horner) {
   RandomDag d;
   for (std::size_t i = 0; i < ninputs; ++i)
     d.nodes.push_back(d.graph.input(static_cast<std::uint32_t>(i)));
   std::uniform_real_distribution<double> cdist(-1.5, 1.5);
   for (int i = 0; i < 4; ++i) d.nodes.push_back(d.graph.constant(cdist(rng)));
 
-  std::uniform_int_distribution<std::size_t> op(0, 5);
+  std::uniform_int_distribution<std::size_t> op(0, horner ? 5 : 4);
   for (std::size_t i = 0; i < nops; ++i) {
     std::uniform_int_distribution<std::size_t> pick(0, d.nodes.size() - 1);
     const auto a = d.nodes[pick(rng)];
@@ -46,7 +47,6 @@ RandomDag random_dag(std::mt19937& rng, std::size_t ninputs, std::size_t nops,
       case 2: d.nodes.push_back(g.mul(a, b)); break;
       case 3: d.nodes.push_back(g.div(a, g.add(g.mul(b, b), g.constant(0.25)))); break;
       case 4: d.nodes.push_back(g.neg(a)); break;
-      // Bias toward the Horner shape polynomial lowering emits.
       default: d.nodes.push_back(g.add(g.mul(a, b), d.nodes[pick(rng)])); break;
     }
   }
@@ -55,21 +55,31 @@ RandomDag random_dag(std::mt19937& rng, std::size_t ninputs, std::size_t nops,
   return d;
 }
 
-constexpr std::size_t kWidths[] = {1, 3, 8, 64};
+/// One random-DAG family: its seed, trial count, op-count schedule and
+/// whether the Horner shape is mixed in.
+struct Family {
+  unsigned seed;
+  int trials;
+  std::size_t base_ops, ops_step;
+  bool horner;
+};
 
-TEST(FusionPass, StrictBatchBitIdenticalToRunAcrossWidths) {
-  std::mt19937 rng(71);
+/// run_batch at widths {1, 3, 8, 64} over n = 131 points (an odd tail at
+/// every width above 1) must match node_values on the graph bit for bit.
+void expect_run_batch_matches_node_values(const Family f) {
+  std::mt19937 rng(f.seed);
   std::uniform_real_distribution<double> vdist(-2.0, 2.0);
-  for (int trial = 0; trial < 12; ++trial) {
+  for (int trial = 0; trial < f.trials; ++trial) {
     const std::size_t ninputs = 1 + trial % 4;
-    auto dag = random_dag(rng, ninputs, 50 + 9 * trial, 3);
+    auto dag = random_dag(rng, ninputs, f.base_ops + f.ops_step * trial, 3, f.horner);
     const CompiledProgram prog(dag.graph, dag.roots);
     const std::size_t nout = prog.output_count();
 
-    const std::size_t n = 131;  // odd tail at every width above
+    const std::size_t n = 131;  // odd tail at every width above 1
     std::vector<double> points(ninputs * n);
     for (double& v : points) v = vdist(rng);
 
+    // Graph reference, point by point.
     std::vector<double> ref(nout * n);
     std::vector<double> in(ninputs);
     for (std::size_t p = 0; p < n; ++p) {
@@ -78,7 +88,7 @@ TEST(FusionPass, StrictBatchBitIdenticalToRunAcrossWidths) {
       for (std::size_t k = 0; k < nout; ++k) ref[k * n + p] = v[dag.roots[k]];
     }
 
-    for (const std::size_t width : kWidths) {
+    for (const std::size_t width : {1u, 3u, 8u, 64u}) {
       std::vector<double> soa_in(ninputs * width), soa_out(nout * width);
       std::vector<double> scratch(prog.register_count() * width);
       for (std::size_t b = 0; b < n; b += width) {
@@ -91,10 +101,19 @@ TEST(FusionPass, StrictBatchBitIdenticalToRunAcrossWidths) {
         for (std::size_t k = 0; k < nout; ++k)
           for (std::size_t l = 0; l < w; ++l)
             ASSERT_EQ(bits(soa_out[k * w + l]), bits(ref[k * n + b + l]))
-                << "trial " << trial << " width " << width << " point " << b + l;
+                << "seed " << f.seed << " trial " << trial << " width " << width
+                << " point " << b + l << " output " << k;
       }
     }
   }
+}
+
+TEST(FusionPass, StrictBatchBitIdenticalToRunAcrossWidths) {
+  expect_run_batch_matches_node_values({71, 12, 50, 9, /*horner=*/true});
+}
+
+TEST(RunBatch, BitIdenticalToScalarAcrossWidthsAndTails) {
+  expect_run_batch_matches_node_values({2024, 20, 40, 7, /*horner=*/false});
 }
 
 TEST(RunBatch, ValidatesSpanSizesAndZeroCountIsNoop) {

@@ -5,9 +5,8 @@
 // under TSan (the sanitizer CI matrix builds these tests with
 // -DAWE_SANITIZE=thread) this pins the store's concurrency contract:
 //   - every publish returns a UNIQUE generation, even when several
-//     publishers race one swap (the reservation counter in
-//     model_store.cpp; before it, two publishers could mint one shm name
-//     and the loser's stale-unlink ripped the winner's region away);
+//     publishers race one swap (model_store.cpp numbers a generation at
+//     the swap, under the store's mutex);
 //   - generations observed through acquire(&gen) are monotone per reader
 //     and the pinned model matches the pinned generation — the pin and
 //     the generation number are one atomic step;
@@ -52,7 +51,9 @@ CompiledModel build_model() {
                               deck.input_source, deck.output_node, {.order = 2});
 }
 
-void hammer(SharedModelStore& store, const CompiledModel& model) {
+TEST(ModelStoreRace, PublishAcquireHammerHeap) {
+  const CompiledModel model = build_model();
+  SharedModelStore store("awe_store_race_heap");
   constexpr std::size_t kPublishers = 2;
   constexpr std::size_t kReaders = 6;
   constexpr std::size_t kPublishesEach = 40;
@@ -98,7 +99,7 @@ void hammer(SharedModelStore& store, const CompiledModel& model) {
   EXPECT_EQ(gens.size(), 1 + kPublishers * kPublishesEach);
   EXPECT_EQ(store.generation(), highest);
 
-  // No readers pinned: only the current generation's region stays mapped.
+  // No readers pinned: only the current generation's region stays alive.
   EXPECT_EQ(store.live_generations(), 1u);
 
   std::uint64_t final_gen = 0;
@@ -106,18 +107,6 @@ void hammer(SharedModelStore& store, const CompiledModel& model) {
   ASSERT_NE(final_model, nullptr);
   EXPECT_EQ(final_gen, highest);
   EXPECT_EQ(final_model->moments_at(at), reference);
-}
-
-TEST(ModelStoreRace, PublishAcquireHammerHeap) {
-  const CompiledModel model = build_model();
-  SharedModelStore store("awe_store_race_heap");
-  hammer(store, model);
-}
-
-TEST(ModelStoreRace, PublishAcquireHammerShm) {
-  const CompiledModel model = build_model();
-  SharedModelStore store("awe_store_race_shm", SharedModelStore::Backing::kShm);
-  hammer(store, model);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 //     server stops on its own and wait() returns;
 //   - request containment: a malformed line is answered with
 //     "bad_request" and the connection keeps serving;
+//   - reload: the model and the nominal values info reports come from one
+//     read of the deck;
 //   - line framing: the max_line cap is exact whatever the read chunking,
 //     and pipelined lines come back in order.
 #include <gtest/gtest.h>
@@ -287,6 +289,33 @@ TEST_F(ServeTest, DefaultDeadlineExpiresAnUnboundedSweep) {
   EXPECT_TRUE(truthy(r, "deadline_expired"));
   EXPECT_EQ(num(r, "num_points"),
             num(r, "ok_points") + num(r, "degraded") + num(r, "quarantined"));
+}
+
+TEST_F(ServeTest, ReloadReportsTheRewrittenDecksNominalValues) {
+  start();
+  Client c(cfg_.unix_path);
+  // info's nominal values, in .symbol order (R2, C2).
+  const auto expect_nominal = [](const json::Value& info, double r2) {
+    const json::Value* n = info.find("nominal");
+    ASSERT_NE(n, nullptr);
+    ASSERT_EQ(n->array.size(), 2u);
+    EXPECT_DOUBLE_EQ(n->array[0].number, r2);
+    EXPECT_DOUBLE_EQ(n->array[1].number, 5e-12);
+  };
+  const json::Value before = c.request(R"({"op":"info"})");
+  EXPECT_EQ(num(before, "generation"), 1u);
+  expect_nominal(before, 2e3);
+
+  std::string deck = kDeck;
+  deck.replace(deck.find("R2 a out 2k"), 11, "R2 a out 3k");
+  std::ofstream(deck_) << deck;
+  const json::Value r = c.request(R"({"op":"reload"})");
+  EXPECT_TRUE(truthy(r, "ok"));
+  EXPECT_EQ(num(r, "generation"), 2u);
+
+  const json::Value after = c.request(R"({"op":"info"})");
+  EXPECT_EQ(num(after, "generation"), 2u);
+  expect_nominal(after, 3e3);
 }
 
 /// A connected socketpair whose writer end is fed from a thread.

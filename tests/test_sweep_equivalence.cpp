@@ -1,8 +1,9 @@
-// Property tests for the batched SoA interpreter and the sweep engine's
-// determinism guarantee: run_batch must match an independent node-by-node
-// evaluation of the graph BIT-FOR-BIT on every lane for any batch width
-// (including odd remainder tails), and a sweep's results must be
-// bit-identical whatever the thread count.
+// Property tests for the batched model entry points and the sweep
+// engine's determinism guarantee: moments_batch must match moments_at
+// BIT-FOR-BIT on every lane for any batch width (including odd remainder
+// tails), and a sweep's results must be bit-identical whatever the thread
+// count.  The interpreter's own bit test against the graph is in
+// test_interpreter.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,7 +14,6 @@
 #include "circuits/fig1_rc.hpp"
 #include "core/awesymbolic.hpp"
 #include "engine/sweep.hpp"
-#include "expr_reference.hpp"
 #include "symbolic/compile.hpp"
 #include "symbolic/expr.hpp"
 
@@ -22,92 +22,12 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Random straight-line program over `ninputs` inputs, with the graph it
-/// was compiled from.  Division is kept pole-free (denominator b*b + c with
-/// c > 0) so lanes stay finite-ish; bitwise comparison would survive inf/NaN
-/// anyway.
-struct RandomProgram {
-  symbolic::ExprGraph graph;
-  std::vector<symbolic::NodeId> roots;
-  symbolic::CompiledProgram prog;
-};
-
-RandomProgram random_program(std::mt19937& rng, std::size_t ninputs, std::size_t nops,
-                             std::size_t nroots) {
-  symbolic::ExprGraph g;
-  std::vector<symbolic::NodeId> pool;
-  for (std::size_t i = 0; i < ninputs; ++i)
-    pool.push_back(g.input(static_cast<std::uint32_t>(i)));
-  std::uniform_real_distribution<double> cdist(-1.5, 1.5);
-  for (int i = 0; i < 4; ++i) pool.push_back(g.constant(cdist(rng)));
-
-  std::uniform_int_distribution<std::size_t> op(0, 4);
-  for (std::size_t i = 0; i < nops; ++i) {
-    std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
-    const auto a = pool[pick(rng)];
-    const auto b = pool[pick(rng)];
-    switch (op(rng)) {
-      case 0: pool.push_back(g.add(a, b)); break;
-      case 1: pool.push_back(g.sub(a, b)); break;
-      case 2: pool.push_back(g.mul(a, b)); break;
-      case 3: pool.push_back(g.div(a, g.add(g.mul(b, b), g.constant(0.25)))); break;
-      default: pool.push_back(g.neg(a)); break;
-    }
-  }
-  std::vector<symbolic::NodeId> roots;
-  std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
-  for (std::size_t k = 0; k < nroots; ++k) roots.push_back(pool[pick(rng)]);
-  symbolic::CompiledProgram prog(g, roots);
-  return {std::move(g), std::move(roots), std::move(prog)};
-}
-
-TEST(RunBatch, BitIdenticalToScalarAcrossWidthsAndTails) {
-  std::mt19937 rng(2024);
-  std::uniform_real_distribution<double> vdist(-2.0, 2.0);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t ninputs = 1 + trial % 4;
-    const auto rp = random_program(rng, ninputs, 40 + 7 * trial, 3);
-    const auto& prog = rp.prog;
-    const std::size_t nout = prog.output_count();
-
-    // n chosen so every width below leaves an odd remainder tail.
-    const std::size_t n = 131;
-    std::vector<double> points(ninputs * n);
-    for (double& v : points) v = vdist(rng);
-
-    // Graph reference, point by point.
-    std::vector<double> ref(nout * n);
-    std::vector<double> in(ninputs);
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t i = 0; i < ninputs; ++i) in[i] = points[i * n + p];
-      const auto v = awe::testing::node_values(rp.graph, in);
-      for (std::size_t k = 0; k < nout; ++k) ref[k * n + p] = v[rp.roots[k]];
-    }
-
-    for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                                    std::size_t{64}}) {
-      std::vector<double> soa_in(ninputs * width), soa_out(nout * width);
-      std::vector<double> scratch(prog.register_count() * width);
-      for (std::size_t b = 0; b < n; b += width) {
-        const std::size_t w = std::min(width, n - b);
-        for (std::size_t i = 0; i < ninputs; ++i)
-          for (std::size_t l = 0; l < w; ++l) soa_in[i * w + l] = points[i * n + b + l];
-        prog.run_batch(std::span<const double>(soa_in.data(), ninputs * w),
-                       std::span<double>(soa_out.data(), nout * w),
-                       std::span<double>(scratch.data(), prog.register_count() * w), w);
-        for (std::size_t k = 0; k < nout; ++k)
-          for (std::size_t l = 0; l < w; ++l)
-            ASSERT_EQ(bits(soa_out[k * w + l]), bits(ref[k * n + b + l]))
-                << "trial " << trial << " width " << width << " point " << b + l
-                << " output " << k;
-      }
-    }
-  }
-}
-
 TEST(RunBatch, RejectsUndersizedSpans) {
-  std::mt19937 rng(5);
-  const auto prog = random_program(rng, 2, 20, 2).prog;
+  symbolic::ExprGraph g;
+  const auto a = g.input(0);
+  const auto b = g.input(1);
+  const std::vector<symbolic::NodeId> roots = {g.mul(a, b), g.sub(a, b)};
+  const symbolic::CompiledProgram prog(g, roots);
   std::vector<double> in(2 * 4), out(2 * 4), scratch(prog.register_count() * 4);
   EXPECT_NO_THROW(prog.run_batch(in, out, scratch, 4));
   EXPECT_THROW(prog.run_batch(std::span<const double>(in.data(), 3), out, scratch, 4),

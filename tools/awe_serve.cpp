@@ -57,8 +57,6 @@ int main(int argc, char** argv) {
           cli::number("--order", "Q", cfg.model.order, "Padé order (default 2)", 1),
           cli::text("--cache-dir", "DIR", cfg.cache_dir,
                     "build/reload through the persistent model cache"),
-          cli::text("--shm", "NAME", cfg.store_name,
-                    "back the model store with shared memory /NAME.g<gen>"),
           cli::number("--workers", "N", cfg.workers,
                       "eval worker threads (default 2)", 1),
           cli::number("--threads-per-worker", "N", cfg.threads_per_worker,

@@ -157,7 +157,8 @@ def main():
     usage_errors = [
         # (what, text the reason must contain, health file or None, command)
         # Removed features: the native AOT backend, the v3 repacker, the
-        # fused evaluation form and the threaded build.
+        # fused evaluation form, the threaded build and the shared-memory
+        # model store.
         ("awe_build --native", "--native", "build_native",
          [args.awe_build, "--cache-dir", cache, "--native", args.deck]),
         ("awe_build --pack-v4", "--pack-v4", "build_pack_v4",
@@ -174,6 +175,10 @@ def main():
         ("awe_opt --fast", "--fast", "opt_fast",
          [args.awe_opt, "--measure", "pole1", "--mc", "64", "--fast",
           args.deck]),
+        ("awe_serve --shm X", "--shm", "serve_shm",
+         [args.awe_serve, "--shm", "X"]),
+        ("awesym_cli --shm X", "--shm", "cli_shm",
+         [args.awesym_cli, args.deck, "--shm", "X"]),
         # Malformed values: the whole token must parse.
         ("awe_opt --mc abc", "--mc", "opt_mc",
          [args.awe_opt, "--measure", "pole1", "--mc", "abc", args.deck]),

@@ -6,7 +6,7 @@ One deck list (examples/decks/*.sp + tests/corpus/*.sp), one thread list
 (1, 4, 8) and one table of rows, each printing one ``ok:`` line.  Byte
 comparisons go through same_bytes(), which names the first differing
 offset.  Row families: incremental (edit vs cold build), backing (heap vs
---mmap vs --shm), gradient, cache, fault (torn and crashed cache entries,
+--mmap), gradient, cache, fault (torn and crashed cache entries,
 --map-audit), containment (one per failpoint site) and fuzz.  Every
 failpoint site in src/health/failpoints.hpp must be named by a row, except
 serve.*, which serve_probe.py's failpoints scenario arms.
@@ -33,7 +33,6 @@ DECKS = {os.path.basename(p)[:-3]: p for p in sorted(glob.glob(
     os.path.join(REPO, "examples", "decks", "*.sp"))) + CORPUS}
 TWOPOLE = DECKS["twopole"]
 THREADS = (1, 4, 8)
-SHM_PREFIX = "awe_dm_%d_" % os.getpid()
 
 # The sites the containment rows arm.  The three store_* sites need a cold
 # cache dir and load_corrupt a warm one, or they are never reached.
@@ -132,8 +131,8 @@ def build_rows(a):
                                 "--save-model", d + ".bin", DECKS[n]])
         same_bytes(cold_edit(n), d + ".bin")
 
-    # -- backing (§15): heap, mmap'd v5 cache entry and shm store give the
-    # same moment dump.  The heap run warms the entry --mmap maps.
+    # -- backing (§15): heap and mmap'd v5 cache entry give the same
+    # moment dump.  The heap run warms the entry --mmap maps.
     def moments(n, t, out, via):
         tool([cli, DECKS[n], "--mc", 512, "--threads", t, "--dump-moments",
               w(out)] + via)
@@ -144,11 +143,9 @@ def build_rows(a):
         return moments(n, 1, "mm_%s_heap.txt" % n,
                        ["--cache-dir", w("mm_" + n)])
 
-    def backing(n, t, how):
-        via = (["--cache-dir", w("mm_" + n), "--mmap"] if how == "mmap"
-               else ["--shm", "%s%s_t%d" % (SHM_PREFIX, n, t)])
-        same_bytes(heap(n), moments(n, t, "mm_%s_%s_t%d.txt" % (n, how, t),
-                                    via))
+    def backing(n, t):
+        same_bytes(heap(n), moments(n, t, "mm_%s_mmap_t%d.txt" % (n, t),
+                                    ["--cache-dir", w("mm_" + n), "--mmap"]))
 
     # -- gradient (§14): the gradient dump is the same bytes heap or
     # mapped, and at every thread count.
@@ -171,16 +168,11 @@ def build_rows(a):
 
     for n in DECKS:
         rows.append(("incremental %s" % n, incremental, n))
-        rows += [("backing %s %s t%d" % (n, how, t), backing, n, t, how)
-                 for t in THREADS for how in ("mmap", "shm")]
+        rows += [("backing %s mmap t%d" % (n, t), backing, n, t)
+                 for t in THREADS]
         rows.append(("gradient %s heap-vs-mmap" % n, gradient_mmap, n))
         rows += [("gradient %s t1-vs-t%d" % (n, t), gradient_threads, n, t)
                  for t in THREADS[1:]]
-
-    @row("backing shm regions removed")
-    def _():
-        left = glob.glob("/dev/shm/" + SHM_PREFIX + "*")
-        need(not left, "left behind: %s" % left)
 
     # -- cache: the corpus built into two fresh caches is the same bytes,
     # and a warm pass loads every model instead of building it.

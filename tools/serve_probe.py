@@ -360,8 +360,7 @@ def scenario_reload(p):
 def scenario_kill9(p):
     cache = os.path.join(p.workdir, "cache")
     shutil.rmtree(cache, ignore_errors=True)
-    shm = "awe_probe_%d" % os.getpid()
-    flags = ["--shm", shm, "--cache-dir", cache, "--quiet"]
+    flags = ["--cache-dir", cache, "--quiet"]
     p.start(flags)
     check(p.one_shot({"op": "eval", "mc": 32, "summary": True})["ok"],
           "eval works before the crash")
@@ -371,7 +370,7 @@ def scenario_kill9(p):
     p.proc.kill()  # SIGKILL mid-load: no drain, no cleanup
     p.proc.wait()
     lg.wait(timeout=30)  # loadgen must notice and exit, not hang
-    # Restart against the SAME shm name, unix path, and cache directory.
+    # Restart against the SAME unix path and cache directory.
     p.start(flags)
     check(p.one_shot({"op": "ping"})["ok"], "restart after kill -9 serves")
     ev = p.one_shot({"op": "eval", "mc": 32, "summary": True})
